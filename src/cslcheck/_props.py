@@ -20,6 +20,7 @@ from .dist import (
     all_values,
     tensor,
     uniform_memories,
+    zero_store,
 )
 from .hoare import fuzz_rule_soundness
 from .logic import (
@@ -150,10 +151,7 @@ def suite_pkrm(rng, cases, ns, result):
         right = store_tensor(a, store_tensor(b, c))
         if left != right:
             _note(result, "tensor associativity fails")
-        unit = Store(
-            EMPTY_ENV,
-            {n: FinDist.dirac(Memory.make(EMPTY_ENV, n, {})) for n in ns},
-        )
+        unit = zero_store(EMPTY_ENV, ns)
         if store_tensor(a, unit) != a or store_tensor(unit, a) != a:
             _note(result, "tensor identity fails")
         whole = left
@@ -227,10 +225,7 @@ def suite_unit(rng, cases, ns, result):
     for _ in range(cases):
         env = _gen.gen_env(rng)
         s = _gen.gen_store(rng, env, ns)
-        unit = Store(
-            EMPTY_ENV,
-            {n: FinDist.dirac(Memory.make(EMPTY_ENV, n, {})) for n in ns},
-        )
+        unit = zero_store(EMPTY_ENV, ns)
         if store_tensor(unit, s) != s:
             _note(result, "unit tensor changed the store")
         if store_project(s, EMPTY_ENV) != unit:

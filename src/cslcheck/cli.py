@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from ._props import ALL_SUITES, SuiteResult
-from .dist import FinDist, Memory, Store, value_len
+from .dist import FinDist, Memory, Store, zero_store
 from .hoare import ProofError, check_triple
 from .logic import load_registry, sat_formula
 from .semantics import (
@@ -72,15 +72,44 @@ def store_to_text(s: Store) -> str:
     return json.dumps(store_to_obj(s), indent=2) + "\n"
 
 
-def store_from_obj(doc: dict) -> Store:
+def _prob_from_obj(raw, where: str) -> Fraction:
+    # a JSON float is binary: 0.1 would decode to a nearby dyadic rational
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise ValueError(f'{where}: prob must be an int or a string like "1/4"')
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{where}: bad prob {raw!r}") from None
+
+
+def store_from_obj(doc) -> Store:
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("env"), dict)
+        and isinstance(doc.get("family"), dict)
+        and all(isinstance(t, str) for t in doc["env"].values())
+    ):
+        raise ValueError(
+            "store needs an 'env' object of type strings and a 'family' object"
+        )
     env = Env.make({name: parse_type(t) for name, t in doc["env"].items()})
     family = {}
     for n_text, entries in doc["family"].items():
         n = int(n_text)
+        if not isinstance(entries, list):
+            raise ValueError(f"store family {n_text!r} must be a list of entries")
         probs = {}
-        for entry in entries:
+        for i, entry in enumerate(entries):
+            where = f"store family {n_text!r} entry {i}"
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("values"), dict)
+                and "prob" in entry
+            ):
+                raise ValueError(f"{where}: needs a 'values' object and a 'prob'")
             m = Memory.make(env, n, entry["values"])
-            probs[m] = probs.get(m, Fraction(0)) + Fraction(entry["prob"])
+            prob = _prob_from_obj(entry["prob"], where)
+            probs[m] = probs.get(m, Fraction(0)) + prob
         family[n] = FinDist(probs)
     return Store(env, family)
 
@@ -117,14 +146,6 @@ def _apply_binds(symbols: SymbolTable, binds) -> SymbolTable:
             )
         symbols = bind_stub(symbols, name, stub)
     return symbols
-
-
-def _zero_store(env: Env, ns) -> Store:
-    family = {}
-    for n in ns:
-        values = {name: "0" * value_len(t, n) for name, t in env.items()}
-        family[n] = FinDist.dirac(Memory.make(env, n, values))
-    return Store(env, family)
 
 
 def _emit(text: str, out_path) -> None:
@@ -179,7 +200,7 @@ def cmd_run(args) -> int:
             env = parse_env(args.env) if args.env else None
             if env is None:
                 raise ValueError("need --input STORE or --env ENV to run against")
-            store = _zero_store(env, ns)
+            store = zero_store(env, ns)
         type_program(store.env, program, symbols)
         check_bit_budget(store.env, store.tested_ns(), args.max_bits)
         out = run_store(store, program, symbols)
@@ -239,6 +260,8 @@ def cmd_eval(args) -> int:
 def cmd_properties(args) -> int:
     try:
         ns = _parse_ns(args.n_set)
+        if args.cases < 1:
+            raise ValueError(f"--cases must be >= 1, got {args.cases}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

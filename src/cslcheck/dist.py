@@ -209,14 +209,6 @@ class FinDist:
         return FinDist(acc)
 
 
-def dirac(m) -> FinDist:
-    return FinDist.dirac(m)
-
-
-def bind(d: FinDist, k: Callable[[object], FinDist]) -> FinDist:
-    return d.bind(k)
-
-
 def uniform_values(t: Type, n: int) -> FinDist:
     vals = all_values(t, n)
     pr = Fraction(1, len(vals))

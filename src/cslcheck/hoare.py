@@ -36,13 +36,13 @@ from .syntax import (
     Top,
     Var,
     formula_to_text,
+    fv,
     program_to_text,
 )
 from .types import (
     TypeCheckError,
     classify_exact,
     env_join,
-    fv,
     is_det_expr,
     mv,
     type_expr,
@@ -134,30 +134,26 @@ def _assign_of(t, fail) -> Assign:
     return t.program
 
 
-def _check_assn(node, t, fail, symbols, registry):
+def _check_plain_assign(node, t, fail, symbols, registry, atom_kind):
     _need_children(node, 0, fail)
     stmt = _assign_of(t, fail)
     if not _is_top(t.pre):
         fail("the precondition must be T")
-    want = Formula(Atom(ATOM_EQ, (Var(stmt.target), stmt.rhs)), t.env)
+    want = Formula(Atom(atom_kind, (Var(stmt.target), stmt.rhs)), t.env)
     if t.post != want:
         fail(f"the postcondition must be {formula_to_text(want)}")
     if stmt.target in fv(stmt.rhs):
         fail("the assigned variable must not occur in the expression")
+    if atom_kind == ATOM_ESPL and not is_det_expr(stmt.rhs, symbols):
+        fail(".= needs a deterministic expression")
+
+
+def _check_assn(node, t, fail, symbols, registry):
+    _check_plain_assign(node, t, fail, symbols, registry, ATOM_EQ)
 
 
 def _check_dassn(node, t, fail, symbols, registry):
-    _need_children(node, 0, fail)
-    stmt = _assign_of(t, fail)
-    if not _is_top(t.pre):
-        fail("the precondition must be T")
-    want = Formula(Atom(ATOM_ESPL, (Var(stmt.target), stmt.rhs)), t.env)
-    if t.post != want:
-        fail(f"the postcondition must be {formula_to_text(want)}")
-    if stmt.target in fv(stmt.rhs):
-        fail("the assigned variable must not occur in the expression")
-    if not is_det_expr(stmt.rhs, symbols):
-        fail(".= needs a deterministic expression")
+    _check_plain_assign(node, t, fail, symbols, registry, ATOM_ESPL)
 
 
 def _check_scoped_assign(node, t, fail, symbols, registry, atom_kind):

@@ -55,6 +55,7 @@ from .syntax import (
     atom as mk_atom,
     conj as mk_conj,
     formula_to_text,
+    fv,
     top as mk_top,
 )
 from .types import (
@@ -64,7 +65,6 @@ from .types import (
     env_union,
     formula_ext,
     formula_fv,
-    fv,
     type_expr,
     wf_formula,
 )
@@ -190,6 +190,32 @@ def _subenvs(env: Env):
             yield env.restrict(combo)
 
 
+def _splits(s: Store, left: Formula, right: Formula, epsilon: Fraction):
+    """Yield (lproj, rproj) for every split of s that can witness left * right.
+
+    A split is a pair of disjoint sub-environments of s covering the free
+    variables of left and of right, on which s is the product of its two
+    marginals. Splits come in order of the left sub-environment's size.
+    """
+    need_left = formula_fv(left)
+    need_right = formula_fv(right)
+    for xi in _subenvs(s.env):
+        if not need_left <= set(xi.names()):
+            continue
+        rest = s.env.restrict(set(s.env.names()) - set(xi.names()))
+        for theta in _subenvs(rest):
+            if not need_right <= set(theta.names()):
+                continue
+            lproj = store_project(s, xi)
+            rproj = store_project(s, theta)
+            if store_indist(
+                store_project(s, env_join(xi, theta)),
+                store_tensor(lproj, rproj),
+                epsilon,
+            ):
+                yield lproj, rproj
+
+
 def sat_bi(
     s: Store,
     f: Formula,
@@ -214,29 +240,11 @@ def sat_bi(
         return sat_bi(s, b.left, epsilon, symbols) and sat_bi(
             s, b.right, epsilon, symbols
         )
-    need_left = formula_fv(b.left)
-    need_right = formula_fv(b.right)
-    for xi in _subenvs(s.env):
-        if not need_left <= set(xi.names()):
-            continue
-        rest = s.env.restrict(set(s.env.names()) - set(xi.names()))
-        for theta in _subenvs(rest):
-            if not need_right <= set(theta.names()):
-                continue
-            lproj = store_project(s, xi)
-            rproj = store_project(s, theta)
-            product_ok = store_indist(
-                store_project(s, env_join(xi, theta)),
-                store_tensor(lproj, rproj),
-                epsilon,
-            )
-            if (
-                product_ok
-                and sat_bi(lproj, b.left, epsilon, symbols)
-                and sat_bi(rproj, b.right, epsilon, symbols)
-            ):
-                return True
-    return False
+    return any(
+        sat_bi(lproj, b.left, epsilon, symbols)
+        and sat_bi(rproj, b.right, epsilon, symbols)
+        for lproj, rproj in _splits(s, b.left, b.right, epsilon)
+    )
 
 
 def search_annotation(
@@ -268,27 +276,11 @@ def search_annotation(
         if left is None or right is None:
             return None
         return Formula(And(left, right), s.env)
-    need_left = formula_fv(body.left)
-    need_right = formula_fv(body.right)
-    for xi in _subenvs(s.env):
-        if not need_left <= set(xi.names()):
-            continue
-        rest = s.env.restrict(set(s.env.names()) - set(xi.names()))
-        for theta in _subenvs(rest):
-            if not need_right <= set(theta.names()):
-                continue
-            lproj = store_project(s, xi)
-            rproj = store_project(s, theta)
-            if not store_indist(
-                store_project(s, env_join(xi, theta)),
-                store_tensor(lproj, rproj),
-                epsilon,
-            ):
-                continue
-            left = search_annotation(lproj, body.left.body, epsilon, symbols)
-            right = search_annotation(rproj, body.right.body, epsilon, symbols)
-            if left is not None and right is not None:
-                return Formula(Star(left, right), s.env)
+    for lproj, rproj in _splits(s, body.left, body.right, epsilon):
+        left = search_annotation(lproj, body.left.body, epsilon, symbols)
+        right = search_annotation(rproj, body.right.body, epsilon, symbols)
+        if left is not None and right is not None:
+            return Formula(Star(left, right), s.env)
     return None
 
 

@@ -244,12 +244,6 @@ def store_indist(a: Store, b: Store, epsilon: Fraction = ZERO) -> bool:
     return all(stat_dist(a.at(n), b.at(n)) <= epsilon for n in a.tested_ns())
 
 
-def empty_store(ns: Iterable[int]) -> Store:
-    from .syntax import EMPTY_ENV
-
-    return Store(EMPTY_ENV, {n: FinDist.dirac(Memory(EMPTY_ENV, n, ())) for n in ns})
-
-
 # ---------------------------------------------------------------------------
 # Concrete stubs for declared symbols
 

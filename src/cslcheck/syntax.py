@@ -306,6 +306,18 @@ class App:
 Expr = Union[Var, Lit, App]
 
 
+def fv(e: Expr) -> frozenset[str]:
+    """Free variables of an expression."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Lit):
+        return frozenset()
+    out: frozenset[str] = frozenset()
+    for a in e.args:
+        out |= fv(a)
+    return out
+
+
 def expr_to_text(e: Expr) -> str:
     if isinstance(e, Var):
         return e.name
@@ -892,30 +904,16 @@ class _RawNode:
     ann: Optional[Env] = None
 
 
-def _atom_fv(a: Atom) -> set[str]:
-    out: set[str] = set()
-
-    def walk(e: Expr):
-        if isinstance(e, Var):
-            out.add(e.name)
-        elif isinstance(e, App):
-            for sub in e.args:
-                walk(sub)
-
-    for arg in a.args:
-        walk(arg)
-    return out
-
-
-def _raw_fv(node: _RawNode) -> set[str]:
+def _raw_fv(node: _RawNode) -> frozenset[str]:
+    out: frozenset[str] = frozenset()
     if node.kind == "atom":
-        return _atom_fv(node.atom)
-    if node.kind in ("and", "star", "group"):
+        for arg in node.atom.args:
+            out |= fv(arg)
+    elif node.kind in ("and", "star", "group"):
         out = _raw_fv(node.left)
         if node.right is not None:
             out |= _raw_fv(node.right)
-        return out
-    return set()
+    return out
 
 
 def _merge_annotations(a: Env, b: Env, parser: _Parser, disjoint: bool) -> Env:
@@ -1036,25 +1034,40 @@ def parse_decls(text: str, symbols: Optional[SymbolTable] = None) -> SymbolTable
 # Proof scripts and certificates (JSON)
 
 
+def _json_str(obj: dict, key: str, where: str) -> str:
+    if not isinstance(obj[key], str):
+        raise ValueError(f"{where}: field {key!r} must be a string")
+    return obj[key]
+
+
+def _json_list(obj: dict, key: str, where: str, item: type) -> list:
+    """An optional list field whose entries all have JSON type item."""
+    value = obj.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
+        kinds = "strings" if item is str else "objects"
+        raise ValueError(f"{where}: field {key!r} must be a list of {kinds}")
+    return value
+
+
 def _cert_from_obj(obj: dict, symbols: SymbolTable, path: str) -> EntailmentCert:
     steps = []
     if not isinstance(obj, dict) or "steps" not in obj or "root" not in obj:
         raise ValueError(f"{path}: certificate needs 'steps' and 'root'")
-    for i, raw in enumerate(obj["steps"]):
+    for i, raw in enumerate(_json_list(obj, "steps", path, dict)):
         where = f"{path}.steps[{i}]"
         for key in ("id", "rule", "lhs", "rhs"):
             if key not in raw:
                 raise ValueError(f"{where}: missing field {key!r}")
         steps.append(
             CertStep(
-                sid=raw["id"],
-                rule=raw["rule"],
-                lhs=parse_formula(raw["lhs"], symbols),
-                rhs=parse_formula(raw["rhs"], symbols),
-                premises=tuple(raw.get("premises", ())),
+                sid=_json_str(raw, "id", where),
+                rule=_json_str(raw, "rule", where),
+                lhs=parse_formula(_json_str(raw, "lhs", where), symbols),
+                rhs=parse_formula(_json_str(raw, "rhs", where), symbols),
+                premises=tuple(_json_list(raw, "premises", where, str)),
             )
         )
-    return EntailmentCert(tuple(steps), obj["root"])
+    return EntailmentCert(tuple(steps), _json_str(obj, "root", path))
 
 
 def _cert_to_obj(cert: EntailmentCert) -> dict:
@@ -1079,23 +1092,23 @@ def _tree_from_obj(obj: dict, symbols: SymbolTable, path: str) -> ProofTree:
     for key in ("rule", "env", "pre", "program", "post"):
         if key not in obj:
             raise ValueError(f"{path}: missing field {key!r}")
-    rule = obj["rule"]
+    rule = _json_str(obj, "rule", path)
     if rule not in RULE_NAMES:
         raise ValueError(f"{path}: unknown rule name {rule!r}")
-    env = parse_env(obj["env"])
+    env = parse_env(_json_str(obj, "env", path))
     conclusion = HoareTriple(
-        pre=parse_formula(obj["pre"], symbols),
+        pre=parse_formula(_json_str(obj, "pre", path), symbols),
         env=env,
-        program=parse_program(obj["program"], symbols),
-        post=parse_formula(obj["post"], symbols),
+        program=parse_program(_json_str(obj, "program", path), symbols),
+        post=parse_formula(_json_str(obj, "post", path), symbols),
     )
     children = tuple(
         _tree_from_obj(c, symbols, f"{path}.children[{i}]")
-        for i, c in enumerate(obj.get("children", ()))
+        for i, c in enumerate(_json_list(obj, "children", path, dict))
     )
     mid = None
     if "mid" in obj:
-        mid = parse_formula(obj["mid"], symbols)
+        mid = parse_formula(_json_str(obj, "mid", path), symbols)
     elif rule == "Seq":
         raise ValueError(f"{path}: Seq node needs a 'mid' witness formula")
     pre_cert = post_cert = None
@@ -1119,8 +1132,10 @@ def parse_proof_with_decls(
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"proof script is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("proof script must be a JSON object")
     table = symbols.copy() if symbols else SymbolTable()
-    for decl in doc.get("decls", ()):
+    for decl in _json_list(doc, "decls", "proof script", str):
         table = parse_decls(decl, table)
     if "root" not in doc:
         raise ValueError("proof script needs a 'root' node")

@@ -39,6 +39,7 @@ from .syntax import (
     ATOM_U,
     RND,
     expr_to_text,
+    fv,
     type_to_text,
 )
 
@@ -163,18 +164,6 @@ def is_det_expr(e: Expr, symbols: Optional[SymbolTable] = None) -> bool:
     if sym is not None and sym.kind == RND:
         return False
     return all(is_det_expr(a, symbols) for a in e.args)
-
-
-def fv(e: Expr) -> frozenset[str]:
-    """Free variables of an expression."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Lit):
-        return frozenset()
-    out: frozenset[str] = frozenset()
-    for a in e.args:
-        out |= fv(a)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ reads as a checklist. All comparisons are exact rational equality (epsilon 0);
 nothing here is allowed a tolerance.
 """
 
+import contextlib
 import dataclasses
+import importlib.util
+import io
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -419,4 +423,28 @@ def test_11_plain_bi_comparison():
         "has an annotation witness (100 formulas)",
         res.ok,
         "; ".join(map(str, res.failures[:3])),
+    )
+
+
+# -- 12. the committed corpus is exactly what tools/build_corpus.py writes
+
+
+def test_12_corpus_regenerates_byte_identically(tmp_path, monkeypatch):
+    tool = CORPUS.parent / "tools" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", tool)
+    build_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_corpus)
+    monkeypatch.setattr(sys, "argv", [str(tool), str(tmp_path)])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert build_corpus.main() == 0
+    committed = {p.name: p.read_bytes() for p in CORPUS.iterdir()}
+    built = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    differ = sorted(name for name in committed if built.get(name) != committed[name])
+    extra = sorted(built.keys() - committed.keys())
+    report(
+        12,
+        f"tools/build_corpus.py regenerates all {len(committed)} corpus files "
+        "byte for byte",
+        built == committed,
+        f"differing or missing: {differ}; extra: {extra}",
     )

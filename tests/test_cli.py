@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -49,6 +50,28 @@ def test_check_rejects_a_broken_proof(tmp_path, capsys):
 def test_check_reports_usage_errors(capsys):
     assert main(["check", "/definitely/not/a/file.proof"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def only_an_error_line(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        GOOD_PROOF.replace('"Skip"', '"Weak"').replace(
+            '"children"',
+            '"pre_cert": {"steps": [1], "root": "a"}, '
+            '"post_cert": {"steps": [], "root": "a"}, "children"',
+        ),
+    ],
+)
+def test_check_malformed_proof_json_is_a_usage_error(tmp_path, capsys, text):
+    path = write(tmp_path, "bad.proof", text)
+    assert main(["check", path]) == 2
+    assert only_an_error_line(capsys.readouterr().err)
 
 
 def test_check_with_restricted_schema_registry(tmp_path, capsys):
@@ -199,6 +222,35 @@ def test_eval_error_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"env": {"x": "Bool"}},
+        {"env": {"x": "Bool"}, "family": {"1": [{"values": {"x": "1"}, "prob": 1.0}]}},
+    ],
+)
+def test_eval_malformed_store_is_a_usage_error(tmp_path, capsys, doc):
+    f = write(tmp_path, "t.f", "(T){x: Bool}")
+    store = write(tmp_path, "bad.json", json.dumps(doc))
+    assert main(["eval", f, store]) == 2
+    assert only_an_error_line(capsys.readouterr().err)
+
+
+def test_store_prob_must_be_exact():
+    def store(*probs):
+        entries = [{"values": {"x": x}, "prob": p} for x, p in zip("01", probs)]
+        return json.dumps({"env": {"x": "Bool"}, "family": {"1": entries}})
+
+    want = {"0": Fraction(1, 4), "1": Fraction(3, 4)}
+    for probs in [("1/4", "3/4"), ("0.25", "0.75")]:
+        d = parse_store(store(*probs)).at(1)
+        assert {m.get("x"): pr for m, pr in d.items()} == want
+    assert parse_store(store(1)).at(1).is_proper()
+    for probs in [(0.25, 0.75), (0.1, 0.9), (True,), ("1/0",), (None,)]:
+        with pytest.raises(ValueError, match="prob"):
+            parse_store(store(*probs))
+
+
 # properties
 
 
@@ -218,6 +270,14 @@ def test_properties_inject_failure(capsys):
 def test_properties_n_set(capsys):
     assert main(["properties", "--cases", "1", "--n-set", "1"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_properties_rejects_fewer_than_one_case(capsys, cases):
+    assert main(["properties", "--cases", cases]) == 2
+    captured = capsys.readouterr()
+    assert only_an_error_line(captured.err)
+    assert "overall" not in captured.out
 
 
 # entry point

@@ -13,7 +13,6 @@ from cslcheck.dist import (
     all_values,
     condition,
     convex,
-    dirac,
     dirac_store,
     is_uniform,
     memory_bits,
@@ -43,7 +42,7 @@ def mem(env, n=1, **values):
 
 
 def test_dirac_and_prob():
-    d = dirac("x")
+    d = FinDist.dirac("x")
     assert d.prob("x") == 1
     assert d.prob("y") == 0
     assert d.total() == 1
@@ -77,14 +76,14 @@ def test_from_weights_accumulates_pairs():
 
 def test_map_merges_collisions():
     d = FinDist({0: HALF, 1: HALF})
-    assert d.map(lambda v: v * 0) == dirac(0)
+    assert d.map(lambda v: v * 0) == FinDist.dirac(0)
 
 
 def test_bind_chains_kernels():
     d = FinDist({0: HALF, 1: HALF})
     flip = lambda v: FinDist({v: HALF, 1 - v: HALF})
     assert d.bind(flip) == FinDist({0: HALF, 1: HALF})
-    assert dirac(1).bind(flip) == FinDist({0: HALF, 1: HALF})
+    assert FinDist.dirac(1).bind(flip) == FinDist({0: HALF, 1: HALF})
 
 
 def test_bind_preserves_subnormal_mass():
@@ -104,22 +103,24 @@ def test_scale_and_add():
 
 def test_convex_mixes_by_guard_weights():
     guard = FinDist({"1": QUARTER, "0": Fraction(3, 4)})
-    d = convex(dirac("a"), dirac("b"), guard)
+    d = convex(FinDist.dirac("a"), FinDist.dirac("b"), guard)
     assert d == FinDist({"a": QUARTER, "b": Fraction(3, 4)})
     with pytest.raises(ValueError):
-        convex(dirac("a"), dirac("b"), FinDist({"00": Fraction(1)}))
+        convex(
+            FinDist.dirac("a"), FinDist.dirac("b"), FinDist({"00": Fraction(1)})
+        )
 
 
 def test_convex_guard_may_be_subnormal():
     guard = FinDist({"1": QUARTER})
-    d = convex(dirac("a"), dirac("b"), guard)
+    d = convex(FinDist.dirac("a"), FinDist.dirac("b"), guard)
     assert d == FinDist({"a": QUARTER})
 
 
 def test_stat_dist():
     u = FinDist({"a": HALF, "b": HALF})
     assert stat_dist(u, u) == 0
-    assert stat_dist(dirac("a"), u) == HALF
+    assert stat_dist(FinDist.dirac("a"), u) == HALF
     v = FinDist({"a": Fraction(3, 8), "b": Fraction(5, 8)})
     assert stat_dist(u, v) == Fraction(1, 8)
 
@@ -179,7 +180,7 @@ def test_all_values_and_uniform_values():
     u = uniform_values(BOOL, 3)
     assert u == FinDist({"0": HALF, "1": HALF})
     assert is_uniform(u, BOOL, 3)
-    assert not is_uniform(dirac("0"), BOOL, 3)
+    assert not is_uniform(FinDist.dirac("0"), BOOL, 3)
 
 
 def test_memory_bits():
@@ -206,7 +207,7 @@ def test_project_marginal():
 
 def test_tensor_builds_products():
     da = FinDist({mem("{a: Bool}", a="0"): HALF, mem("{a: Bool}", a="1"): HALF})
-    db = dirac(mem("{b: Bool}", b="1"))
+    db = FinDist.dirac(mem("{b: Bool}", b="1"))
     prod = tensor(da, db)
     assert prod.prob(mem("{a: Bool, b: Bool}", a="0", b="1")) == HALF
     assert prod.prob(mem("{a: Bool, b: Bool}", a="0", b="0")) == 0
@@ -264,6 +265,6 @@ def test_store_rejects_subnormalized_family():
 
 def test_store_rejects_mismatched_memories():
     env = parse_env("{x: Bool}")
-    other = dirac(mem("{y: Bool}", y="0"))
+    other = FinDist.dirac(mem("{y: Bool}", y="0"))
     with pytest.raises(ValueError):
         Store(env, {1: other})

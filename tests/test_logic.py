@@ -142,6 +142,17 @@ def test_search_annotation_reconstructs_a_witness():
     assert sat_formula(s, found)
 
 
+def test_search_annotation_searches_the_splits_sat_bi_does():
+    h = parse_formula("((U(x)){x: Bool} * (U(y)){y: Bool}){x: Bool, y: Bool}")
+    assert search_annotation(anticorrelated_store(), h.body) is None
+    # the misleading annotations of g are dropped; the first split that
+    # works, smallest left part first, gives x to U(x) and nothing to T
+    g = parse_formula("((U(x)){y: Bool} * (T){x: Bool}){x: Bool, y: Bool}")
+    found = search_annotation(product_store(), g.body)
+    assert found == parse_formula("((U(x)){x: Bool} * (T){}){x: Bool, y: Bool}")
+    assert sat_formula(product_store(), found)
+
+
 def test_entailment_holds_on():
     s = anticorrelated_store()
     lhs = parse_formula("(x == y){x: Bool, y: Bool}")

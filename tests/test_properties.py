@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from cslcheck import _gen
-from cslcheck.dist import FinDist, dirac, project, stat_dist, tensor
+from cslcheck.dist import FinDist, project, stat_dist, tensor
 from cslcheck.semantics import run, run_kozen
 from cslcheck.syntax import (
     SizePoly,
@@ -69,7 +69,7 @@ def dists(draw):
     weights = [draw(st.integers(0, 5)) for _ in points]
     total = sum(weights)
     if total == 0:
-        return dirac(points[0])
+        return FinDist.dirac(points[0])
     return FinDist({p: Fraction(w, total) for p, w in zip(points, weights)})
 
 
@@ -168,19 +168,19 @@ def test_proof_text_round_trip(seed):
 
 @given(dists())
 def test_bind_right_identity(d):
-    assert d.bind(dirac) == d
+    assert d.bind(FinDist.dirac) == d
 
 
 @given(st.sampled_from("uvwxyz"))
 def test_bind_left_identity(x):
     flip = lambda v: FinDist({v: Fraction(1, 2), v.upper(): Fraction(1, 2)})
-    assert dirac(x).bind(flip) == flip(x)
+    assert FinDist.dirac(x).bind(flip) == flip(x)
 
 
 @given(dists())
 def test_bind_associativity(d):
     f = lambda v: FinDist({v: Fraction(1, 2), v.upper(): Fraction(1, 2)})
-    g = lambda v: dirac(v.swapcase())
+    g = lambda v: FinDist.dirac(v.swapcase())
     assert d.bind(f).bind(g) == d.bind(lambda v: f(v).bind(g))
 
 

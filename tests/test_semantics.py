@@ -7,7 +7,6 @@ import pytest
 from cslcheck.dist import (
     FinDist,
     Memory,
-    dirac,
     project,
     uniform_memories,
     uniform_store,
@@ -21,7 +20,6 @@ from cslcheck.semantics import (
     UninterpretedSymbolError,
     bind_stub,
     check_bit_budget,
-    empty_store,
     eval_det,
     eval_expr,
     run,
@@ -32,7 +30,13 @@ from cslcheck.semantics import (
     store_project,
     store_tensor,
 )
-from cslcheck.syntax import parse_decls, parse_env, parse_expr, parse_program
+from cslcheck.syntax import (
+    EMPTY_ENV,
+    parse_decls,
+    parse_env,
+    parse_expr,
+    parse_program,
+)
 from cslcheck.types import TypeCheckError
 
 
@@ -114,7 +118,7 @@ def test_bind_stub_rejects_bad_requests():
 
 def test_eval_expr_rnd_is_uniform():
     env = parse_env("{s: Str[n]}")
-    d = dirac(mem(env, n=2, s="00"))
+    d = FinDist.dirac(mem(env, n=2, s="00"))
     out = eval_expr(env, parse_expr("rnd()"), 2, d)
     assert out == uniform_values(parse_env("{x: Str[n]}").lookup("x"), 2)
 
@@ -137,15 +141,15 @@ def test_run_skip_is_identity():
 
 def test_run_assignment_updates_memory():
     env = parse_env("{x: Str[n], y: Str[n]}")
-    d = dirac(mem(env, n=2, x="01", y="11"))
+    d = FinDist.dirac(mem(env, n=2, x="01", y="11"))
     out = run(env, parse_program("y := xor(x, y)"), 2, d)
-    assert out == dirac(mem(env, n=2, x="01", y="10"))
+    assert out == FinDist.dirac(mem(env, n=2, x="01", y="10"))
 
 
 def test_run_otp_makes_ciphertext_uniform():
     env = parse_env("{c: Str[n], k: Str[n], m: Str[n]}")
     prog = parse_program("k := rnd(); c := xor(m, k)")
-    d = dirac(mem(env, n=2, c="00", k="00", m="10"))
+    d = FinDist.dirac(mem(env, n=2, c="00", k="00", m="10"))
     out = run(env, prog, 2, d)
     c_marg = project(out, parse_env("{c: Str[n]}"))
     assert c_marg == uniform_memories(parse_env("{c: Str[n]}"), 2)
@@ -173,9 +177,9 @@ def test_run_matches_kozen_on_branching_program():
 def test_run_kozen_handles_vanishing_branch():
     env = parse_env("{b: Bool, x: Bool}")
     prog = parse_program("if b then x := 1 else x := 0 end")
-    d = dirac(mem(env, b="1", x="0"))  # the else branch has mass zero
+    d = FinDist.dirac(mem(env, b="1", x="0"))  # the else branch has mass zero
     out = run_kozen(env, prog, 1, d)
-    assert out == dirac(mem(env, b="1", x="1"))
+    assert out == FinDist.dirac(mem(env, b="1", x="1"))
     assert out == run(env, prog, 1, d)
 
 
@@ -228,7 +232,7 @@ def test_store_indist_tolerance():
 
 def test_empty_store_is_unit_for_tensor():
     s = uniform_store(parse_env("{x: Bool}"), (1, 2))
-    e = empty_store((1, 2))
+    e = zero_store(EMPTY_ENV, (1, 2))
     assert store_tensor(s, e) == s
 
 

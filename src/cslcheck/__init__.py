@@ -20,7 +20,6 @@ from .hoare import (
 from .logic import (
     CertError,
     SchemaError,
-    check_axiom_instance,
     check_hilbert,
     load_registry,
     match_axiom,
@@ -92,7 +91,6 @@ __all__ = [
     "UninterpretedSymbolError",
     "ValidationReport",
     "bind_stub",
-    "check_axiom_instance",
     "check_hilbert",
     "check_triple",
     "classify_approx",

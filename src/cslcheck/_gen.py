@@ -12,15 +12,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .dist import (
-    FinDist,
-    Memory,
-    Store,
-    all_memories,
-    tensor,
-    uniform_memories,
-    value_len,
-)
+from .dist import FinDist, Store, all_memories, uniform_memories
 from .syntax import (
     App,
     Assign,
@@ -30,18 +22,17 @@ from .syntax import (
     ATOM_U,
     And,
     Atom,
-    BoolType,
-    EMPTY_ENV,
+    BOOL,
     Env,
     Formula,
     HoareTriple,
     If,
     Lit,
     POLY_N,
+    POLY_ONE,
     ProofTree,
     Seq,
     SKIP,
-    SizePoly,
     Star,
     StrType,
     SymbolTable,
@@ -50,10 +41,8 @@ from .syntax import (
 )
 from .types import env_join, type_expr
 
-BOOL = BoolType()
 STR_N = StrType(POLY_N)
-STR_1 = StrType(SizePoly.const(1))
-POLY_ONE = SizePoly.const(1)
+STR_1 = StrType(POLY_ONE)
 
 _NAME_POOL = ("a", "b", "c", "d", "k", "m", "r", "s", "t", "u", "x", "y")
 _TYPE_POOL = (BOOL, BOOL, STR_N, STR_1)
@@ -67,19 +56,14 @@ def gen_env(
     rng: random.Random,
     min_vars: int = 1,
     max_vars: int = 3,
-    types=_TYPE_POOL,
     names: Optional[list[str]] = None,
 ) -> Env:
     if names is None:
         names = gen_names(rng, rng.randint(min_vars, max_vars))
-    return Env.make({nm: rng.choice(types) for nm in names})
+    return Env.make({nm: rng.choice(_TYPE_POOL) for nm in names})
 
 
-def gen_value(rng: random.Random, t, n: int) -> str:
-    return "".join(rng.choice("01") for _ in range(value_len(t, n)))
-
-
-def gen_dist(rng: random.Random, env: Env, n: int, max_support: int = 4) -> FinDist:
+def gen_dist(rng: random.Random, env: Env, n: int) -> FinDist:
     """A proper distribution over memories; biased toward structured cases."""
     mems = all_memories(env, n)
     roll = rng.random()
@@ -87,34 +71,19 @@ def gen_dist(rng: random.Random, env: Env, n: int, max_support: int = 4) -> FinD
         return uniform_memories(env, n)
     if roll < 0.35:
         return FinDist.dirac(rng.choice(mems))
-    k = rng.randint(1, min(max_support, len(mems)))
+    k = rng.randint(1, min(4, len(mems)))
     pts = rng.sample(mems, k)
     weights = [rng.randint(1, 8) for _ in pts]
     total = sum(weights)
     return FinDist({m: Fraction(w, total) for m, w in zip(pts, weights)})
 
 
-def gen_product_dist(rng: random.Random, n: int, parts) -> FinDist:
-    d = FinDist.dirac(Memory.make(EMPTY_ENV, n, {}))
-    for part in parts:
-        d = tensor(d, gen_dist(rng, part, n))
-    return d
+def gen_store(rng: random.Random, env: Env, ns) -> Store:
+    return Store(env, {n: gen_dist(rng, env, n) for n in ns})
 
 
-def gen_store(rng: random.Random, env: Env, ns, split=None) -> Store:
-    """Random store; with a split given, lean toward product distributions
-    factored along it (so separating preconditions get hit)."""
-    family = {}
-    for n in ns:
-        if split is not None and rng.random() < 0.7:
-            family[n] = gen_product_dist(rng, n, split)
-        else:
-            family[n] = gen_dist(rng, env, n)
-    return Store(env, family)
-
-
-def gen_stores(rng: random.Random, env: Env, ns, count: int, split=None):
-    return [gen_store(rng, env, ns, split) for _ in range(count)]
+def gen_stores(rng: random.Random, env: Env, ns, count: int):
+    return [gen_store(rng, env, ns) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +153,6 @@ def gen_program(
     env: Env,
     symbols: Optional[SymbolTable] = None,
     size: int = 3,
-    rnd_ok: bool = True,
 ):
     """A random well-typed program over env (possibly with conditionals)."""
     symbols = symbols or SymbolTable()
@@ -201,7 +169,7 @@ def gen_program(
                 block(depth - 1, rng.randint(1, 2)),
             )
         target = rng.choice(env.names())
-        e = gen_expr(rng, env, env.lookup(target), symbols, det=not rnd_ok)
+        e = gen_expr(rng, env, env.lookup(target), symbols)
         return Assign(target, e)
 
     def block(depth, count):
@@ -292,10 +260,10 @@ def gen_exact_formula(
 # Proof-rule instances for the soundness fuzzer
 
 
-def _disjoint_envs(rng: random.Random, k1: int, k2: int, types=_TYPE_POOL):
+def _disjoint_envs(rng: random.Random, k1: int, k2: int):
     names = gen_names(rng, k1 + k2)
-    a = Env.make({nm: rng.choice(types) for nm in names[:k1]})
-    b = Env.make({nm: rng.choice(types) for nm in names[k1:]})
+    a = Env.make({nm: rng.choice(_TYPE_POOL) for nm in names[:k1]})
+    b = Env.make({nm: rng.choice(_TYPE_POOL) for nm in names[k1:]})
     return a, b
 
 

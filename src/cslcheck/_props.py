@@ -20,12 +20,13 @@ from .dist import (
     all_values,
     tensor,
     uniform_memories,
+    uniform_store,
     zero_store,
 )
 from .hoare import fuzz_rule_soundness
 from .logic import (
-    check_axiom_instance,
     entailment_holds_on,
+    match_axiom,
     sat_bi,
     sat_formula,
     search_annotation,
@@ -39,30 +40,19 @@ from .semantics import (
     store_tensor,
 )
 from .syntax import (
-    And,
-    App,
-    ATOM_ESPL,
-    ATOM_U,
-    Atom,
-    BoolType,
+    BOOL,
     EMPTY_ENV,
     Env,
     Formula,
-    POLY_N,
-    SizePoly,
     Star,
-    StrType,
     SymbolTable,
     Top,
-    Var,
+    env_to_text,
+    expr_to_text,
     parse_decls,
+    parse_formula,
 )
 from .types import env_join, mv
-
-ONE = Fraction(1)
-BOOL = BoolType()
-STR_N = StrType(POLY_N)
-STR_N1 = StrType(SizePoly.make((1, 1)))
 
 
 @dataclass
@@ -253,12 +243,30 @@ def suite_linearity(rng, cases, ns, result):
             _note(result, "homogeneity fails")
 
 
-def _head(v: str) -> str:
-    return v[0]
+# S0-U1 as (lhs, rhs) templates over three random expressions e, g, h
+_SIMPLE_SCHEMAS = {
+    "S0": ("T", "{e} ~~ {e}"),
+    "S1": ("{e} ~~ {g}", "{g} ~~ {e}"),
+    "S2": ("{e} ~~ {g} /\\ {g} ~~ {h}", "{e} ~~ {h}"),
+    "T0": ("T", "{e} == {e}"),
+    "T1": ("{e} == {g}", "{g} == {e}"),
+    "T2": ("{e} == {g} /\\ {g} == {h}", "{e} == {h}"),
+    "W1": ("{e} == {g}", "{e} ~~ {g}"),
+    "W2": ("{e} .= {g}", "{e} == {g}"),
+    "U1": ("{e} ~~ {g} /\\ U({e})", "U({g})"),
+}
 
-
-def _tail(v: str) -> str:
-    return v[1:]
+_SPL_ENV = "{b: Bool, r: Str[n+1], s: Str[n]}"
+_AX_SPL = (
+    "((U(r) /\\ (b .= head(r))) /\\ (s .= tail(r)))" + _SPL_ENV,
+    "((U(b)){b: Bool} * (U(s)){s: Str[n]})" + _SPL_ENV,
+)
+_MRG_ENV = "{b: Bool, r: Str[n], s: Str[n+1]}"
+_AX_MRG = (
+    "(((U(r)){r: Str[n]} * (U(b)){b: Bool}){b: Bool, r: Str[n]}"
+    " /\\ (s .= concat(r, b)))" + _MRG_ENV,
+    "(U(s))" + _MRG_ENV,
+)
 
 
 @_suite
@@ -266,39 +274,35 @@ def suite_axioms(rng, cases, ns, result):
     """Semantic validity of the axiom schemas on random and on crafted
     stores, all at epsilon 0."""
     symbols = SymbolTable()
-    simple = ("S0", "S1", "S2", "T0", "T1", "T2", "W1", "W2", "U1")
-    per_schema = max(1, cases // (len(simple) + 3))
-    for name in simple:
+    per_schema = max(1, cases // (len(_SIMPLE_SCHEMAS) + 3))
+    for name, templates in _SIMPLE_SCHEMAS.items():
         for _ in range(per_schema):
             env = _gen.gen_env(rng)
             t = rng.choice([tt for _, tt in env.items()])
             det = name == "W2"
-            subst = {
-                "env": env,
-                "e": _gen.gen_expr(rng, env, t, symbols, det=det, depth=1),
-                "g": _gen.gen_expr(rng, env, t, symbols, det=det, depth=1),
-                "h": _gen.gen_expr(rng, env, t, symbols, det=det, depth=1),
+            exprs = {
+                k: expr_to_text(_gen.gen_expr(rng, env, t, symbols, det=det, depth=1))
+                for k in "egh"
             }
-            if name == "W2":
-                subst["d"], subst["c"] = subst["e"], subst["g"]
-            try:
-                lhs, rhs = check_axiom_instance(name, subst, symbols)
-            except Exception:
-                continue  # e.g. an ill-typed draw; instance skipped
+            lhs, rhs = (
+                parse_formula(f"({tpl.format(**exprs)}){env_to_text(env)}")
+                for tpl in templates
+            )
+            match_axiom(name, lhs, rhs, symbols)
             for s in _gen.gen_stores(rng, env, ns, 2):
                 if not entailment_holds_on(s, lhs, rhs, symbols=symbols):
                     _note(result, f"{name} fails on a store")
     # split: uniform source, derived head/tail
-    env = Env.make({"r": STR_N1, "b": BOOL, "s": STR_N})
+    lhs, rhs = map(parse_formula, _AX_SPL)
+    env = lhs.annotation
     family = {}
     for nn in ns:
         pts = {}
-        for v in all_values(STR_N1, nn):
-            m = Memory.make(env, nn, {"r": v, "b": _head(v), "s": _tail(v)})
+        for v in all_values(env.lookup("r"), nn):
+            m = Memory.make(env, nn, {"r": v, "b": v[0], "s": v[1:]})
             pts[m] = Fraction(1, 2 ** (nn + 1))
         family[nn] = FinDist(pts)
     s = Store(env, family)
-    lhs, rhs = _ax_spl_instance(env)
     if not (
         sat_formula(s, lhs, symbols=symbols)
         and sat_formula(s, rhs, symbols=symbols)
@@ -308,17 +312,17 @@ def suite_axioms(rng, cases, ns, result):
         if not entailment_holds_on(rnd_store, lhs, rhs, symbols=symbols):
             _note(result, "split axiom fails on a random store")
     # merge: independent uniform parts, derived concatenation
-    env = Env.make({"r": STR_N, "b": BOOL, "s": STR_N1})
+    lhs, rhs = map(parse_formula, _AX_MRG)
+    env = lhs.annotation
     family = {}
     for nn in ns:
         pts = {}
-        for v in all_values(STR_N, nn):
+        for v in all_values(env.lookup("r"), nn):
             for bit in "01":
                 m = Memory.make(env, nn, {"r": v, "b": bit, "s": v + bit})
                 pts[m] = Fraction(1, 2 ** (nn + 1))
         family[nn] = FinDist(pts)
     s = Store(env, family)
-    lhs, rhs = _ax_mrg_instance(env)
     if not (
         sat_formula(s, lhs, symbols=symbols) and sat_formula(s, rhs, symbols=symbols)
     ):
@@ -327,63 +331,16 @@ def suite_axioms(rng, cases, ns, result):
         if not entailment_holds_on(rnd_store, lhs, rhs, symbols=symbols):
             _note(result, "merge axiom fails on a random store")
     # pseudorandom-step axiom under length-preserving bijections
+    decls = parse_decls("decl g : Str[n] -> Str[n] det;")
+    lhs = parse_formula("(U(x)){x: Str[n]}")
+    rhs = parse_formula("(U(g(x))){x: Str[n]}", decls)
+    env = lhs.annotation
     for stub in ("identity", "bitreverse"):
-        syms = parse_decls("decl g : Str[n] -> Str[n] det;")
-        syms = bind_stub(syms, "g", stub)
-        env = Env.make({"x": STR_N})
-        lhs = Formula(Atom(ATOM_U, (Var("x"),)), env)
-        rhs = Formula(Atom(ATOM_U, (App("g", (Var("x"),)),)), env)
-        stores = [Store(env, {n: uniform_memories(env, n) for n in ns})]
-        stores += _gen.gen_stores(rng, env, ns, 3)
+        syms = bind_stub(decls, "g", stub)
+        stores = [uniform_store(env, ns)] + _gen.gen_stores(rng, env, ns, 3)
         for s in stores:
             if not entailment_holds_on(s, lhs, rhs, symbols=syms):
                 _note(result, f"uniformity is not preserved by the {stub} stub")
-
-
-def _ax_spl_instance(env: Env):
-    xi = env
-    lhs = Formula(
-        And(
-            Formula(
-                And(
-                    Formula(Atom(ATOM_U, (Var("r"),)), xi),
-                    Formula(Atom(ATOM_ESPL, (Var("b"), App("head", (Var("r"),)))), xi),
-                ),
-                xi,
-            ),
-            Formula(Atom(ATOM_ESPL, (Var("s"), App("tail", (Var("r"),)))), xi),
-        ),
-        xi,
-    )
-    rhs = Formula(
-        Star(
-            Formula(Atom(ATOM_U, (Var("b"),)), xi.restrict(("b",))),
-            Formula(Atom(ATOM_U, (Var("s"),)), xi.restrict(("s",))),
-        ),
-        xi,
-    )
-    return lhs, rhs
-
-
-def _ax_mrg_instance(env: Env):
-    xi = env
-    lhs = Formula(
-        And(
-            Formula(
-                Star(
-                    Formula(Atom(ATOM_U, (Var("r"),)), xi.restrict(("r",))),
-                    Formula(Atom(ATOM_U, (Var("b"),)), xi.restrict(("b",))),
-                ),
-                xi.restrict(("r", "b")),
-            ),
-            Formula(
-                Atom(ATOM_ESPL, (Var("s"), App("concat", (Var("r"), Var("b"))))), xi
-            ),
-        ),
-        xi,
-    )
-    rhs = Formula(Atom(ATOM_U, (Var("s"),)), xi)
-    return lhs, rhs
 
 
 @_suite

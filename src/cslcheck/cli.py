@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -72,14 +73,24 @@ def store_to_text(s: Store) -> str:
     return json.dumps(store_to_obj(s), indent=2) + "\n"
 
 
-def _prob_from_obj(raw, where: str) -> Fraction:
-    # a JSON float is binary: 0.1 would decode to a nearby dyadic rational
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
+def _exact_rational(raw, what: str) -> Fraction:
+    """Read an int, or a string "p/q" or "0.25", from outside input exactly.
+
+    A JSON float is refused, because 0.1 would decode to a nearby dyadic
+    rational. Exponent forms are refused too: Fraction("1e-4000000") expands
+    to a four-million-digit integer.
+    """
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise ValueError(f'{where}: prob must be an int or a string like "1/4"')
+        raise ValueError(f'{what} must be an int or a string like "1/4"')
+    if isinstance(raw, str) and not _RATIONAL.fullmatch(raw):
+        raise ValueError(f'{what} must be an integer, "p/q" or a decimal, got {raw!r}')
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{where}: bad prob {raw!r}") from None
+        raise ValueError(f"{what} is not a rational number: {raw!r}") from None
 
 
 def store_from_obj(doc) -> Store:
@@ -108,7 +119,7 @@ def store_from_obj(doc) -> Store:
             ):
                 raise ValueError(f"{where}: needs a 'values' object and a 'prob'")
             m = Memory.make(env, n, entry["values"])
-            prob = _prob_from_obj(entry["prob"], where)
+            prob = _exact_rational(entry["prob"], f"{where}: prob")
             probs[m] = probs.get(m, Fraction(0)) + prob
         family[n] = FinDist(probs)
     return Store(env, family)
@@ -233,7 +244,9 @@ def cmd_eval(args) -> int:
     try:
         formula = parse_formula(_read(args.formula))
         store = parse_store(_read(args.store))
-        epsilon = Fraction(args.epsilon)
+        epsilon = _exact_rational(args.epsilon, "--epsilon")
+        if epsilon < 0:
+            raise ValueError(f"--epsilon must be >= 0, got {args.epsilon}")
         ns = _parse_ns(args.n) if args.n else store.tested_ns()
         missing = [n for n in ns if n not in store.tested_ns()]
         if missing:

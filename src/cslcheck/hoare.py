@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from . import _gen
 from .dist import Store, ZeroMassError, condition
 from .logic import CertError, check_hilbert, load_registry, sat_formula
 from .semantics import DEFAULT_MAX_BITS, check_bit_budget, run_store, store_project
@@ -358,14 +359,12 @@ def fuzz_rule_soundness(
 ) -> FuzzReport:
     """Generate random instances of one proof rule and hunt for stores where
     the premises hold but the conclusion fails."""
-    from . import _gen
-
     rng = random.Random(seed)
     symbols = SymbolTable()
     report = FuzzReport(rule, cases)
     makers = {
-        "Frame": _fuzz_frame_case,
-        "Const": _fuzz_const_case,
+        "Frame": lambda *a: _fuzz_composite(*a, star_shape=True),
+        "Const": lambda *a: _fuzz_composite(*a, star_shape=False),
         "RCond": _fuzz_rcond_case,
         "SRAssn": _fuzz_scoped_case(ATOM_EQ),
         "SDAssn": _fuzz_scoped_case(ATOM_ESPL),
@@ -373,7 +372,7 @@ def fuzz_rule_soundness(
     if rule not in makers:
         raise ValueError(f"no fuzz generator for rule {rule!r}")
     for _ in range(cases):
-        makers[rule](rng, ns, epsilon, symbols, report, _gen)
+        makers[rule](rng, ns, epsilon, symbols, report)
     return report
 
 
@@ -397,7 +396,7 @@ def _conclusion_check(report, triple, store, epsilon, symbols):
 
 
 def _fuzz_scoped_case(atom_kind):
-    def case(rng, ns, epsilon, symbols, report, _gen):
+    def case(rng, ns, epsilon, symbols, report):
         inst = _gen.gen_scoped_assign(rng, ns, symbols, exact=atom_kind == ATOM_ESPL)
         if inst is None:
             return
@@ -413,15 +412,7 @@ def _fuzz_scoped_case(atom_kind):
     return case
 
 
-def _fuzz_frame_case(rng, ns, epsilon, symbols, report, _gen):
-    _fuzz_composite(rng, ns, epsilon, symbols, report, _gen, star_shape=True)
-
-
-def _fuzz_const_case(rng, ns, epsilon, symbols, report, _gen):
-    _fuzz_composite(rng, ns, epsilon, symbols, report, _gen, star_shape=False)
-
-
-def _fuzz_composite(rng, ns, epsilon, symbols, report, _gen, star_shape):
+def _fuzz_composite(rng, ns, epsilon, symbols, report, star_shape):
     inst = _gen.gen_composite(rng, ns, symbols, star_shape=star_shape)
     if inst is None:
         return
@@ -437,7 +428,7 @@ def _fuzz_composite(rng, ns, epsilon, symbols, report, _gen, star_shape):
         _conclusion_check(report, triple, store, epsilon, symbols)
 
 
-def _fuzz_rcond_case(rng, ns, epsilon, symbols, report, _gen):
+def _fuzz_rcond_case(rng, ns, epsilon, symbols, report):
     inst = _gen.gen_rcond(rng, ns, symbols)
     if inst is None:
         return

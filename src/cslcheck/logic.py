@@ -8,9 +8,8 @@ disjoint sub-environment splits for a witnessing product.
 
 Entailments between annotated formulas are checked only against explicit
 step-by-step certificates; see check_hilbert. Leaf steps are named axiom
-schemas, template-matched and side-condition-checked by
-check_axiom_instance; which schemas are enabled is configuration read from
-schemas.json.
+schemas, template-matched and side-condition-checked by match_axiom; which
+schemas are enabled is configuration read from schemas.json.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ from .syntax import (
     SymbolTable,
     Top,
     Var,
-    atom as mk_atom,
-    conj as mk_conj,
     formula_to_text,
     fv,
     top as mk_top,
@@ -826,18 +823,26 @@ _SCHEMA_MATCHERS: dict[str, Callable] = {
     "StarUnitI": _match_star_unit_i,
 }
 
-SCHEMA_NAMES = tuple(_SCHEMA_MATCHERS)
-
 
 def load_registry(path: Optional[str] = None) -> frozenset[str]:
-    """Names of enabled schemas, from schemas.json or a user-supplied file."""
+    """Names of enabled schemas, from schemas.json or a user-supplied file.
+
+    The file must be {"enabled": [name, ...]}, each name a schema or Trans;
+    any other shape raises ValueError.
+    """
     if path is None:
         text = resources.files("cslcheck").joinpath("schemas.json").read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     doc = json.loads(text)
-    return frozenset(doc["enabled"])
+    names = doc.get("enabled") if isinstance(doc, dict) else None
+    if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
+        raise ValueError('schemas file must be {"enabled": [name, ...]}')
+    unknown = sorted(set(names) - set(_SCHEMA_MATCHERS) - {"Trans"})
+    if unknown:
+        raise ValueError(f"unknown schema name(s): {', '.join(unknown)}")
+    return frozenset(names)
 
 
 def match_axiom(
@@ -857,116 +862,6 @@ def match_axiom(
     wf_formula(lhs, symbols)
     wf_formula(rhs, symbols)
     _SCHEMA_MATCHERS[name](lhs, rhs, symbols, name)
-
-
-# -- substitution-driven construction of instances
-
-
-def _build_validity(kind):
-    def build(subst, symbols):
-        env = subst["env"]
-        e = subst["e"]
-        rhs = mk_atom(kind, (e, e), env)
-        lhs = subst.get("lhs", mk_top(env))
-        return lhs, rhs
-
-    return build
-
-
-def _build_symmetry(kind):
-    def build(subst, symbols):
-        env = subst["env"]
-        return (
-            mk_atom(kind, (subst["e"], subst["g"]), env),
-            mk_atom(kind, (subst["g"], subst["e"]), env),
-        )
-
-    return build
-
-
-def _build_transitivity(kind):
-    def build(subst, symbols):
-        env, e, g, h = subst["env"], subst["e"], subst["g"], subst["h"]
-        lhs = mk_conj(
-            mk_atom(kind, (e, g), env), mk_atom(kind, (g, h), env), env
-        )
-        return lhs, mk_atom(kind, (e, h), env)
-
-    return build
-
-
-def _build_w1(subst, symbols):
-    env = subst["env"]
-    return (
-        mk_atom(ATOM_EQ, (subst["e"], subst["g"]), env),
-        mk_atom(ATOM_IND, (subst["e"], subst["g"]), env),
-    )
-
-
-def _build_w2(subst, symbols):
-    env = subst["env"]
-    return (
-        mk_atom(ATOM_ESPL, (subst["d"], subst["c"]), env),
-        mk_atom(ATOM_EQ, (subst["d"], subst["c"]), env),
-    )
-
-
-def _build_u1(subst, symbols):
-    env, e, g = subst["env"], subst["e"], subst["g"]
-    lhs = mk_conj(
-        mk_atom(ATOM_IND, (e, g), env), mk_atom(ATOM_U, (e,), env), env
-    )
-    return lhs, mk_atom(ATOM_U, (g,), env)
-
-
-def _build_ax_potp(subst, symbols):
-    env = subst["env"]
-    x = Var(subst["x"]) if isinstance(subst["x"], str) else subst["x"]
-    g = subst["g"]
-    return (
-        mk_atom(ATOM_U, (x,), env),
-        mk_atom(ATOM_U, (App(g, (x,)),), env),
-    )
-
-
-_SCHEMA_BUILDERS: dict[str, Callable] = {
-    "S0": _build_validity(ATOM_IND),
-    "S1": _build_symmetry(ATOM_IND),
-    "S2": _build_transitivity(ATOM_IND),
-    "T0": _build_validity(ATOM_EQ),
-    "T1": _build_symmetry(ATOM_EQ),
-    "T2": _build_transitivity(ATOM_EQ),
-    "W1": _build_w1,
-    "W2": _build_w2,
-    "U1": _build_u1,
-    "Ax_POTP": _build_ax_potp,
-}
-
-
-def check_axiom_instance(
-    name: str,
-    subst: dict,
-    symbols: Optional[SymbolTable] = None,
-    registry: Optional[frozenset] = None,
-) -> tuple[Formula, Formula]:
-    """Instantiate a schema from metavariable bindings and check it.
-
-    subst maps the schema's metavariables (expressions and environments) to
-    concrete values; schemas without a structured builder take explicit
-    "lhs"/"rhs" formulas. Returns the instantiated entailment.
-    """
-    symbols = symbols or SymbolTable()
-    if name not in _SCHEMA_MATCHERS:
-        raise SchemaError(name, "unknown schema")
-    if name in _SCHEMA_BUILDERS and not ("lhs" in subst and "rhs" in subst):
-        lhs, rhs = _SCHEMA_BUILDERS[name](subst, symbols)
-    else:
-        try:
-            lhs, rhs = subst["lhs"], subst["rhs"]
-        except KeyError as exc:
-            raise SchemaError(name, f"substitution is missing {exc}") from exc
-    match_axiom(name, lhs, rhs, symbols, registry)
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -994,9 +889,6 @@ CORE_RULES = (
     "StarA1",
     "StarA2",
 )
-
-# Trans composes two entailments; it is registry-gated like the schemas.
-EXTENSION_RULES = ("Trans",)
 
 
 def _check_core_step(step, get_premise, fail) -> None:

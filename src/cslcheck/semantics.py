@@ -23,6 +23,7 @@ from .dist import (
     convex,
     memory_bits,
     project,
+    stat_dist,
     tensor,
     uniform_values,
     value_len,
@@ -239,8 +240,6 @@ def store_indist(a: Store, b: Store, epsilon: Fraction = ZERO) -> bool:
     """Per-n total variation distance at most epsilon (0 = exact equality)."""
     if a.env != b.env or a.tested_ns() != b.tested_ns():
         return False
-    from .dist import stat_dist
-
     return all(stat_dist(a.at(n), b.at(n)) <= epsilon for n in a.tested_ns())
 
 

@@ -450,10 +450,6 @@ def bot(env: Env = EMPTY_ENV) -> Formula:
     return Formula(BOT, env)
 
 
-def atom(kind: str, args, env: Env) -> Formula:
-    return Formula(Atom(kind, tuple(args)), env)
-
-
 def conj(left: Formula, right: Formula, env: Env) -> Formula:
     return Formula(And(left, right), env)
 

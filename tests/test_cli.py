@@ -100,6 +100,23 @@ def test_check_with_restricted_schema_registry(tmp_path, capsys):
     assert "disabled" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "schemas",
+    [
+        "[1]",
+        '{"schemas": 5}',
+        '{"enabled": "S0"}',
+        '{"enabled": [1]}',
+        '{"enabled": ["XorPi"]}',
+    ],
+)
+def test_check_malformed_schemas_file_is_a_usage_error(tmp_path, capsys, schemas):
+    proof_path = write(tmp_path, "good.proof", GOOD_PROOF)
+    path = write(tmp_path, "schemas.json", schemas)
+    assert main(["check", proof_path, "--schemas", path]) == 2
+    assert only_an_error_line(capsys.readouterr().err)
+
+
 def test_check_resolves_declared_symbols(tmp_path, capsys):
     # the decl preamble must reach the checker, not just the parser
     proof = """
@@ -207,6 +224,14 @@ def test_eval_epsilon_flag(otp_prog, tmp_path, capsys):
     assert main(["eval", f, store, "--epsilon", "1/2", "--n", "1"]) == 0
 
 
+@pytest.mark.parametrize("epsilon", ["1/0", "-1", "1e-3"])
+def test_eval_bad_epsilon_is_a_usage_error(otp_prog, tmp_path, capsys, epsilon):
+    store = fresh_store(tmp_path, otp_prog)
+    f = write(tmp_path, "ind.f", "(m ~~ c)" + OTP_ENV)
+    assert main(["eval", f, store, "--epsilon", epsilon]) == 2
+    assert only_an_error_line(capsys.readouterr().err)
+
+
 def test_eval_restricts_to_requested_n(otp_prog, tmp_path, capsys):
     store = fresh_store(tmp_path, otp_prog)
     f = write(tmp_path, "u.f", "(U(c))" + OTP_ENV)
@@ -227,6 +252,15 @@ def test_eval_error_exit(tmp_path, capsys):
     [
         {"env": {"x": "Bool"}},
         {"env": {"x": "Bool"}, "family": {"1": [{"values": {"x": "1"}, "prob": 1.0}]}},
+        {
+            "env": {"x": "Bool"},
+            "family": {
+                "1": [
+                    {"values": {"x": "0"}, "prob": "1e-3"},
+                    {"values": {"x": "1"}, "prob": "999/1000"},
+                ]
+            },
+        },
     ],
 )
 def test_eval_malformed_store_is_a_usage_error(tmp_path, capsys, doc):
@@ -246,7 +280,7 @@ def test_store_prob_must_be_exact():
         d = parse_store(store(*probs)).at(1)
         assert {m.get("x"): pr for m, pr in d.items()} == want
     assert parse_store(store(1)).at(1).is_proper()
-    for probs in [(0.25, 0.75), (0.1, 0.9), (True,), ("1/0",), (None,)]:
+    for probs in [(0.25, 0.75), (0.1, 0.9), (True,), ("1/0",), ("1e-3",), (None,)]:
         with pytest.raises(ValueError, match="prob"):
             parse_store(store(*probs))
 

@@ -8,7 +8,6 @@ from cslcheck.dist import FinDist, Memory, Store, uniform_store, zero_store
 from cslcheck.logic import (
     CertError,
     SchemaError,
-    check_axiom_instance,
     check_hilbert,
     entailment_holds_on,
     load_registry,
@@ -23,7 +22,6 @@ from cslcheck.syntax import (
     parse_cert,
     parse_decls,
     parse_env,
-    parse_expr,
     parse_formula,
 )
 
@@ -166,30 +164,64 @@ def test_entailment_holds_on():
 # Axiom schemas
 
 
-ENV2 = parse_env("{x: Str[n], y: Str[n]}")
+ENV2 = "{x: Str[n], y: Str[n]}"
+
+
+def instance(name, lhs, rhs, env=ENV2, symbols=None):
+    """Parse lhs/rhs under the outer annotation env and match them."""
+    l, r = (parse_formula(f"({side}){env}", symbols) for side in (lhs, rhs))
+    match_axiom(name, l, r, symbols)
+    return l, r
 
 
 def test_validity_and_symmetry_schemas():
-    l, r = check_axiom_instance("T0", {"env": ENV2, "e": parse_expr("x")})
-    assert entailment_holds_on(uniform_store(ENV2, (1,)), l, r)
-    check_axiom_instance(
-        "S1", {"env": ENV2, "e": parse_expr("x"), "g": parse_expr("y")}
-    )
-    check_axiom_instance(
-        "T2",
-        {
-            "env": ENV2,
-            "e": parse_expr("x"),
-            "g": parse_expr("y"),
-            "h": parse_expr("xor(x, y)"),
-        },
-    )
+    l, r = instance("T0", "T", "x == x")
+    assert entailment_holds_on(uniform_store(parse_env(ENV2), (1,)), l, r)
+    instance("S1", "x ~~ y", "y ~~ x")
+    instance("T2", "x == y /\\ y == xor(x, y)", "x == xor(x, y)")
 
 
 def test_w1_w2_u1_schemas():
-    check_axiom_instance("W1", {"env": ENV2, "e": parse_expr("x"), "g": parse_expr("y")})
-    check_axiom_instance("W2", {"env": ENV2, "d": parse_expr("x"), "c": parse_expr("y")})
-    check_axiom_instance("U1", {"env": ENV2, "e": parse_expr("x"), "g": parse_expr("y")})
+    instance("W1", "x == y", "x ~~ y")
+    instance("W2", "x .= y", "x == y")
+    instance("U1", "x ~~ y /\\ U(x)", "U(y)")
+
+
+# (schema, accepted (lhs, rhs), near miss (lhs, rhs), the matcher's message)
+SIMPLE_SCHEMA_CASES = [
+    ("S0", ("T", "x ~~ x"), ("T", "x ~~ y"), "must be identical"),
+    ("T0", ("T", "x == x"), ("T", "x == y"), "must be identical"),
+    ("S1", ("x ~~ y", "y ~~ x"), ("x ~~ y", "x ~~ y"), "must swap"),
+    ("T1", ("x == y", "y == x"), ("x == y", "x == y"), "must swap"),
+    (
+        "S2",
+        ("x ~~ y /\\ y ~~ xor(x, y)", "x ~~ xor(x, y)"),
+        ("x ~~ y /\\ x ~~ xor(x, y)", "x ~~ xor(x, y)"),
+        "middle operands must coincide",
+    ),
+    (
+        "T2",
+        ("x == y /\\ y == xor(x, y)", "x == xor(x, y)"),
+        ("x == y /\\ y == xor(x, y)", "y == xor(x, y)"),
+        "chain the outer operands",
+    ),
+    ("W1", ("x == y", "x ~~ y"), ("x == y", "y ~~ x"), "operands must match"),
+    ("W2", ("x .= y", "x == y"), ("x .= y", "x == xor(x, y)"), "operands must match"),
+    (
+        "U1",
+        ("x ~~ y /\\ U(x)", "U(y)"),
+        ("x ~~ y /\\ U(y)", "U(y)"),
+        "U must speak about the left operand",
+    ),
+    ("U1", ("x ~~ y /\\ U(x)", "U(y)"), ("x ~~ y /\\ U(x)", "U(x)"), "transports U"),
+]
+
+
+@pytest.mark.parametrize("name, accepted, near_miss, message", SIMPLE_SCHEMA_CASES)
+def test_simple_schema_matchers(name, accepted, near_miss, message):
+    instance(name, *accepted)
+    with pytest.raises(SchemaError, match=message):
+        instance(name, *near_miss)
 
 
 def test_schema_rejects_wrong_shape():
@@ -218,21 +250,20 @@ def test_registry_gates_schemas():
 
 def test_pseudorandomness_schema_side_conditions():
     grow = parse_decls("decl g : Str[n] -> Str[2n] det;")
-    env = parse_env("{x: Str[n]}")
-    check_axiom_instance("Ax_POTP", {"env": env, "x": "x", "g": "g"}, grow)
+    env = "{x: Str[n]}"
+    instance("Ax_POTP", "U(x)", "U(g(x))", env, grow)
     # length-preserving symbols are rejected
     keep = parse_decls("decl g : Str[n] -> Str[n] det;")
     with pytest.raises(SchemaError, match="length-increasing"):
-        check_axiom_instance("Ax_POTP", {"env": env, "x": "x", "g": "g"}, keep)
+        instance("Ax_POTP", "U(x)", "U(g(x))", env, keep)
     # randomized symbols are rejected
     rnd = parse_decls("decl g : Str[n] -> Str[2n] rnd;")
     with pytest.raises(SchemaError, match="deterministic"):
-        check_axiom_instance("Ax_POTP", {"env": env, "x": "x", "g": "g"}, rnd)
+        instance("Ax_POTP", "U(x)", "U(g(x))", env, rnd)
     # the argument must be a full-size seed
     short_sym = parse_decls("decl g : Str[1] -> Str[n+1] det;")
-    short = parse_env("{x: Str[1]}")
     with pytest.raises(SchemaError, match="Str\\[n\\]"):
-        check_axiom_instance("Ax_POTP", {"env": short, "x": "x", "g": "g"}, short_sym)
+        instance("Ax_POTP", "U(x)", "U(g(x))", "{x: Str[1]}", short_sym)
 
 
 SPL_ENV = "{b: Bool, r: Str[n+1], s: Str[n]}"

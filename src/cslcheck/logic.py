@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from itertools import combinations
 from typing import Callable, Optional
@@ -828,13 +829,22 @@ def load_registry(path: Optional[str] = None) -> frozenset[str]:
     """Names of enabled schemas, from schemas.json or a user-supplied file.
 
     The file must be {"enabled": [name, ...]}, each name a schema or Trans;
-    any other shape raises ValueError.
+    any other shape raises ValueError. The packaged file is read once.
     """
     if path is None:
-        text = resources.files("cslcheck").joinpath("schemas.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        return _packaged_registry()
+    with open(path, "r", encoding="utf-8") as fh:
+        return _registry_from_text(fh.read())
+
+
+@cache
+def _packaged_registry() -> frozenset[str]:
+    return _registry_from_text(
+        resources.files("cslcheck").joinpath("schemas.json").read_text()
+    )
+
+
+def _registry_from_text(text: str) -> frozenset[str]:
     doc = json.loads(text)
     names = doc.get("enabled") if isinstance(doc, dict) else None
     if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):

@@ -26,8 +26,9 @@ use the grammars above; see parse_proof and parse_cert.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
 class ParseError(Exception):
@@ -446,10 +447,6 @@ def top(env: Env = EMPTY_ENV) -> Formula:
     return Formula(TOP, env)
 
 
-def bot(env: Env = EMPTY_ENV) -> Formula:
-    return Formula(BOT, env)
-
-
 def conj(left: Formula, right: Formula, env: Env) -> Formula:
     return Formula(And(left, right), env)
 
@@ -551,30 +548,19 @@ class ProofTree:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_PUNCT = [
-    ":=",
-    "->",
-    "==",
-    ".=",
-    "~~",
-    "/\\",
-    "(",
-    ")",
-    "{",
-    "}",
-    "[",
-    "]",
-    ",",
-    ";",
-    ":",
-    "*",
-    "+",
-    "^",
-]
+# One alternative per token class, tried in order at each position. The
+# grammar is ASCII: any other character matches nothing and is reported.
+# Only newline and the three token kinds are named groups, so whitespace
+# and "#" comments match with lastgroup None. Two-character punctuation
+# comes first so that ":=" is not read as ":" followed by "=".
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"|(?P<punct>:=|->|==|\.=|~~|/\\|[(){}\[\],;:*+^])"
+    r"|(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "punct" | "eof"
     text: str
     line: int
@@ -583,43 +569,23 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+    match = _TOKEN.match
+    i, line, line_start, n = 0, 1, 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                i, col = i + len(p), col + len(p)
-                break
-        else:
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(Token("int", text[i:j], line, col))
-                col += j - i
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(Token("ident", text[i:j], line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        m = match(text, i)
+        if m is None:
+            raise ParseError(
+                f"unexpected character {text[i]!r}", line, i - line_start + 1
+            )
+        kind = m.lastgroup
+        i = m.end()
+        if kind == "newline":
+            line, line_start = line + 1, i
+        elif kind is not None:
+            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
+    # a comment that runs to the end of the text leaves eof at its "#"
+    end = text.find("#", line_start)
+    tokens.append(Token("eof", "", line, (n if end < 0 else end) - line_start + 1))
     return tokens
 
 
@@ -1045,7 +1011,22 @@ def _json_list(obj: dict, key: str, where: str, item: type) -> list:
     return value
 
 
-def _cert_from_obj(obj: dict, symbols: SymbolTable, path: str) -> EntailmentCert:
+def _parsed(memo: dict, obj: dict, key: str, where: str, parse: Callable, *args):
+    """parse(obj[key], *args), computed once per distinct text in one script.
+
+    memo lives for one parse_proof_with_decls or parse_cert call, where the
+    symbol table is fixed, so the text alone is a sound key.
+    """
+    text = _json_str(obj, key, where)
+    found = memo.get((parse, text))
+    if found is None:
+        found = memo[parse, text] = parse(text, *args)
+    return found
+
+
+def _cert_from_obj(
+    obj: dict, symbols: SymbolTable, path: str, memo: dict
+) -> EntailmentCert:
     steps = []
     if not isinstance(obj, dict) or "steps" not in obj or "root" not in obj:
         raise ValueError(f"{path}: certificate needs 'steps' and 'root'")
@@ -1058,8 +1039,8 @@ def _cert_from_obj(obj: dict, symbols: SymbolTable, path: str) -> EntailmentCert
             CertStep(
                 sid=_json_str(raw, "id", where),
                 rule=_json_str(raw, "rule", where),
-                lhs=parse_formula(_json_str(raw, "lhs", where), symbols),
-                rhs=parse_formula(_json_str(raw, "rhs", where), symbols),
+                lhs=_parsed(memo, raw, "lhs", where, parse_formula, symbols),
+                rhs=_parsed(memo, raw, "rhs", where, parse_formula, symbols),
                 premises=tuple(_json_list(raw, "premises", where, str)),
             )
         )
@@ -1082,7 +1063,9 @@ def _cert_to_obj(cert: EntailmentCert) -> dict:
     }
 
 
-def _tree_from_obj(obj: dict, symbols: SymbolTable, path: str) -> ProofTree:
+def _tree_from_obj(
+    obj: dict, symbols: SymbolTable, path: str, memo: dict
+) -> ProofTree:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: proof node must be an object")
     for key in ("rule", "env", "pre", "program", "post"):
@@ -1091,28 +1074,30 @@ def _tree_from_obj(obj: dict, symbols: SymbolTable, path: str) -> ProofTree:
     rule = _json_str(obj, "rule", path)
     if rule not in RULE_NAMES:
         raise ValueError(f"{path}: unknown rule name {rule!r}")
-    env = parse_env(_json_str(obj, "env", path))
+    env = _parsed(memo, obj, "env", path, parse_env)
     conclusion = HoareTriple(
-        pre=parse_formula(_json_str(obj, "pre", path), symbols),
+        pre=_parsed(memo, obj, "pre", path, parse_formula, symbols),
         env=env,
-        program=parse_program(_json_str(obj, "program", path), symbols),
-        post=parse_formula(_json_str(obj, "post", path), symbols),
+        program=_parsed(memo, obj, "program", path, parse_program, symbols),
+        post=_parsed(memo, obj, "post", path, parse_formula, symbols),
     )
     children = tuple(
-        _tree_from_obj(c, symbols, f"{path}.children[{i}]")
+        _tree_from_obj(c, symbols, f"{path}.children[{i}]", memo)
         for i, c in enumerate(_json_list(obj, "children", path, dict))
     )
     mid = None
     if "mid" in obj:
-        mid = parse_formula(_json_str(obj, "mid", path), symbols)
+        mid = _parsed(memo, obj, "mid", path, parse_formula, symbols)
     elif rule == "Seq":
         raise ValueError(f"{path}: Seq node needs a 'mid' witness formula")
     pre_cert = post_cert = None
     if rule == "Weak":
         if "pre_cert" not in obj or "post_cert" not in obj:
             raise ValueError(f"{path}: Weak node needs pre_cert and post_cert")
-        pre_cert = _cert_from_obj(obj["pre_cert"], symbols, f"{path}.pre_cert")
-        post_cert = _cert_from_obj(obj["post_cert"], symbols, f"{path}.post_cert")
+        pre_cert = _cert_from_obj(obj["pre_cert"], symbols, f"{path}.pre_cert", memo)
+        post_cert = _cert_from_obj(
+            obj["post_cert"], symbols, f"{path}.post_cert", memo
+        )
     return ProofTree(rule, conclusion, children, mid, pre_cert, post_cert)
 
 
@@ -1135,7 +1120,7 @@ def parse_proof_with_decls(
         table = parse_decls(decl, table)
     if "root" not in doc:
         raise ValueError("proof script needs a 'root' node")
-    return table, _tree_from_obj(doc["root"], table, "root")
+    return table, _tree_from_obj(doc["root"], table, "root", {})
 
 
 def parse_proof(text: str, symbols: Optional[SymbolTable] = None) -> ProofTree:
@@ -1175,4 +1160,5 @@ def parse_cert(text: str, symbols: Optional[SymbolTable] = None) -> EntailmentCe
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"certificate is not valid JSON: {exc}") from exc
-    return _cert_from_obj(doc, symbols.copy() if symbols else SymbolTable(), "cert")
+    table = symbols.copy() if symbols else SymbolTable()
+    return _cert_from_obj(doc, table, "cert", {})

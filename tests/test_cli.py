@@ -74,6 +74,14 @@ def test_check_malformed_proof_json_is_a_usage_error(tmp_path, capsys, text):
     assert only_an_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("bad", ["Str[²]", "Str[٣]", "é"])
+def test_check_non_ascii_text_is_a_usage_error(tmp_path, capsys, bad):
+    path = write(tmp_path, "bad.proof", GOOD_PROOF.replace("{x: Bool}", "{x: %s}" % bad))
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert only_an_error_line(err) and "unexpected character" in err
+
+
 def test_check_with_restricted_schema_registry(tmp_path, capsys):
     # the same Weak proof passes with defaults and fails when W2 is disabled
     proof = """

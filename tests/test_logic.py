@@ -248,6 +248,17 @@ def test_registry_gates_schemas():
         match_axiom("NoSuchSchema", lhs, rhs)
 
 
+def test_packaged_registry_is_read_once(tmp_path):
+    assert load_registry() is load_registry()
+    good = tmp_path / "good.json"
+    good.write_text('{"enabled": ["W1"]}')
+    assert load_registry(str(good)) == frozenset({"W1"})
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"enabled": ["XorPi"]}')
+    with pytest.raises(ValueError, match="unknown schema name"):
+        load_registry(str(bad))
+
+
 def test_pseudorandomness_schema_side_conditions():
     grow = parse_decls("decl g : Str[n] -> Str[2n] det;")
     env = "{x: Str[n]}"

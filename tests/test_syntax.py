@@ -1,6 +1,13 @@
 """Parsing, printing, and AST construction."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from cslcheck.hoare import ProofError, check_triple
 
 from cslcheck.syntax import (
     And,
@@ -36,8 +43,11 @@ from cslcheck.syntax import (
     program_to_text,
     proof_to_text,
     cert_to_text,
+    tokenize,
     type_to_text,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # Size polynomials
@@ -351,3 +361,171 @@ def test_env_hashable_and_frozen():
     assert hash(e) == hash(parse_env("{a: Bool}"))
     with pytest.raises(Exception):
         e.mapping = {}  # type: ignore[misc]
+
+
+# Tokenizer
+
+
+_REFERENCE_PUNCT = [
+    ":=", "->", "==", ".=", "~~", "/\\",
+    "(", ")", "{", "}", "[", "]", ",", ";", ":", "*", "+", "^",
+]
+
+
+def reference_tokenize(text):
+    """The per-character tokenizer that the one-regex tokenize replaced.
+
+    Kept as an oracle for ASCII text; it yields (kind, text, line, col).
+    """
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "#":  # comment to end of line; col is not advanced
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        for p in _REFERENCE_PUNCT:
+            if text.startswith(p, i):
+                tokens.append(("punct", p, line, col))
+                i, col = i + len(p), col + len(p)
+                break
+        else:
+            if ch.isdigit():
+                j = i
+                while j < n and text[j].isdigit():
+                    j += 1
+                tokens.append(("int", text[i:j], line, col))
+                col += j - i
+                i = j
+            elif ch.isalpha() or ch == "_":
+                j = i
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                tokens.append(("ident", text[i:j], line, col))
+                col += j - i
+                i = j
+            else:
+                raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def tokens_or_error(tok, text):
+    try:
+        return [tuple(t) for t in tok(text)]
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.col)
+
+
+# pieces of ASCII text: every punctuation character, the halves of the
+# two-character operators, digits, letters, whitespace, comments, and two
+# characters outside the grammar
+_PIECES = (
+    _REFERENCE_PUNCT
+    + list("=->.~/\\")
+    + list("0123456789")
+    + list("abnzABSTUZ_")
+    + ["Str", "x1", "42"]
+    + [" ", "\t", "\r", "\n", "#", "# c\n"]
+    + ["$", "\f"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+def test_tokenize_agrees_with_the_reference(text):
+    assert tokens_or_error(tokenize, text) == tokens_or_error(reference_tokenize, text)
+
+
+def test_tokenize_positions_and_comments():
+    assert tokens_or_error(tokenize, "x:=y # c\n  n^2") == [
+        ("ident", "x", 1, 1),
+        ("punct", ":=", 1, 2),
+        ("ident", "y", 1, 4),
+        ("ident", "n", 2, 3),
+        ("punct", "^", 2, 4),
+        ("int", "2", 2, 5),
+        ("eof", "", 2, 6),
+    ]
+    # a trailing comment leaves eof at the column of its "#"
+    assert tokenize("x  # c")[-1] == ("eof", "", 1, 4)
+    assert tokens_or_error(tokenize, "x\n  $") == ("unexpected character '$'", 2, 3)
+
+
+@pytest.mark.parametrize(
+    "parse, text, ch, col",
+    [
+        (parse_type, "Str[²]", "²", 5),
+        (parse_type, "Str[٣]", "٣", 5),
+        (parse_formula, "x == é", "é", 6),
+    ],
+)
+def test_non_ascii_is_an_unexpected_character(parse, text, ch, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        f"unexpected character {ch!r}",
+        1,
+        col,
+    )
+
+
+# Parsing each distinct text of a script once
+
+
+MID = "(U(k)){c: Str[n], k: Str[n], m: Str[n]}"
+
+
+def test_parse_proof_shares_equal_text():
+    t = parse_proof(OTP_PROOF)
+    first, second = t.children
+    assert t.conclusion.pre is first.conclusion.pre
+    assert t.mid is first.conclusion.post is second.conclusion.pre
+    assert t.conclusion.env is first.conclusion.env is second.conclusion.env
+
+
+def test_repeated_bad_text_fails_where_it_first_appears():
+    # MID is the root's mid, the first child's post and the second's pre
+    assert OTP_PROOF.count(json.dumps(MID)) == 3
+    broken = MID[:-1]
+    with pytest.raises(ParseError) as alone:
+        parse_formula(broken)
+    with pytest.raises(ParseError) as exc:
+        parse_proof(OTP_PROOF.replace(json.dumps(MID), json.dumps(broken)))
+    assert str(exc.value) == str(alone.value) == "1:39: expected '}', got ''"
+
+    ill_formed = MID.replace("U(k)", "U(q)")
+    tree = parse_proof(OTP_PROOF.replace(json.dumps(MID), json.dumps(ill_formed)))
+    with pytest.raises(ProofError) as exc:
+        check_triple(tree)
+    assert exc.value.path == "root.children[0]"
+    assert exc.value.message == "formula: unbound variable q"
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "corpus").glob("*.proof")), ids=lambda p: p.name
+)
+def test_corpus_proofs_print_back_byte_for_byte(path):
+    text = path.read_text()
+    assert proof_to_text(parse_proof(text), json.loads(text)["decls"]) == text
+
+
+def test_exp_family_parses_to_the_built_tree():
+    tool = ROOT / "tools" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", tool)
+    build_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_corpus)
+    for h in range(7):
+        decls, tree = build_corpus.build_exp(h)
+        text = proof_to_text(tree, decls)
+        parsed = parse_proof(text)
+        assert parsed == tree
+        assert proof_to_text(parsed, decls) == text

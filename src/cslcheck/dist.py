@@ -10,6 +10,8 @@ require full mass.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -19,7 +21,9 @@ from .syntax import (
     BoolType,
     Env,
     Type,
+    parse_type,
     poly_eval,
+    type_to_text,
 )
 from .types import TypeCheckError, env_ext, env_join
 
@@ -325,3 +329,85 @@ def dirac_store(env: Env, ns: Iterable[int], value_fn) -> Store:
 
 def zero_store(env: Env, ns: Iterable[int]) -> Store:
     return dirac_store(env, ns, lambda name, t, n: "0" * value_len(t, n))
+
+
+# ---------------------------------------------------------------------------
+# The store file format:
+# {"env": {name: type}, "family": {n: [{"values": {name: bits}, "prob": p}]}}
+
+
+def store_to_text(s: Store) -> str:
+    family = {
+        str(n): [
+            {"values": m.as_dict(), "prob": str(d.prob(m))} for m in d.support()
+        ]
+        for n, d in sorted(s.family.items())
+    }
+    env = {name: type_to_text(t) for name, t in s.env.items()}
+    return json.dumps({"env": env, "family": family}, indent=2) + "\n"
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
+_N_KEY = re.compile(r"[1-9][0-9]*")
+
+
+def exact_rational(raw, what: str) -> Fraction:
+    """Read an int, or a string "p/q" or "0.25", from outside input exactly.
+
+    A JSON float is refused, because 0.1 would decode to a nearby dyadic
+    rational. Exponent forms are refused too: Fraction("1e-4000000") expands
+    to a four-million-digit integer.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise ValueError(f'{what} must be an int or a string like "1/4"')
+    if isinstance(raw, str) and not _RATIONAL.fullmatch(raw):
+        raise ValueError(f'{what} must be an integer, "p/q" or a decimal, got {raw!r}')
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} is not a rational number: {raw!r}") from None
+
+
+def parse_store(text: str) -> Store:
+    """Decode a store file; a document of any other shape raises ValueError.
+
+    The family must hold at least one n, and each n key is written as a
+    canonical decimal integer >= 1, so no two keys name the same n.
+    """
+    doc = json.loads(text)
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("env"), dict)
+        and isinstance(doc.get("family"), dict)
+        and all(isinstance(t, str) for t in doc["env"].values())
+    ):
+        raise ValueError(
+            "store needs an 'env' object of type strings and a 'family' object"
+        )
+    if not doc["family"]:
+        raise ValueError("store family must hold at least one n")
+    env = Env.make({name: parse_type(t) for name, t in doc["env"].items()})
+    family = {}
+    for n_text, entries in doc["family"].items():
+        if not _N_KEY.fullmatch(n_text):
+            raise ValueError(
+                f"store family key {n_text!r} must be an integer >= 1 "
+                'written without leading zeros, like "3"'
+            )
+        if not isinstance(entries, list):
+            raise ValueError(f"store family {n_text!r} must be a list of entries")
+        n = int(n_text)
+        probs = {}
+        for i, entry in enumerate(entries):
+            where = f"store family {n_text!r} entry {i}"
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("values"), dict)
+                and "prob" in entry
+            ):
+                raise ValueError(f"{where}: needs a 'values' object and a 'prob'")
+            m = Memory.make(env, n, entry["values"])
+            prob = exact_rational(entry["prob"], f"{where}: prob")
+            probs[m] = probs.get(m, ZERO) + prob
+        family[n] = FinDist(probs)
+    return Store(env, family)

@@ -14,7 +14,7 @@ Surface syntax summary:
                round-trips); function applications are f(e1, ..., ek) and
                setzero takes its size explicitly: setzero[n+1]()
     formulas   T | F | U(e) | e ~~ g | e == g | d .= c | phi /\ psi
-               | phi * psi, each group optionally annotated with an
+               | phi * psi, each group optionally annotated once with an
                environment: (U(k)){k: Str[n]} * (T){m: Str[n]}
     types      Bool | Str[p] with p a sum of terms like 3, n, 2n, n^2
     preamble   decl g : Str[n] -> Str[n+1] det;
@@ -435,9 +435,6 @@ class Formula:
     body: Body
     annotation: Env
 
-    def with_annotation(self, env: Env) -> "Formula":
-        return Formula(self.body, env)
-
 
 TOP = Top()
 BOT = Bot()
@@ -513,12 +510,6 @@ class EntailmentCert:
             if s.sid == sid:
                 return s
         return None
-
-    def conclusion(self) -> tuple[Formula, Formula]:
-        root = self.step(self.root)
-        if root is None:
-            raise ValueError(f"certificate root step {self.root} missing")
-        return root.lhs, root.rhs
 
 
 RULE_NAMES = (
@@ -824,9 +815,10 @@ class _Parser:
         if self.eat("("):
             inner = self.raw_star()
             self.expect(")")
-            ann = self.opt_ann()
-            if ann is not None:
-                inner = _RawNode("group", left=inner, ann=ann)
+            if self.at("{"):
+                if inner.ann is not None:
+                    self.fail("formula is annotated twice")
+                inner.ann = self.env()
             return inner
         if self.eat("T"):
             return _RawNode("top", ann=self.opt_ann())
@@ -859,7 +851,7 @@ class _Parser:
 class _RawNode:
     """Parse-tree node for formulas before annotation resolution."""
 
-    kind: str  # "top" | "bot" | "atom" | "and" | "star" | "group"
+    kind: str  # "top" | "bot" | "atom" | "and" | "star"
     left: Optional["_RawNode"] = None
     right: Optional["_RawNode"] = None
     atom: Optional[Atom] = None
@@ -871,10 +863,8 @@ def _raw_fv(node: _RawNode) -> frozenset[str]:
     if node.kind == "atom":
         for arg in node.atom.args:
             out |= fv(arg)
-    elif node.kind in ("and", "star", "group"):
-        out = _raw_fv(node.left)
-        if node.right is not None:
-            out |= _raw_fv(node.right)
+    elif node.kind in ("and", "star"):
+        out = _raw_fv(node.left) | _raw_fv(node.right)
     return out
 
 
@@ -901,8 +891,6 @@ def _resolve_formula(
     *, which must be disjoint). An un-annotated compound with annotated
     children takes the union (for /\\) or disjoint join (for *) of theirs.
     """
-    if node.kind == "group":
-        return _resolve_formula(node.left, node.ann, parser)
     ann = node.ann if node.ann is not None else inherited
     if node.kind in ("top", "bot"):
         if ann is None:

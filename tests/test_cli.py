@@ -1,17 +1,25 @@
 """Command line interface: exit codes, formats, and store round trips."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cslcheck.cli import main, parse_store, store_to_obj
-from cslcheck.dist import uniform_store
+from cslcheck import cli
+from cslcheck._props import SuiteResult
+from cslcheck.cli import main, parse_store, store_to_text
+from cslcheck.dist import uniform_store, zero_store
 from cslcheck.syntax import parse_env
 
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 OTP_ENV = "{c: Str[n], k: Str[n], m: Str[n]}"
 GOOD_PROOF = """
 {"root": {"rule": "Skip", "env": "{x: Bool}", "pre": "(T){x: Bool}",
@@ -159,17 +167,47 @@ def test_run_json_round_trips(otp_prog, tmp_path, capsys):
     s = parse_store(text)
     assert s.env == parse_env(OTP_ENV)
     assert s.tested_ns() == [1, 2]
-    # serialize again and compare the parsed objects
-    assert json.loads(text) == store_to_obj(s)
+    # serialize again and compare the bytes
+    assert store_to_text(s) == text
 
 
 def test_run_reads_an_input_store(otp_prog, tmp_path, capsys):
     env = parse_env(OTP_ENV)
-    store_path = write(
-        tmp_path, "in.json", json.dumps(store_to_obj(uniform_store(env, (1,))))
-    )
+    store_path = write(tmp_path, "in.json", store_to_text(uniform_store(env, (1,))))
     assert main(["run", otp_prog, "--input", store_path]) == 0
     assert "n=1" in capsys.readouterr().out
+
+
+def test_run_uses_every_n_of_the_input_store(otp_prog, tmp_path, capsys):
+    store = zero_store(parse_env(OTP_ENV), (1, 2, 3, 4))
+    store_path = write(tmp_path, "in.json", store_to_text(store))
+    assert main(["run", otp_prog, "--input", store_path]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("n=")] == [
+        "n=1", "n=2", "n=3", "n=4"
+    ]
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_n_missing_from_the_store_is_a_usage_error(
+    otp_prog, tmp_path, capsys, command
+):
+    store = fresh_store(tmp_path, otp_prog)
+    f = write(tmp_path, "u.f", "(U(c))" + OTP_ENV)
+    if command == "run":
+        argv = ["run", otp_prog, "--input", store]
+    else:
+        argv = ["eval", f, store]
+    assert main(argv + ["--n", "2,5"]) == 2
+    captured = capsys.readouterr()
+    assert only_an_error_line(captured.err) and "n=[5]" in captured.err
+    assert captured.out == ""
+
+
+def test_run_unwritable_out_is_a_usage_error(otp_prog, tmp_path, capsys):
+    argv = ["run", otp_prog, "--env", OTP_ENV, "--n", "1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert only_an_error_line(capsys.readouterr().err)
 
 
 def test_run_bind_stub(tmp_path, capsys):
@@ -249,6 +287,21 @@ def test_eval_restricts_to_requested_n(otp_prog, tmp_path, capsys):
     assert "n=1" not in out
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(r == head(s)){r: Str[n], s: Str[n]}", "formula.rhs: head needs"),
+        ("(r == z){r: Str[n], s: Str[n]}", "formula.rhs: unbound variable z"),
+    ],
+)
+def test_eval_ill_formed_formula_is_a_usage_error(tmp_path, capsys, text, message):
+    f = write(tmp_path, "bad.f", text)
+    assert main(["eval", f, str(CORPUS / "pair.store")]) == 2
+    captured = capsys.readouterr()
+    assert only_an_error_line(captured.err) and message in captured.err
+    assert captured.out == ""
+
+
 def test_eval_error_exit(tmp_path, capsys):
     f = write(tmp_path, "u.f", "(U(c))" + OTP_ENV)
     assert main(["eval", f, "/nope.json"]) == 2
@@ -269,6 +322,15 @@ def test_eval_error_exit(tmp_path, capsys):
                 ]
             },
         },
+        {"env": {"x": "Bool"}, "family": {}},
+        {
+            "env": {"x": "Bool"},
+            "family": {
+                "1": [{"values": {"x": "1"}, "prob": 1}],
+                "01": [{"values": {"x": "0"}, "prob": 1}],
+            },
+        },
+        {"env": {"x": "Bool"}, "family": {"0": [{"values": {"x": "1"}, "prob": 1}]}},
     ],
 )
 def test_eval_malformed_store_is_a_usage_error(tmp_path, capsys, doc):
@@ -303,8 +365,12 @@ def test_properties_pass(capsys):
     assert "monad" in out
 
 
-def test_properties_inject_failure(capsys):
-    assert main(["properties", "--cases", "2", "--inject-failure"]) == 1
+def test_properties_inject_failure(monkeypatch, capsys):
+    def failing(seed, cases, ns):
+        return SuiteResult("injected", 1, failures=["deliberate failure for testing"])
+
+    monkeypatch.setattr(cli, "ALL_SUITES", cli.ALL_SUITES + (failing,))
+    assert main(["properties", "--cases", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
 
@@ -320,6 +386,105 @@ def test_properties_rejects_fewer_than_one_case(capsys, cases):
     captured = capsys.readouterr()
     assert only_an_error_line(captured.err)
     assert "overall" not in captured.out
+
+
+# exit-code contract under malformed input
+
+FUZZ_STORE = {
+    "env": {"r": "Str[n]", "s": "Bool"},
+    "family": {
+        "1": [
+            {"values": {"r": "0", "s": "1"}, "prob": "1/2"},
+            {"values": {"r": "1", "s": "0"}, "prob": "1/2"},
+        ],
+        "2": [{"values": {"r": "01", "s": "0"}, "prob": 1}],
+    },
+}
+# wrong JSON types, bad type text, bad n keys, bad probabilities
+ODD_VALUES = [
+    None, True, 0, 1, 2, 0.5, [], {}, "", "x", "0", "01", "-1", " 1", "1_0",
+    "9", "Str[", "Str[0]", "Str[n+1]", "Str[2n]", "Bool]", "Int", "1/0",
+    "1e-3", "-1/2", "3/2", "0.25", "1/3",
+]
+FUZZ_FORMULAS = [
+    "(T){r: Str[n], s: Bool}",
+    "(U(r)){r: Str[n], s: Bool}",
+    "(U(r)){r: Str[n]} * (U(s)){s: Bool}",
+    "(r ~~ r /\\ s == s){r: Str[n], s: Bool}",
+    "(r == head(s)){r: Str[n], s: Bool}",
+    "(r == z){r: Str[n], s: Bool}",
+    "((U(r)){r: Str[n]}){r: Str[n], s: Bool}",
+]
+FORMULA_TOKENS = [
+    "(", ")", "{", "}", "[", "]", ":", ",", "r", "s", "z", "n", "1", "+",
+    "Str", "Bool", "T", "F", "U", "==", "~~", ".=", "/\\", "*", "head", "xor",
+]
+
+
+@st.composite
+def mutated_stores(draw):
+    doc = json.loads(json.dumps(FUZZ_STORE))
+    for _ in range(draw(st.integers(0, 2))):
+        parent, key = None, None
+        node = doc
+        for _ in range(draw(st.integers(0, 5))):
+            if not (isinstance(node, (dict, list)) and node):
+                break
+            parent = node
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            key = draw(st.sampled_from(keys))
+            node = node[key]
+        action = draw(st.sampled_from(["replace", "drop", "rename"]))
+        if parent is None:
+            doc = draw(st.sampled_from(ODD_VALUES)) if action == "replace" else doc
+        elif action == "replace":
+            parent[key] = draw(st.sampled_from(ODD_VALUES))
+        elif isinstance(parent, dict):
+            value = parent.pop(key)
+            if action == "rename":
+                parent[str(draw(st.sampled_from(ODD_VALUES)))] = value
+        else:
+            del parent[key]
+    return json.dumps(doc)
+
+
+formula_texts = st.one_of(
+    st.sampled_from(FUZZ_FORMULAS),
+    st.lists(st.sampled_from(FORMULA_TOKENS), max_size=12).map(" ".join),
+)
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    mutated_stores(),
+    formula_texts,
+    st.sampled_from([None, "1", "1,2", "3", "0", "x"]),
+)
+def test_exit_code_contract_on_malformed_input(store_text, formula_text, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = write(Path(tmp), "s.json", store_text)
+        formula = write(Path(tmp), "f.formula", formula_text)
+        program = write(Path(tmp), "p.prog", "r := rnd(); s := s")
+        n_flag = [] if n is None else ["--n", n]
+        for argv in (
+            ["eval", formula, store] + n_flag,
+            ["run", program, "--input", store] + n_flag,
+        ):
+            code, out, err = run_main(argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err
+            if code == 2:
+                assert only_an_error_line(err), err
+                assert "overall" not in out
 
 
 # entry point

@@ -248,6 +248,20 @@ def test_formula_requires_annotation_somewhere():
         parse_formula("U(k)")
 
 
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("((U(r)){r: Str[n]}){r: Str[n], s: Str[n]}", 20),
+        ("(r == s{r: Str[n], s: Str[n]}){r: Str[n], s: Str[n]}", 31),
+        ("((T){} * (T){}{}){}", 18),
+    ],
+)
+def test_formula_annotated_twice_is_a_parse_error(text, col):
+    with pytest.raises(ParseError, match="formula is annotated twice") as err:
+        parse_formula(text)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
 def test_formula_round_trip():
     # printing annotates every node, so round-trip through a reparse
     texts = [

@@ -17,8 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cslcheck.cli import store_to_text
-from cslcheck.dist import FinDist, Memory, Store
+from cslcheck.dist import FinDist, Memory, Store, store_to_text
 from cslcheck.hoare import check_triple, validate_triple
 from cslcheck.semantics import run_store
 from cslcheck.syntax import (

@@ -5,7 +5,9 @@ are dropped eagerly, so structural equality of the support map is equality
 of distributions and every uniformity/distance check is decidable with no
 tolerance. Sub-unit total mass is permitted (the program semantics is
 linear and gets exercised on sub-distributions); stores and serialization
-require full mass.
+require full mass. Only the public constructor, scale, add, Store and
+parse_store validate: map, bind, tensor, project, condition and the program
+kernel build results that are valid by construction (FinDist._trusted).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Callable, Iterable
 
 from .syntax import (
@@ -24,6 +27,7 @@ from .syntax import (
     parse_type,
     poly_eval,
     type_to_text,
+    unique_keys,
 )
 from .types import TypeCheckError, env_ext, env_join
 
@@ -63,6 +67,9 @@ class Memory:
     n: int
     values: tuple[tuple[str, str], ...]  # sorted by variable name
 
+    def __hash__(self) -> int:  # without env, which is slow to hash; == compares it
+        return hash((self.n, self.values))
+
     @staticmethod
     def make(env: Env, n: int, mapping) -> "Memory":
         items = dict(mapping.items() if isinstance(mapping, dict) else mapping)
@@ -84,15 +91,9 @@ class Memory:
         raise KeyError(name)
 
     def set(self, name: str, value: str) -> "Memory":
-        t = self.env.lookup(name)
-        if t is None:
+        if name not in self.env:
             raise KeyError(name)
-        _check_value(name, t, self.n, value)
-        return Memory(
-            self.env,
-            self.n,
-            tuple((k, value if k == name else v) for k, v in self.values),
-        )
+        return Memory.make(self.env, self.n, {**self.as_dict(), name: value})
 
     def restrict(self, target: Env) -> "Memory":
         keep = set(target.names())
@@ -111,7 +112,7 @@ class Memory:
 
 
 def _check_value(name: str, t: Type, n: int, v: str) -> None:
-    if not isinstance(v, str) or any(c not in "01" for c in v):
+    if not isinstance(v, str) or v.strip("01"):
         raise ValueError(f"value for {name} must be a bitstring, got {v!r}")
     want = value_len(t, n)
     if len(v) != want:
@@ -153,6 +154,13 @@ class FinDist:
         if self.total() > 1:
             raise ValueError(f"probabilities sum to {self.total()} > 1")
 
+    @staticmethod
+    def _trusted(probs: dict) -> "FinDist":
+        """Wrap positive Fraction weights of mass <= 1 without checking them."""
+        d = object.__new__(FinDist)
+        d._probs = probs
+        return d
+
     # -- inspection
 
     def items(self) -> list:
@@ -165,7 +173,8 @@ class FinDist:
         return self._probs.get(point, ZERO)
 
     def total(self) -> Fraction:
-        return sum(self._probs.values(), ZERO)
+        weights, den = integer_weights(self._probs)
+        return Fraction(sum(weights.values()), den)
 
     def is_proper(self) -> bool:
         return self.total() == 1
@@ -194,14 +203,18 @@ class FinDist:
         return FinDist(acc)
 
     def map(self, fn: Callable) -> "FinDist":
-        return FinDist.from_weights((fn(p), pr) for p, pr in self._probs.items())
+        acc: dict = {}
+        for point, pr in self._probs.items():
+            out_point = fn(point)
+            acc[out_point] = acc.get(out_point, ZERO) + pr
+        return FinDist._trusted(acc)
 
     def bind(self, k: Callable[[object], "FinDist"]) -> "FinDist":
         acc: dict = {}
         for point, pr in self._probs.items():
             for out_point, out_pr in k(point)._probs.items():
                 acc[out_point] = acc.get(out_point, ZERO) + pr * out_pr
-        return FinDist(acc)
+        return FinDist._trusted(acc)
 
     def scale(self, factor: Fraction) -> "FinDist":
         return FinDist({p: pr * Fraction(factor) for p, pr in self._probs.items()})
@@ -211,6 +224,13 @@ class FinDist:
         for point, pr in other._probs.items():
             acc[point] = acc.get(point, ZERO) + pr
         return FinDist(acc)
+
+
+def integer_weights(probs: dict, key: Callable = lambda p: p) -> tuple[dict, int]:
+    """Fraction weights as integers over the lcm of their denominators, each
+    point renamed by key (which must not give two points one name)."""
+    den = lcm(*{pr.denominator for pr in probs.values()})
+    return {key(p): pr.numerator * (den // pr.denominator) for p, pr in probs.items()}, den
 
 
 def uniform_values(t: Type, n: int) -> FinDist:
@@ -231,7 +251,7 @@ def tensor(a: FinDist, b: FinDist) -> FinDist:
     for ma, pa in a._probs.items():
         for mb, pb in b._probs.items():
             acc[ma.merge(mb)] = pa * pb
-    return FinDist(acc)
+    return FinDist._trusted(acc)
 
 
 def project(d: FinDist, target: Env) -> FinDist:
@@ -251,7 +271,7 @@ def condition(d: FinDist, r: str, b: str) -> FinDist:
     mass = sum(hits.values(), ZERO)
     if mass == 0:
         raise ZeroMassError(f"conditioning on {r} = {b}, an event of mass zero")
-    return FinDist({m: pr / mass for m, pr in hits.items()})
+    return FinDist._trusted({m: pr / mass for m, pr in hits.items()})
 
 
 def convex(a: FinDist, b: FinDist, guard: FinDist) -> FinDist:
@@ -288,7 +308,7 @@ class Store:
         for n, d in self.family.items():
             if not d.is_proper():
                 raise ValueError(f"store distribution at n={n} has mass != 1")
-            for m in d.support():
+            for m in d._probs:
                 if m.env != env or m.n != n:
                     raise ValueError(
                         f"memory over {m.env} at n={m.n} in the n={n} slot"
@@ -374,7 +394,7 @@ def parse_store(text: str) -> Store:
     The family must hold at least one n, and each n key is written as a
     canonical decimal integer >= 1, so no two keys name the same n.
     """
-    doc = json.loads(text)
+    doc = json.loads(text, object_pairs_hook=unique_keys)
     if not (
         isinstance(doc, dict)
         and isinstance(doc.get("env"), dict)

@@ -55,6 +55,7 @@ from .syntax import (
     formula_to_text,
     fv,
     top as mk_top,
+    unique_keys,
 )
 from .types import (
     TypeCheckError,
@@ -845,7 +846,7 @@ def _packaged_registry() -> frozenset[str]:
 
 
 def _registry_from_text(text: str) -> frozenset[str]:
-    doc = json.loads(text)
+    doc = json.loads(text, object_pairs_hook=unique_keys)
     names = doc.get("enabled") if isinstance(doc, dict) else None
     if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
         raise ValueError('schemas file must be {"enabled": [name, ...]}')

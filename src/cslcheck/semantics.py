@@ -1,31 +1,36 @@
 """Exact program semantics and the store algebra.
 
-Two equivalent interpreters are provided: run pushes each support memory
-through the program monadically, and run_kozen splits on the guard
-distribution at conditionals (conditioning each branch and recombining
+Two equivalent interpreters are provided: run compiles each statement once
+and pushes the whole input through it as value tuples with integer weights
+over one denominator, splitting on the guard bit at conditionals; run_kozen
+splits on the guard distribution (conditioning each branch and recombining
 convexly). Both are exact and linear in the input distribution.
 
-Uninterpreted declared symbols fail loudly during evaluation; bind_stub
-attaches one of the named concrete evaluators so corpus programs can run.
+Uninterpreted declared symbols fail loudly when a memory reaches them;
+bind_stub attaches one of the named concrete evaluators so corpus programs
+can run.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from math import gcd
+from typing import Callable, Iterable, Optional
 
 from .dist import (
     FinDist,
     Memory,
     Store,
     ZERO,
+    _check_value,
+    all_values,
     condition,
     convex,
+    integer_weights,
     memory_bits,
     project,
     stat_dist,
     tensor,
-    uniform_values,
     value_len,
 )
 from .syntax import (
@@ -33,7 +38,7 @@ from .syntax import (
     Assign,
     Env,
     Expr,
-    FuncSym,
+    If,
     Lit,
     Program,
     RND,
@@ -42,6 +47,7 @@ from .syntax import (
     StrType,
     SymbolTable,
     Var,
+    fv,
     poly_eval,
     POLY_N,
 )
@@ -73,109 +79,150 @@ def check_bit_budget(env: Env, ns: Iterable[int], max_bits: int = DEFAULT_MAX_BI
 
 
 # ---------------------------------------------------------------------------
-# Built-in symbol semantics
+# Compiled expressions, shared by eval_det, eval_expr and the run kernel
+
+_BUILTINS = {
+    "not": lambda vals: "1" if vals[0] == "0" else "0",
+    "head": lambda vals: vals[0][0],
+    "tail": lambda vals: vals[0][1:],
+    "xor": lambda vals: "".join("1" if x != y else "0" for x, y in zip(*vals)),
+    "concat": lambda vals: vals[0] + vals[1],
+}
 
 
-def _apply_builtin(e: App, vals: tuple[str, ...], n: int) -> str:
-    name = e.fname
-    if name == "not":
-        return "1" if vals[0] == "0" else "0"
-    if name == "head":
-        return vals[0][0]
-    if name == "tail":
-        return vals[0][1:]
-    if name == "xor":
-        a, b = vals
-        return "".join("1" if x != y else "0" for x, y in zip(a, b))
-    if name == "concat":
-        return vals[0] + vals[1]
-    if name == "setzero":
-        return "0" * poly_eval(e.size_args[0], n)
-    raise UninterpretedSymbolError(name)
+def _raise(exc: Exception):
+    raise exc
 
 
-def _apply_symbol(e: App, sym: Optional[FuncSym], vals: tuple[str, ...], n: int):
-    """Deterministic result value, or a FinDist for randomized symbols."""
-    if sym is None:
-        return _apply_builtin(e, vals, n)
-    if sym.impl is None:
-        raise UninterpretedSymbolError(e.fname)
-    return sym.impl(n, vals)
+def _compile(
+    e: Expr, names: tuple[str, ...], n: int, symbols: SymbolTable, det: bool = False
+) -> tuple[bool, Callable]:
+    """(random, fn): fn maps a value tuple in names order to e's value, or to
+    (weights, L), integer weights over L, if e is random. Errors raise in fn."""
+    if isinstance(e, Var):
+        return False, lambda vals, i=names.index(e.name): vals[i]
+    if isinstance(e, Lit):
+        return False, lambda vals, bit=e.bit: bit
+    sym = symbols.lookup(e.fname)
+    randomized = e.fname == "rnd" or (sym is not None and sym.kind == RND)
+    if det and randomized:
+        return False, lambda vals: _raise(
+            TypeCheckError("eval_det", f"{e.fname} is not deterministic")
+        )
+    if e.fname == "rnd":
+        uniform = {v: 1 for v in all_values(StrType(POLY_N), n)}
+        return True, lambda vals: (uniform, len(uniform))
+    if sym is None and e.fname == "setzero":
+        apply = lambda args: "0" * poly_eval(e.size_args[0], n)
+    elif sym is None and e.fname in _BUILTINS:
+        apply = _BUILTINS[e.fname]
+    elif sym is None or sym.impl is None:
+        apply = lambda args: _raise(UninterpretedSymbolError(e.fname))
+    elif randomized:
+        apply = lambda args: integer_weights(sym.impl(n, args)._probs)
+    else:
+        apply = lambda args: sym.impl(n, args)
+    parts = [_compile(a, names, n, symbols, det) for a in e.args]
+    if not randomized and not any(r for r, _ in parts):
+        fns = [f for _, f in parts]
+        return False, lambda vals: apply(tuple(f(vals) for f in fns))
+    dists = [_lift(part) for part in parts]
+
+    def sample(vals):
+        args, den = {(): 1}, 1
+        for f in dists:
+            ws, d = f(vals)
+            args = {t + (v,): w * x for t, w in args.items() for v, x in ws.items()}
+            den *= d
+        ws, d = _mix(args, _lift((randomized, apply)))
+        return ws, den * d
+
+    return True, sample
 
 
-# ---------------------------------------------------------------------------
-# Expression evaluation
+def _lift(part: tuple[bool, Callable]) -> Callable:
+    """A compiled expression as a function to (weights, L), random or not."""
+    randomized, fn = part
+    return fn if randomized else lambda vals: ({fn(vals): 1}, 1)
+
+
+def _mix(points: dict, k: Callable) -> tuple[dict, int]:
+    """Integer bind: the sum of points[p] * k(p), k(p) = (weights, L), over an lcm."""
+    out, den = {}, 1
+    for p, w in points.items():
+        weights, d = k(p)
+        if den % d:
+            g = d // gcd(den, d)
+            out = {q: x * g for q, x in out.items()}
+            den *= g
+        s = w * (den // d)
+        for q, x in weights.items():
+            out[q] = out.get(q, 0) + s * x
+    return out, den
+
+
+def _values(m: Memory) -> tuple:
+    return tuple(v for _, v in m.values)
 
 
 def eval_det(
     env: Env, d: Expr, n: int, m: Memory, symbols: Optional[SymbolTable] = None
 ) -> str:
     """Evaluate a deterministic expression in one memory."""
-    symbols = symbols or SymbolTable()
-    if isinstance(d, Var):
-        return m.get(d.name)
-    if isinstance(d, Lit):
-        return d.bit
-    sym = symbols.lookup(d.fname)
-    if d.fname == "rnd" or (sym is not None and sym.kind == RND):
-        raise TypeCheckError("eval_det", f"{d.fname} is not deterministic")
-    vals = tuple(eval_det(env, a, n, m, symbols) for a in d.args)
-    return _apply_symbol(d, sym, vals, n)
-
-
-def _presem(e: Expr, n: int, m: Memory, symbols: SymbolTable) -> FinDist:
-    """Output-value distribution of e in one memory."""
-    if isinstance(e, Var):
-        return FinDist.dirac(m.get(e.name))
-    if isinstance(e, Lit):
-        return FinDist.dirac(e.bit)
-    if e.fname == "rnd":
-        return uniform_values(StrType(POLY_N), n)
-    args = FinDist.dirac(())
-    for a in e.args:
-        arg_dist = _presem(a, n, m, symbols)
-        args = args.bind(lambda tup, ad=arg_dist: ad.map(lambda v: tup + (v,)))
-    sym = symbols.lookup(e.fname)
-    if sym is not None and sym.kind == RND:
-        if sym.impl is None:
-            raise UninterpretedSymbolError(e.fname)
-        return args.bind(lambda vals: sym.impl(n, vals))
-    return args.map(lambda vals: _apply_symbol(e, sym, vals, n))
+    _, fn = _compile(d, env.names(), n, symbols or SymbolTable(), det=True)
+    return fn(_values(m))
 
 
 def eval_expr(
     env: Env, e: Expr, n: int, d: FinDist, symbols: Optional[SymbolTable] = None
 ) -> FinDist:
     """Output-value distribution of e over an input memory distribution."""
-    symbols = symbols or SymbolTable()
-    return d.bind(lambda m: _presem(e, n, m, symbols))
+    points, den = integer_weights(d._probs, _values)
+    out, extra = _mix(points, _lift(_compile(e, env.names(), n, symbols or SymbolTable())))
+    return FinDist._trusted({v: Fraction(w, den * extra) for v, w in out.items()})
 
 
-# ---------------------------------------------------------------------------
-# Program evaluation
+def _exec(p: Program, env: Env, n: int, symbols: SymbolTable, points: dict, den: int):
+    """Run p on value tuples with integer weights over den."""
+    if not points or isinstance(p, Skip):
+        return points, den
+    if isinstance(p, Seq):
+        points, den = _exec(p.first, env, n, symbols, points, den)
+        return _exec(p.second, env, n, symbols, points, den)
+    names = env.names()
+    if isinstance(p, If):
+        g = names.index(p.guard)
+        parts = ({}, {})
+        for vals, w in points.items():
+            parts[vals[g] == "1"][vals] = w
+        then_out = _exec(p.then_branch, env, n, symbols, parts[True], den)
+        else_out = _exec(p.else_branch, env, n, symbols, parts[False], den)
+        return _mix({0: 1, 1: 1}, (then_out, else_out).__getitem__)  # by linearity
+    i = names.index(p.target)
+    if p.target not in fv(p.rhs):
+        # the old value is never read: merge the points that differ only there
+        points, _ = _mix(points, lambda v: ({v[:i] + (None,) + v[i + 1 :]: 1}, 1))
+    fn = _lift(_compile(p.rhs, names, n, symbols))
+
+    def assigned(vals):
+        ws, d = fn(vals)
+        return {vals[:i] + (v,) + vals[i + 1 :]: x for v, x in ws.items()}, d
+
+    out, extra = _mix(points, assigned)
+    for v in {vals[i] for vals in out}:
+        _check_value(p.target, env.lookup(p.target), n, v)
+    return out, den * extra
 
 
 def run(
     env: Env, p: Program, n: int, d: FinDist, symbols: Optional[SymbolTable] = None
 ) -> FinDist:
-    """Monadic semantics: push every support memory through p."""
-    symbols = symbols or SymbolTable()
-    if isinstance(p, Skip):
-        return d
-    if isinstance(p, Assign):
-        return d.bind(
-            lambda m: _presem(p.rhs, n, m, symbols).map(lambda v: m.set(p.target, v))
-        )
-    if isinstance(p, Seq):
-        return run(env, p.second, n, run(env, p.first, n, d, symbols), symbols)
-    return d.bind(
-        lambda m: run(
-            env,
-            p.then_branch if m.get(p.guard) == "1" else p.else_branch,
-            n,
-            FinDist.dirac(m),
-            symbols,
-        )
+    """Push the whole input through p; env is the memories' environment."""
+    points, den = integer_weights(d._probs, _values)
+    points, den = _exec(p, env, n, symbols or SymbolTable(), points, den)
+    names = env.names()
+    return FinDist._trusted(
+        {Memory(env, n, tuple(zip(names, v))): Fraction(w, den) for v, w in points.items()}
     )
 
 
@@ -204,8 +251,7 @@ def run_kozen(
         return run_kozen(env, p.else_branch, n, d, symbols)
     then_out = run_kozen(env, p.then_branch, n, condition(d, p.guard, "1"), symbols)
     else_out = run_kozen(env, p.else_branch, n, condition(d, p.guard, "0"), symbols)
-    guard_dist = FinDist({"1": w1, "0": total - w1})
-    return convex(then_out, else_out, guard_dist)
+    return convex(then_out, else_out, FinDist({"1": w1, "0": total - w1}))
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +312,18 @@ def bind_stub(symbols: SymbolTable, name: str, stub: str) -> SymbolTable:
     def impl(n: int, vals: tuple[str, ...]) -> str:
         (v,) = vals
         out_len = value_len(result_type, n)
-        if stub == "identity":
-            if len(v) != out_len:
+        if stub == "zeroextend":
+            if len(v) > out_len:
                 raise ValueError(
-                    f"identity stub for {name} needs a length-preserving "
-                    f"signature (got {len(v)} -> {out_len} at n={n})"
+                    f"zeroextend stub for {name} cannot shrink "
+                    f"({len(v)} -> {out_len} at n={n})"
                 )
-            return v
-        if stub == "bitreverse":
-            if len(v) != out_len:
-                raise ValueError(
-                    f"bitreverse stub for {name} needs a length-preserving "
-                    f"signature (got {len(v)} -> {out_len} at n={n})"
-                )
-            return v[::-1]
-        if len(v) > out_len:
+            return v + "0" * (out_len - len(v))
+        if len(v) != out_len:
             raise ValueError(
-                f"zeroextend stub for {name} cannot shrink "
-                f"({len(v)} -> {out_len} at n={n})"
+                f"{stub} stub for {name} needs a length-preserving "
+                f"signature (got {len(v)} -> {out_len} at n={n})"
             )
-        return v + "0" * (out_len - len(v))
+        return v if stub == "identity" else v[::-1]
 
     return symbols.bind(name, impl)

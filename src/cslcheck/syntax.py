@@ -580,10 +580,18 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+# Parentheses, function arguments, begin and if may nest this deep. The
+# deepest script built by tools/build_corpus.build_exp(32) nests 34 levels;
+# the parser and every recursive pass over the tree it builds stay well
+# inside Python's recursion limit at this depth.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str, symbols: Optional[SymbolTable] = None):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.symbols = symbols.copy() if symbols else SymbolTable()
 
     # -- token plumbing
@@ -623,6 +631,12 @@ class _Parser:
     def fail(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def enter(self) -> None:
+        """One level deeper; the caller lowers self.depth when it leaves."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"nesting deeper than {MAX_DEPTH} levels")
 
     # -- polynomials, types, environments
 
@@ -738,6 +752,7 @@ class _Parser:
                     f"unknown function symbol {name}", name_tok.line, name_tok.col
                 )
             self.expect("(")
+            self.enter()
             args = []
             if not self.at(")"):
                 while True:
@@ -745,6 +760,7 @@ class _Parser:
                     if not self.eat(","):
                         break
             self.expect(")")
+            self.depth -= 1
             return App(name, tuple(args), size_args)
         return Var(name)
 
@@ -764,8 +780,10 @@ class _Parser:
         if self.eat("skip"):
             return SKIP
         if self.eat("begin"):
+            self.enter()
             body = self.program()
             self.expect("end")
+            self.depth -= 1
             return body
         if self.eat("if"):
             guard_tok = self.expect_ident("a guard variable")
@@ -776,10 +794,12 @@ class _Parser:
                     guard_tok.col,
                 )
             self.expect("then")
+            self.enter()
             then_branch = self.program()
             self.expect("else")
             else_branch = self.program()
             self.expect("end")
+            self.depth -= 1
             return If(guard_tok.text, then_branch, else_branch)
         target = self.expect_ident("a statement")
         if target.text in ("then", "else", "end", "decl"):
@@ -813,8 +833,10 @@ class _Parser:
 
     def raw_primary(self) -> "_RawNode":
         if self.eat("("):
+            self.enter()
             inner = self.raw_star()
             self.expect(")")
+            self.depth -= 1
             if self.at("{"):
                 if inner.ann is not None:
                     self.fail("formula is annotated twice")
@@ -984,6 +1006,17 @@ def parse_decls(text: str, symbols: Optional[SymbolTable] = None) -> SymbolTable
 # Proof scripts and certificates (JSON)
 
 
+def unique_keys(pairs: list) -> dict:
+    """object_pairs_hook for json.loads that refuses a repeated key, which
+    json.loads would otherwise read as its last copy."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _json_str(obj: dict, key: str, where: str) -> str:
     if not isinstance(obj[key], str):
         raise ValueError(f"{where}: field {key!r} must be a string")
@@ -1098,7 +1131,7 @@ def parse_proof_with_decls(
     rule, env, pre, program, post, optional witnesses, and children.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"proof script is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -1145,7 +1178,7 @@ def cert_to_text(cert: EntailmentCert) -> str:
 
 def parse_cert(text: str, symbols: Optional[SymbolTable] = None) -> EntailmentCert:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"certificate is not valid JSON: {exc}") from exc
     table = symbols.copy() if symbols else SymbolTable()

@@ -340,6 +340,49 @@ def test_eval_malformed_store_is_a_usage_error(tmp_path, capsys, doc):
     assert only_an_error_line(capsys.readouterr().err)
 
 
+# A repeated key used to be read as its last copy: the store below was read
+# as x = 1 with mass 1, so eval printed "n=1: false" and exited 1.
+DUPLICATE_KEY_STORE = """
+{"env": {"x": "Bool"},
+ "family": {"1": [{"values": {"x": "0"}, "prob": 1}],
+            "1": [{"values": {"x": "1"}, "prob": 1}]}}
+"""
+
+
+def test_eval_store_with_a_repeated_key_is_a_usage_error(tmp_path, capsys):
+    f = write(tmp_path, "z.f", "(x .= 0){x: Bool}")
+    store = write(tmp_path, "dup.json", DUPLICATE_KEY_STORE)
+    assert main(["eval", f, store]) == 2
+    captured = capsys.readouterr()
+    assert only_an_error_line(captured.err) and "'1'" in captured.err
+    assert captured.out == ""
+
+
+def test_check_proof_with_a_repeated_key_is_a_usage_error(tmp_path, capsys):
+    text = GOOD_PROOF.replace('"rule": "Skip",', '"rule": "Skip", "rule": "Skip",')
+    path = write(tmp_path, "dup.proof", text)
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert only_an_error_line(err) and "'rule'" in err
+
+
+def test_check_schemas_file_with_a_repeated_key_is_a_usage_error(tmp_path, capsys):
+    proof_path = write(tmp_path, "good.proof", GOOD_PROOF)
+    path = write(tmp_path, "schemas.json", '{"enabled": [], "enabled": ["S0"]}')
+    assert main(["check", proof_path, "--schemas", path]) == 2
+    err = capsys.readouterr().err
+    assert only_an_error_line(err) and "'enabled'" in err
+
+
+def test_eval_deeply_nested_formula_is_a_usage_error(tmp_path, capsys):
+    # 3000 parentheses used to escape as a RecursionError traceback (exit 1)
+    f = write(tmp_path, "deep.f", "(" * 3000 + "x .= 0" + ")" * 3000 + "{x: Bool}")
+    store = write(tmp_path, "z.json", store_to_text(zero_store(parse_env("{x: Bool}"), (1,))))
+    assert main(["eval", f, store]) == 2
+    err = capsys.readouterr().err
+    assert only_an_error_line(err) and "nesting deeper than" in err
+
+
 def test_store_prob_must_be_exact():
     def store(*probs):
         entries = [{"values": {"x": x}, "prob": p} for x, p in zip("01", probs)]

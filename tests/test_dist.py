@@ -62,6 +62,24 @@ def test_mass_cannot_exceed_one():
         FinDist({"a": Fraction(-1, 4)})
 
 
+def test_mass_is_summed_exactly_over_mixed_denominators():
+    # 1/3 + 1/6 + 1/2 is exactly 1; one part in 97·6 more is too much
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    d = FinDist({"a": third, "b": sixth, "c": HALF})
+    assert d.total() == 1 and d.is_proper()
+    assert FinDist({}).total() == 0
+    with pytest.raises(ValueError, match="sum to 583/582"):
+        FinDist({"a": third, "b": sixth + Fraction(1, 97 * 6), "c": HALF})
+
+
+def test_memory_equality_compares_the_environment():
+    a = mem("{x: Bool}", x="1")
+    b = mem("{x: Bool}", x="1")  # an equal environment, parsed again
+    assert a.env is not b.env and a == b and hash(a) == hash(b)
+    assert mem("{y: Bool}", y="1") != a
+    assert mem("{x: Bool}", n=2, x="1") != a
+
+
 def test_sub_distributions_allowed():
     d = FinDist({"a": QUARTER})
     assert d.total() == QUARTER

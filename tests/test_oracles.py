@@ -4,10 +4,17 @@ was run.
 Every expected value below comes from an enumeration small enough to do on
 paper: distributions over one or two bits with at most four support points.
 The comments show the enumeration; the asserts pin the implementation to it.
+
+The last section keeps the per-memory semantics that run, eval_expr and
+eval_det had before the compiled kernel, and compares the two on generated
+programs and expressions.
 """
 
+import random
+import re
 from fractions import Fraction
 
+from cslcheck import _gen
 from cslcheck.dist import (
     FinDist,
     Memory,
@@ -21,10 +28,39 @@ from cslcheck.dist import (
     uniform_memories,
     uniform_values,
 )
-from cslcheck.semantics import bind_stub, eval_expr, run, run_kozen, store_project
-from cslcheck.syntax import parse_decls, parse_env, parse_expr, parse_program
+from cslcheck.semantics import (
+    STUB_NAMES,
+    UninterpretedSymbolError,
+    bind_stub,
+    eval_det,
+    eval_expr,
+    run,
+    run_kozen,
+    store_project,
+)
+from cslcheck.syntax import (
+    App,
+    Assign,
+    BOOL,
+    If,
+    Lit,
+    POLY_N,
+    RND,
+    Seq,
+    Skip,
+    StrType,
+    Var,
+    expr_to_text,
+    parse_decls,
+    parse_env,
+    parse_expr,
+    parse_program,
+    poly_eval,
+    program_to_text,
+)
 from cslcheck.logic import sat_atom, sat_formula
 from cslcheck.syntax import parse_formula
+from cslcheck.types import TypeCheckError
 
 import pytest
 
@@ -225,3 +261,196 @@ def test_store_projection_of_otp_output_is_uniform_cipher():
     got = store_project(out_store, c_env)
     assert got.at(1) == uniform_memories(c_env, 1)
     assert got.at(2) == uniform_memories(c_env, 2)
+
+
+# ---------------------------------------------------------------------------
+# The per-memory semantics that the compiled kernel replaced, kept as a
+# reference: every support memory goes through the program on its own,
+# expressions are evaluated by walking the tree, and each statement's result
+# is a nested bind of FinDists.
+
+
+def ref_apply(e, sym, vals, n):
+    if sym is not None:
+        if sym.impl is None:
+            raise UninterpretedSymbolError(e.fname)
+        return sym.impl(n, vals)
+    if e.fname == "not":
+        return "1" if vals[0] == "0" else "0"
+    if e.fname == "head":
+        return vals[0][0]
+    if e.fname == "tail":
+        return vals[0][1:]
+    if e.fname == "xor":
+        return "".join("1" if x != y else "0" for x, y in zip(*vals))
+    if e.fname == "concat":
+        return vals[0] + vals[1]
+    if e.fname == "setzero":
+        return "0" * poly_eval(e.size_args[0], n)
+    raise UninterpretedSymbolError(e.fname)
+
+
+def ref_eval_det(e, n, m, symbols):
+    if isinstance(e, Var):
+        return m.get(e.name)
+    if isinstance(e, Lit):
+        return e.bit
+    sym = symbols.lookup(e.fname)
+    if e.fname == "rnd" or (sym is not None and sym.kind == RND):
+        raise TypeCheckError("eval_det", f"{e.fname} is not deterministic")
+    return ref_apply(e, sym, tuple(ref_eval_det(a, n, m, symbols) for a in e.args), n)
+
+
+def ref_presem(e, n, m, symbols):
+    if isinstance(e, Var):
+        return FinDist.dirac(m.get(e.name))
+    if isinstance(e, Lit):
+        return FinDist.dirac(e.bit)
+    if e.fname == "rnd":
+        return uniform_values(StrType(POLY_N), n)
+    args = FinDist.dirac(())
+    for a in e.args:
+        arg_dist = ref_presem(a, n, m, symbols)
+        args = args.bind(lambda tup, ad=arg_dist: ad.map(lambda v: tup + (v,)))
+    sym = symbols.lookup(e.fname)
+    if sym is not None and sym.kind == RND:
+        if sym.impl is None:
+            raise UninterpretedSymbolError(e.fname)
+        return args.bind(lambda vals: sym.impl(n, vals))
+    return args.map(lambda vals: ref_apply(e, sym, vals, n))
+
+
+def ref_run(p, n, d, symbols):
+    if isinstance(p, Skip):
+        return d
+    if isinstance(p, Assign):
+        return d.bind(
+            lambda m: ref_presem(p.rhs, n, m, symbols).map(lambda v: m.set(p.target, v))
+        )
+    if isinstance(p, Seq):
+        return ref_run(p.second, n, ref_run(p.first, n, d, symbols), symbols)
+    return d.bind(
+        lambda m: ref_run(
+            p.then_branch if m.get(p.guard) == "1" else p.else_branch,
+            n,
+            FinDist.dirac(m),
+            symbols,
+        )
+    )
+
+
+# Declared symbols for the differential: a random one with weights 1/3 and
+# 2/3 on Str[n] and one with weights 1/5 and 4/5 on Bool (neither dyadic),
+# and a deterministic one that each case binds to a random stub.
+DECLS = """
+decl f : Str[n] -> Str[n] rnd;
+decl c : Bool -> Bool rnd;
+decl g : Str[n] -> Str[n] det;
+"""
+
+
+def _flip(v):
+    return "".join("1" if b == "0" else "0" for b in v)
+
+
+def _symbols(rng):
+    syms = parse_decls(DECLS)
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    syms = syms.bind("f", lambda n, vals: FinDist({vals[0]: third, _flip(vals[0]): 2 * third}))
+    syms = syms.bind("c", lambda n, vals: FinDist({vals[0]: fifth, _flip(vals[0]): 4 * fifth}))
+    return bind_stub(syms, "g", rng.choice(STUB_NAMES))
+
+
+def _wrap(rng, e, t):
+    """Apply a declared symbol of type t -> t around e, half of the time."""
+    if rng.random() < 0.5:
+        return e
+    if t == _gen.STR_N:
+        return App(rng.choice(("f", "g")), (e,))
+    if t == BOOL:
+        return App("c", (e,))
+    return e
+
+
+def _with_symbols(rng, p, env):
+    if isinstance(p, Assign):
+        return Assign(p.target, _wrap(rng, p.rhs, env.lookup(p.target)))
+    if isinstance(p, Seq):
+        return Seq(_with_symbols(rng, p.first, env), _with_symbols(rng, p.second, env))
+    if isinstance(p, If):
+        return If(
+            p.guard,
+            _with_symbols(rng, p.then_branch, env),
+            _with_symbols(rng, p.else_branch, env),
+        )
+    return p
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ValueError, KeyError, TypeCheckError, UninterpretedSymbolError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_compiled_kernel_agrees_with_the_per_memory_semantics():
+    rng = random.Random(6)
+    kinds = {"if": 0, "f": 0, "c": 0, "g": 0, "sub-unit": 0}
+    for case in range(320):
+        env = _gen.gen_env(rng)
+        n = rng.choice((1, 2, 3))
+        syms = _symbols(rng)
+        prog = _with_symbols(rng, _gen.gen_program(rng, env, syms), env)
+        d = _gen.gen_dist(rng, env, n)
+        if rng.random() < 0.4:
+            d = d.scale(Fraction(rng.randint(1, 4), 5))
+            kinds["sub-unit"] += 1
+        text = program_to_text(prog)
+        want = _outcome(ref_run, prog, n, d, syms)
+        assert _outcome(run, env, prog, n, d, syms) == want, (case, text)
+        t = rng.choice([t for _, t in env.items()])
+        e = _wrap(rng, _gen.gen_expr(rng, env, t, syms), t)
+        kinds["if"] += "if " in text
+        for name in ("f", "c", "g"):
+            kinds[name] += f"{name}(" in text + expr_to_text(e)
+        want = _outcome(lambda: d.bind(lambda m: ref_presem(e, n, m, syms)))
+        assert _outcome(eval_expr, env, e, n, d, syms) == want, (case, expr_to_text(e))
+        for m in d.support():
+            want = _outcome(ref_eval_det, e, n, m, syms)
+            assert _outcome(eval_det, env, e, n, m, syms) == want, (case, expr_to_text(e))
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_an_unreachable_unbound_symbol_does_not_raise():
+    syms = parse_decls("decl g : Str[n] -> Str[n] det; decl h : Str[n] -> Str[n] rnd;")
+    env = parse_env("{b: Bool, x: Str[n]}")
+    prog = parse_program("if b then x := g(x) else skip end; if b then x := h(x) else skip end", syms)
+    never = FinDist({mem(env, 2, b="0", x="01"): H})
+    assert run(env, prog, 2, never, syms) == never
+    assert run(env, prog, 2, FinDist({}), syms) == FinDist({})
+    assert eval_expr(env, parse_expr("g(x)", syms), 2, FinDist({}), syms) == FinDist({})
+    reached = FinDist({mem(env, 2, b="1", x="01"): H})
+    with pytest.raises(UninterpretedSymbolError, match="unbound symbol g"):
+        run(env, prog, 2, reached, syms)
+    with pytest.raises(UninterpretedSymbolError, match="unbound symbol h"):
+        run(env, parse_program("x := h(x)", syms), 2, reached, syms)
+    with pytest.raises(TypeCheckError, match="h is not deterministic"):
+        eval_det(env, parse_expr("h(g(x))", syms), 2, mem(env, 2, b="1", x="01"), syms)
+
+
+def test_a_stub_of_the_wrong_width_is_a_value_error():
+    syms = parse_decls("decl g : Str[n] -> Str[n] det;")
+    env = parse_env("{x: Str[n]}")
+    d = FinDist.dirac(mem(env, 2, x="01"))
+    prog = parse_program("x := g(x)", syms)
+    wide = syms.bind("g", lambda n, vals: vals[0] + "1")
+    message = "value for x must have 2 bit(s), got 3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ref_run(prog, 2, d, wide)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(env, prog, 2, d, wide)
+    grow = parse_decls("decl h : Str[n] -> Str[n+1] det;")
+    grow = bind_stub(grow, "h", "identity")
+    prog = parse_program("x := tail(h(x))", grow)
+    with pytest.raises(ValueError, match="length-preserving"):
+        run(env, prog, 2, d, grow)

@@ -18,6 +18,7 @@ from cslcheck.syntax import (
     EMPTY_ENV,
     If,
     Lit,
+    MAX_DEPTH,
     ParseError,
     Seq,
     SizePoly,
@@ -186,6 +187,67 @@ def test_parse_seq_and_if():
     assert isinstance(p.second, If)
     assert p.second.guard == "b"
     assert program_to_text(p) == text
+
+
+# Nesting depth: MAX_DEPTH levels parse, and the tree they build survives
+# every recursive pass used on it; one more level is a ParseError at the
+# token after the opening that crosses the limit.
+ENV_XB = "{b: Bool, x: Bool}"
+NESTED = {
+    # (parse, text nesting k levels, the opening that repeats in it)
+    "formula": (
+        parse_formula,
+        lambda k: "(x .= b /\\ " * k + "T" + ")" * k + ENV_XB,
+        "(",
+    ),
+    "expression": (parse_expr, lambda k: "not(" * k + "x" + ")" * k, "not("),
+    "program": (
+        parse_program,
+        lambda k: "if b then " * k + "x := b" + " else skip end" * k,
+        "if b then",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+def test_nesting_at_the_limit_parses_and_evaluates(kind):
+    from cslcheck.dist import uniform_memories, uniform_store
+    from cslcheck.logic import sat_formula
+    from cslcheck.semantics import eval_expr, run, run_kozen
+    from cslcheck.types import type_expr, type_program, wf_formula
+
+    parse, text, _ = NESTED[kind]
+    tree = parse(text(MAX_DEPTH))
+    env = parse_env(ENV_XB)
+    d = uniform_memories(env, 1)
+    if kind == "formula":
+        formula_to_text(tree)
+        wf_formula(tree)
+        assert sat_formula(uniform_store(env, (1,)), tree) is False
+    elif kind == "expression":
+        expr_to_text(tree)
+        type_expr(env, tree)
+        assert eval_expr(env, tree, 1, d) == eval_expr(env, Var("x"), 1, d)
+    else:
+        program_to_text(tree)
+        type_program(env, tree)
+        assert run(env, tree, 1, d) == run_kozen(env, tree, 1, d)
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+def test_nesting_beyond_the_limit_is_a_parse_error(kind):
+    parse, text, opening = NESTED[kind]
+    deep = text(MAX_DEPTH + 1)
+    # reported at the first token after the opening that crosses the limit
+    end = 0
+    for _ in range(MAX_DEPTH + 1):
+        end = deep.index(opening, end) + len(opening)
+    col = end + len(deep[end:]) - len(deep[end:].lstrip()) + 1
+    with pytest.raises(ParseError, match="nesting deeper than") as info:
+        parse("\n" + deep)
+    assert (info.value.line, info.value.col) == (2, col)
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse(text(3000))
 
 
 def test_guard_must_be_variable():

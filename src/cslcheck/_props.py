@@ -25,6 +25,7 @@ from .dist import (
 )
 from .hoare import fuzz_rule_soundness
 from .logic import (
+    SCHEMA_TEMPLATES,
     entailment_holds_on,
     match_axiom,
     sat_bi,
@@ -243,39 +244,16 @@ def suite_linearity(rng, cases, ns, result):
             _note(result, "homogeneity fails")
 
 
-# S0-U1 as (lhs, rhs) templates over three random expressions e, g, h
-_SIMPLE_SCHEMAS = {
-    "S0": ("T", "{e} ~~ {e}"),
-    "S1": ("{e} ~~ {g}", "{g} ~~ {e}"),
-    "S2": ("{e} ~~ {g} /\\ {g} ~~ {h}", "{e} ~~ {h}"),
-    "T0": ("T", "{e} == {e}"),
-    "T1": ("{e} == {g}", "{g} == {e}"),
-    "T2": ("{e} == {g} /\\ {g} == {h}", "{e} == {h}"),
-    "W1": ("{e} == {g}", "{e} ~~ {g}"),
-    "W2": ("{e} .= {g}", "{e} == {g}"),
-    "U1": ("{e} ~~ {g} /\\ U({e})", "U({g})"),
-}
-
-_SPL_ENV = "{b: Bool, r: Str[n+1], s: Str[n]}"
-_AX_SPL = (
-    "((U(r) /\\ (b .= head(r))) /\\ (s .= tail(r)))" + _SPL_ENV,
-    "((U(b)){b: Bool} * (U(s)){s: Str[n]})" + _SPL_ENV,
-)
-_MRG_ENV = "{b: Bool, r: Str[n], s: Str[n+1]}"
-_AX_MRG = (
-    "(((U(r)){r: Str[n]} * (U(b)){b: Bool}){b: Bool, r: Str[n]}"
-    " /\\ (s .= concat(r, b)))" + _MRG_ENV,
-    "(U(s))" + _MRG_ENV,
-)
-
-
 @_suite
 def suite_axioms(rng, cases, ns, result):
     """Semantic validity of the axiom schemas on random and on crafted
     stores, all at epsilon 0."""
     symbols = SymbolTable()
-    per_schema = max(1, cases // (len(_SIMPLE_SCHEMAS) + 3))
-    for name, templates in _SIMPLE_SCHEMAS.items():
+    # one share of the cases per template, one for the pseudorandom step
+    per_schema = max(1, cases // (len(SCHEMA_TEMPLATES) + 1))
+    for name, (lhs_tpl, rhs_tpl, side) in SCHEMA_TEMPLATES.items():
+        if side is not None:  # Ax_SPL and Ax_MRG are concrete, checked below
+            continue
         for _ in range(per_schema):
             env = _gen.gen_env(rng)
             t = rng.choice([tt for _, tt in env.items()])
@@ -285,15 +263,15 @@ def suite_axioms(rng, cases, ns, result):
                 for k in "egh"
             }
             lhs, rhs = (
-                parse_formula(f"({tpl.format(**exprs)}){env_to_text(env)}")
-                for tpl in templates
+                parse_formula(tpl.format(env=env_to_text(env), **exprs))
+                for tpl in (lhs_tpl, rhs_tpl)
             )
             match_axiom(name, lhs, rhs, symbols)
             for s in _gen.gen_stores(rng, env, ns, 2):
                 if not entailment_holds_on(s, lhs, rhs, symbols=symbols):
                     _note(result, f"{name} fails on a store")
     # split: uniform source, derived head/tail
-    lhs, rhs = map(parse_formula, _AX_SPL)
+    lhs, rhs = map(parse_formula, SCHEMA_TEMPLATES["Ax_SPL"][:2])
     env = lhs.annotation
     family = {}
     for nn in ns:
@@ -312,7 +290,7 @@ def suite_axioms(rng, cases, ns, result):
         if not entailment_holds_on(rnd_store, lhs, rhs, symbols=symbols):
             _note(result, "split axiom fails on a random store")
     # merge: independent uniform parts, derived concatenation
-    lhs, rhs = map(parse_formula, _AX_MRG)
+    lhs, rhs = map(parse_formula, SCHEMA_TEMPLATES["Ax_MRG"][:2])
     env = lhs.annotation
     family = {}
     for nn in ns:

@@ -3,8 +3,9 @@ evaluation, and the property-suite runner.
 
 Exit codes follow one contract everywhere: 0 success / property holds,
 1 checked-and-rejected (proof error, false formula, failing suite),
-2 usage, parse, or configuration errors. The subcommands raise on bad
-input and `main` alone turns that into exit 2.
+2 usage, parse, or configuration errors, and input that nests or chains
+too deeply to process. The subcommands raise on bad input and `main` alone
+turns that into exit 2.
 """
 
 from __future__ import annotations
@@ -252,6 +253,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except RecursionError:
+        # passes over Seq, And and Star chains, and json.loads, recurse per level
+        print("error: the input nests or chains too deeply", file=sys.stderr)
         return USAGE
 
 

@@ -8,8 +8,14 @@ disjoint sub-environment splits for a witnessing product.
 
 Entailments between annotated formulas are checked only against explicit
 step-by-step certificates; see check_hilbert. Leaf steps are named axiom
-schemas, template-matched and side-condition-checked by match_axiom; which
-schemas are enabled is configuration read from schemas.json.
+schemas checked by match_axiom; which schemas are enabled is configuration
+read from schemas.json. The S, T, W and U1 schemas and Ax_SPL/Ax_MRG are
+defined only by their entries in SCHEMA_TEMPLATES, which one unifier matches:
+each template variable stands for one expression, and an annotation stands
+for the instance's outer annotation where the template has its outer one,
+else for the outer annotation restricted to the variables of what its names
+are bound to. S0 and T0 take only T (at the outer annotation) as
+hypothesis. The remaining schemas have hand-written matchers.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .syntax import (
     ATOM_EQ,
     ATOM_ESPL,
     ATOM_IND,
+    ATOM_OPS,
     ATOM_U,
     BoolType,
     Bot,
@@ -46,14 +53,17 @@ from .syntax import (
     Formula,
     Lit,
     POLY_N,
-    SizePoly,
+    POLY_ONE,
     Star,
     StrType,
     SymbolTable,
     Top,
     Var,
+    env_to_text,
+    expr_to_text,
     formula_to_text,
     fv,
+    parse_formula,
     top as mk_top,
     unique_keys,
 )
@@ -330,88 +340,120 @@ def _same_outer(lhs: Formula, rhs: Formula, schema: str) -> Env:
     return lhs.annotation
 
 
-def _match_validity(kind: str):
-    def match(lhs: Formula, rhs: Formula, symbols: SymbolTable, schema: str):
-        _same_outer(lhs, rhs, schema)
-        a = _atom_of(rhs, kind, schema, "the conclusion")
-        _want(a.args[0] == a.args[1], schema, "the two operands must be identical")
-
-    return match
-
-
-def _match_symmetry(kind: str):
-    def match(lhs: Formula, rhs: Formula, symbols: SymbolTable, schema: str):
-        delta = _same_outer(lhs, rhs, schema)
-        al = _atom_of(lhs, kind, schema, "the hypothesis")
-        ar = _atom_of(rhs, kind, schema, "the conclusion")
-        _want(
-            ar.args == (al.args[1], al.args[0]),
-            schema,
-            "the conclusion must swap the hypothesis operands",
-        )
-        _want(
-            lhs.annotation == delta and rhs.annotation == delta,
-            schema,
-            "annotations must agree",
-        )
-
-    return match
+def _split_merge_side(bound: dict, delta: Env) -> Optional[str]:
+    """r, b and s are distinct variables that make up the annotation, b is
+    Bool, and the longer of the strings r and s is the shorter plus one bit."""
+    r, b, s = bound["r"], bound["b"], bound["s"]
+    names = {v.name for v in (r, b, s) if isinstance(v, Var)}
+    if len(names) != 3 or names != set(delta.names()):
+        return "r, b and s must be distinct variables that make up the annotation"
+    if delta.lookup(b.name) != BoolType():
+        return f"{b.name} must be Bool"
+    rt, st = delta.lookup(r.name), delta.lookup(s.name)
+    if not (
+        isinstance(rt, StrType)
+        and isinstance(st, StrType)
+        and POLY_ONE in (rt.size.try_sub(st.size), st.size.try_sub(rt.size))
+    ):
+        return "the longer string must be the shorter one plus one bit"
+    return None
 
 
-def _match_transitivity(kind: str):
-    def match(lhs: Formula, rhs: Formula, symbols: SymbolTable, schema: str):
-        delta = _same_outer(lhs, rhs, schema)
-        conj_body = _and_of(lhs, schema, "the hypothesis")
-        a1 = _atom_of(conj_body.left, kind, schema, "the first conjunct")
-        a2 = _atom_of(conj_body.right, kind, schema, "the second conjunct")
-        _want(
-            conj_body.left.annotation == delta
-            and conj_body.right.annotation == delta,
-            schema,
-            "both conjuncts must carry the full annotation",
-        )
-        _want(
-            a1.args[1] == a2.args[0],
-            schema,
-            "the middle operands must coincide",
-        )
-        ar = _atom_of(rhs, kind, schema, "the conclusion")
-        _want(
-            ar.args == (a1.args[0], a2.args[1]),
-            schema,
-            "the conclusion must chain the outer operands",
-        )
-
-    return match
-
-
-def _match_w1(lhs, rhs, symbols, schema):
-    _same_outer(lhs, rhs, schema)
-    al = _atom_of(lhs, ATOM_EQ, schema, "the hypothesis")
-    ar = _atom_of(rhs, ATOM_IND, schema, "the conclusion")
-    _want(al.args == ar.args, schema, "operands must match")
+# name -> (hypothesis, conclusion, side condition over the bindings or None).
+# Entries without a side condition are text over placeholders for three
+# expressions {e}, {g}, {h} and the outer annotation {env}; the others are
+# concrete instances over the variables r, b and s.
+SCHEMA_TEMPLATES: dict[str, tuple[str, str, Optional[Callable]]] = {
+    "S0": ("(T){env}", "({e} ~~ {e}){env}", None),
+    "S1": ("({e} ~~ {g}){env}", "({g} ~~ {e}){env}", None),
+    "S2": ("({e} ~~ {g} /\\ {g} ~~ {h}){env}", "({e} ~~ {h}){env}", None),
+    "T0": ("(T){env}", "({e} == {e}){env}", None),
+    "T1": ("({e} == {g}){env}", "({g} == {e}){env}", None),
+    "T2": ("({e} == {g} /\\ {g} == {h}){env}", "({e} == {h}){env}", None),
+    "W1": ("({e} == {g}){env}", "({e} ~~ {g}){env}", None),
+    "W2": ("({e} .= {g}){env}", "({e} == {g}){env}", None),
+    "U1": ("({e} ~~ {g} /\\ U({e})){env}", "(U({g})){env}", None),
+    "Ax_SPL": (
+        "((U(r) /\\ (b .= head(r))) /\\ (s .= tail(r)))"
+        "{b: Bool, r: Str[n+1], s: Str[n]}",
+        "((U(b)){b: Bool} * (U(s)){s: Str[n]}){b: Bool, r: Str[n+1], s: Str[n]}",
+        _split_merge_side,
+    ),
+    "Ax_MRG": (
+        "(((U(r)){r: Str[n]} * (U(b)){b: Bool}){b: Bool, r: Str[n]}"
+        " /\\ (s .= concat(r, b))){b: Bool, r: Str[n], s: Str[n+1]}",
+        "(U(s)){b: Bool, r: Str[n], s: Str[n+1]}",
+        _split_merge_side,
+    ),
+}
 
 
-def _match_w2(lhs, rhs, symbols, schema):
-    _same_outer(lhs, rhs, schema)
-    al = _atom_of(lhs, ATOM_ESPL, schema, "the hypothesis")
-    ar = _atom_of(rhs, ATOM_EQ, schema, "the conclusion")
-    _want(al.args == ar.args, schema, "operands must match")
+@cache
+def _template(name: str) -> tuple[Formula, Formula]:
+    lhs, rhs, side = SCHEMA_TEMPLATES[name]
+    if side is None:
+        lhs, rhs = (t.format(e="e", g="g", h="h", env="{}") for t in (lhs, rhs))
+    return parse_formula(lhs), parse_formula(rhs)
 
 
-def _match_u1(lhs, rhs, symbols, schema):
+def _shape(b) -> str:
+    if isinstance(b, Atom):
+        return "U(...)" if b.kind == ATOM_U else f"... {ATOM_OPS[b.kind]} ..."
+    return {Top: "T", Bot: "F", And: "... /\\ ...", Star: "... * ..."}[type(b)]
+
+
+def _unify_expr(te, fe, bound: dict, fail) -> None:
+    if isinstance(te, Var):
+        seen = bound.setdefault(te.name, fe)
+        if seen != fe:
+            fail(
+                f"{te.name} stands for both {expr_to_text(seen)}"
+                f" and {expr_to_text(fe)}"
+            )
+        return
+    # templates hold only variables and applications
+    shape = (te.fname, te.size_args, len(te.args))
+    if not isinstance(fe, App) or (fe.fname, fe.size_args, len(fe.args)) != shape:
+        fail(f"{expr_to_text(fe)} is not of the form {expr_to_text(te)}")
+    for ta, fa in zip(te.args, fe.args):
+        _unify_expr(ta, fa, bound, fail)
+
+
+def _unify(t: Formula, f: Formula, outer: Env, delta: Env, bound: dict, fail) -> None:
+    """Bind the variables of template t to the expressions of f, then check
+    f's annotation: delta where t has the template's outer annotation, else
+    delta restricted to the variables of what t's names are bound to."""
+    tb, fb = t.body, f.body
+    if type(tb) is not type(fb) or (isinstance(tb, Atom) and tb.kind != fb.kind):
+        fail(f"{formula_to_text(f)} is not of the form {_shape(tb)}")
+    if isinstance(tb, Atom):
+        for te, fe in zip(tb.args, fb.args):
+            _unify_expr(te, fe, bound, fail)
+    elif isinstance(tb, (And, Star)):
+        _unify(tb.left, fb.left, outer, delta, bound, fail)
+        _unify(tb.right, fb.right, outer, delta, bound, fail)
+    want = delta
+    if t.annotation != outer:
+        want = delta.restrict(set().union(*(fv(bound[v]) for v in t.annotation)))
+    if f.annotation != want:
+        fail(f"{formula_to_text(f)} must be annotated with {env_to_text(want)}")
+
+
+def _match_template(lhs, rhs, symbols, schema):
+    """Unify a claimed instance with its SCHEMA_TEMPLATES entry, the
+    hypothesis first, then check the entry's side condition."""
     delta = _same_outer(lhs, rhs, schema)
-    conj_body = _and_of(lhs, schema, "the hypothesis")
-    ind = _atom_of(conj_body.left, ATOM_IND, schema, "the first conjunct")
-    uni = _atom_of(conj_body.right, ATOM_U, schema, "the second conjunct")
-    _want(
-        conj_body.left.annotation == delta and conj_body.right.annotation == delta,
-        schema,
-        "both conjuncts must carry the full annotation",
-    )
-    _want(uni.args[0] == ind.args[0], schema, "U must speak about the left operand")
-    ar = _atom_of(rhs, ATOM_U, schema, "the conclusion")
-    _want(ar.args[0] == ind.args[1], schema, "the conclusion transports U across ~~")
+    tl, tr = _template(schema)
+    bound: dict = {}
+    for side, t, f in (("hypothesis", tl, lhs), ("conclusion", tr, rhs)):
+
+        def fail(what, side=side):
+            raise SchemaError(schema, f"the {side} does not fit the template: {what}")
+
+        _unify(t, f, tl.annotation, delta, bound, fail)
+    side_condition = SCHEMA_TEMPLATES[schema][2]
+    problem = side_condition and side_condition(bound, delta)
+    _want(not problem, schema, f"side condition violated: {problem}")
 
 
 def _match_ax_potp(lhs, rhs, symbols, schema):
@@ -527,133 +569,6 @@ def _match_aux2(lhs, rhs, symbols, schema):
         schema,
         "the U component annotation must be exactly the assigned variable",
     )
-
-
-def _match_ax_spl(lhs, rhs, symbols, schema):
-    xi = _same_outer(lhs, rhs, schema)
-    outer = _and_of(lhs, schema, "the hypothesis")
-    inner = _and_of(outer.left, schema, "the first two conjuncts")
-    ua = _atom_of(inner.left, ATOM_U, schema, "the first conjunct")
-    heada = _atom_of(inner.right, ATOM_ESPL, schema, "the second conjunct")
-    taila = _atom_of(outer.right, ATOM_ESPL, schema, "the third conjunct")
-    for part, what in (
-        (inner.left, "first conjunct"),
-        (inner.right, "second conjunct"),
-        (outer.right, "third conjunct"),
-        (outer.left, "inner conjunction"),
-    ):
-        _want(
-            part.annotation == xi,
-            schema,
-            f"the {what} must carry the full annotation",
-        )
-    r = ua.args[0]
-    _want(isinstance(r, Var), schema, "U must speak about a variable")
-    b, s = heada.args[0], taila.args[0]
-    _want(
-        isinstance(b, Var) and isinstance(s, Var),
-        schema,
-        ".= must bind variables on the left",
-    )
-    _want(
-        heada.args[1] == App("head", (r,)),
-        schema,
-        "the second conjunct must take head of the uniform variable",
-    )
-    _want(
-        taila.args[1] == App("tail", (r,)),
-        schema,
-        "the third conjunct must take tail of the uniform variable",
-    )
-    names = {r.name, b.name, s.name}
-    _want(len(names) == 3, schema, "the three variables must be distinct")
-    _want(
-        set(xi.names()) == names,
-        schema,
-        "the annotation domain must be exactly the three variables",
-    )
-    _want(xi.lookup(b.name) == BoolType(), schema, f"{b.name} must be Bool")
-    st, rt = xi.lookup(s.name), xi.lookup(r.name)
-    _want(
-        isinstance(st, StrType) and isinstance(rt, StrType),
-        schema,
-        "the split variables must be strings",
-    )
-    _want(
-        rt.size == st.size.add(SizePoly.const(1)),
-        schema,
-        "the source must be one bit longer than the tail",
-    )
-    rstar = _star_of(rhs, schema, "the conclusion")
-    ub = _atom_of(rstar.left, ATOM_U, schema, "the left conclusion component")
-    us = _atom_of(rstar.right, ATOM_U, schema, "the right conclusion component")
-    _want(ub.args[0] == b, schema, "the left component must claim U of the bit")
-    _want(us.args[0] == s, schema, "the right component must claim U of the tail")
-    _want(
-        rstar.left.annotation == xi.restrict((b.name,)),
-        schema,
-        "the bit component must be annotated with exactly the bit",
-    )
-    _want(
-        rstar.right.annotation == xi.restrict((s.name,)),
-        schema,
-        "the tail component must be annotated with exactly the tail",
-    )
-
-
-def _match_ax_mrg(lhs, rhs, symbols, schema):
-    xi = _same_outer(lhs, rhs, schema)
-    outer = _and_of(lhs, schema, "the hypothesis")
-    starf = _star_of(outer.left, schema, "the first conjunct")
-    ur = _atom_of(starf.left, ATOM_U, schema, "the left star component")
-    ub = _atom_of(starf.right, ATOM_U, schema, "the right star component")
-    cata = _atom_of(outer.right, ATOM_ESPL, schema, "the second conjunct")
-    r, b = ur.args[0], ub.args[0]
-    s = cata.args[0]
-    _want(
-        isinstance(r, Var) and isinstance(b, Var) and isinstance(s, Var),
-        schema,
-        "all three roles must be variables",
-    )
-    _want(
-        cata.args[1] == App("concat", (r, b)),
-        schema,
-        "the second conjunct must concatenate the two uniform variables",
-    )
-    names = {r.name, b.name, s.name}
-    _want(len(names) == 3, schema, "the three variables must be distinct")
-    _want(
-        set(xi.names()) == names,
-        schema,
-        "the annotation domain must be exactly the three variables",
-    )
-    _want(
-        outer.right.annotation == xi and outer.left.annotation == xi.restrict(
-            (r.name, b.name)
-        ),
-        schema,
-        "the conjunct annotations must be the full and the joint-source environments",
-    )
-    _want(
-        starf.left.annotation == xi.restrict((r.name,))
-        and starf.right.annotation == xi.restrict((b.name,)),
-        schema,
-        "the star components must be annotated with their own variables",
-    )
-    _want(xi.lookup(b.name) == BoolType(), schema, f"{b.name} must be Bool")
-    rt, st = xi.lookup(r.name), xi.lookup(s.name)
-    _want(
-        isinstance(rt, StrType) and isinstance(st, StrType),
-        schema,
-        "source and target must be strings",
-    )
-    _want(
-        st.size == rt.size.add(SizePoly.const(1)),
-        schema,
-        "the target must be one bit longer than the source",
-    )
-    ua = _atom_of(rhs, ATOM_U, schema, "the conclusion")
-    _want(ua.args[0] == s, schema, "the conclusion must claim U of the target")
 
 
 def _match_xorpi1(lhs, rhs, symbols, schema):
@@ -803,18 +718,8 @@ def _match_star_unit_i(lhs, rhs, symbols, schema):
 
 
 _SCHEMA_MATCHERS: dict[str, Callable] = {
-    "S0": _match_validity(ATOM_IND),
-    "S1": _match_symmetry(ATOM_IND),
-    "S2": _match_transitivity(ATOM_IND),
-    "T0": _match_validity(ATOM_EQ),
-    "T1": _match_symmetry(ATOM_EQ),
-    "T2": _match_transitivity(ATOM_EQ),
-    "W1": _match_w1,
-    "W2": _match_w2,
-    "U1": _match_u1,
+    **dict.fromkeys(SCHEMA_TEMPLATES, _match_template),
     "Ax_POTP": _match_ax_potp,
-    "Ax_SPL": _match_ax_spl,
-    "Ax_MRG": _match_ax_mrg,
     "AuxPOTP1": _match_aux1,
     "AuxPOTP2": _match_aux2,
     "XorPi1": _match_xorpi1,

@@ -444,14 +444,6 @@ def top(env: Env = EMPTY_ENV) -> Formula:
     return Formula(TOP, env)
 
 
-def conj(left: Formula, right: Formula, env: Env) -> Formula:
-    return Formula(And(left, right), env)
-
-
-def star(left: Formula, right: Formula, env: Env) -> Formula:
-    return Formula(Star(left, right), env)
-
-
 def formula_to_text(f: Formula) -> str:
     """Print with every annotation explicit, so parsing is inverse on the nose."""
     ann = env_to_text(f.annotation)

@@ -383,6 +383,36 @@ def test_eval_deeply_nested_formula_is_a_usage_error(tmp_path, capsys):
     assert only_an_error_line(err) and "nesting deeper than" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (
+            ["run", None, "--env", "{x: Bool, y: Bool}", "--n", "1"],
+            "chain.prog",
+            "; ".join(["x := not(x)"] * 990),
+        ),
+        (
+            ["eval", None, str(CORPUS / "pair.store")],
+            "chain.f",
+            "(" + " /\\ ".join(["r == s"] * 990) + "){r: Str[n], s: Str[n]}",
+        ),
+        (
+            ["check", None],
+            "deep.proof",
+            '{"root": ' + "[" * 100000 + "]" * 100000 + "}",
+        ),
+    ],
+    ids=["run", "eval", "check"],
+)
+def test_long_chains_are_a_usage_error(tmp_path, capsys, argv, name, text):
+    # each of these used to escape as a RecursionError traceback (exit 1)
+    path = write(tmp_path, name, text)
+    assert main([path if arg is None else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert only_an_error_line(captured.err) and "too deeply" in captured.err
+    assert captured.out == ""
+
+
 def test_store_prob_must_be_exact():
     def store(*probs):
         entries = [{"values": {"x": x}, "prob": p} for x, p in zip("01", probs)]

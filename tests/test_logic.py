@@ -1,11 +1,15 @@
 """Satisfaction, axiom schemas, and the entailment derivation checker."""
 
+import importlib.util
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cslcheck.dist import FinDist, Memory, Store, uniform_store, zero_store
 from cslcheck.logic import (
+    SCHEMA_TEMPLATES,
     CertError,
     SchemaError,
     check_hilbert,
@@ -17,17 +21,31 @@ from cslcheck.logic import (
     search_annotation,
 )
 from cslcheck.syntax import (
+    ATOM_EQ,
+    ATOM_ESPL,
+    ATOM_IND,
+    BOOL,
+    And,
+    App,
+    Atom,
     CertStep,
     EntailmentCert,
+    Env,
+    Formula,
+    Star,
+    SymbolTable,
     parse_cert,
     parse_decls,
     parse_env,
     parse_formula,
+    parse_proof_with_decls,
 )
+from cslcheck.types import TypeCheckError, wf_formula
 
 
 HALF = Fraction(1, 2)
 REG = load_registry()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def mem(env, n=1, **values):
@@ -187,37 +205,108 @@ def test_w1_w2_u1_schemas():
     instance("U1", "x ~~ y /\\ U(x)", "U(y)")
 
 
-# (schema, accepted (lhs, rhs), near miss (lhs, rhs), the matcher's message)
+# (schema, accepted (lhs, rhs), near miss (lhs, rhs), what the near miss gets
+# wrong, the matcher's message)
 SIMPLE_SCHEMA_CASES = [
-    ("S0", ("T", "x ~~ x"), ("T", "x ~~ y"), "must be identical"),
-    ("T0", ("T", "x == x"), ("T", "x == y"), "must be identical"),
-    ("S1", ("x ~~ y", "y ~~ x"), ("x ~~ y", "x ~~ y"), "must swap"),
-    ("T1", ("x == y", "y == x"), ("x == y", "x == y"), "must swap"),
+    (
+        "S0",
+        ("T", "x ~~ x"),
+        ("T", "x ~~ y"),
+        "must be identical",
+        "the conclusion does not fit the template: e stands for both x and y",
+    ),
+    (
+        "T0",
+        ("T", "x == x"),
+        ("T", "x == y"),
+        "must be identical",
+        "the conclusion does not fit the template: e stands for both x and y",
+    ),
+    (
+        "S1",
+        ("x ~~ y", "y ~~ x"),
+        ("x ~~ y", "x ~~ y"),
+        "must swap",
+        "the conclusion does not fit the template: g stands for both y and x",
+    ),
+    (
+        "T1",
+        ("x == y", "y == x"),
+        ("x == y", "x == y"),
+        "must swap",
+        "the conclusion does not fit the template: g stands for both y and x",
+    ),
     (
         "S2",
         ("x ~~ y /\\ y ~~ xor(x, y)", "x ~~ xor(x, y)"),
         ("x ~~ y /\\ x ~~ xor(x, y)", "x ~~ xor(x, y)"),
         "middle operands must coincide",
+        "the hypothesis does not fit the template: g stands for both y and x",
     ),
     (
         "T2",
         ("x == y /\\ y == xor(x, y)", "x == xor(x, y)"),
         ("x == y /\\ y == xor(x, y)", "y == xor(x, y)"),
         "chain the outer operands",
+        "the conclusion does not fit the template: e stands for both x and y",
     ),
-    ("W1", ("x == y", "x ~~ y"), ("x == y", "y ~~ x"), "operands must match"),
-    ("W2", ("x .= y", "x == y"), ("x .= y", "x == xor(x, y)"), "operands must match"),
+    (
+        "W1",
+        ("x == y", "x ~~ y"),
+        ("x == y", "y ~~ x"),
+        "operands must match",
+        "the conclusion does not fit the template: e stands for both x and y",
+    ),
+    (
+        "W2",
+        ("x .= y", "x == y"),
+        ("x .= y", "x == xor(x, y)"),
+        "operands must match",
+        r"the conclusion does not fit the template: "
+        r"g stands for both y and xor\(x, y\)",
+    ),
     (
         "U1",
         ("x ~~ y /\\ U(x)", "U(y)"),
         ("x ~~ y /\\ U(y)", "U(y)"),
         "U must speak about the left operand",
+        "the hypothesis does not fit the template: e stands for both x and y",
     ),
-    ("U1", ("x ~~ y /\\ U(x)", "U(y)"), ("x ~~ y /\\ U(x)", "U(x)"), "transports U"),
+    (
+        "U1",
+        ("x ~~ y /\\ U(x)", "U(y)"),
+        ("x ~~ y /\\ U(x)", "U(x)"),
+        "transports U",
+        "the conclusion does not fit the template: g stands for both y and x",
+    ),
+    # TopI, then S0 (or T0), then Trans derives what these near misses claim
+    (
+        "S0",
+        ("T", "x ~~ x"),
+        ("x == y", "x ~~ x"),
+        "hypothesis must be T",
+        r"the hypothesis does not fit the template: \(x == y\).* is not of the form T",
+    ),
+    (
+        "T0",
+        ("T", "x == x"),
+        ("x ~~ y", "x == x"),
+        "hypothesis must be T",
+        r"the hypothesis does not fit the template: \(x ~~ y\).* is not of the form T",
+    ),
 ]
 
 
-@pytest.mark.parametrize("name, accepted, near_miss, message", SIMPLE_SCHEMA_CASES)
+# A case's id names the near miss, not the message, so it stays put when the
+# message is reworded.
+@pytest.mark.parametrize(
+    "name, accepted, near_miss, message",
+    [(nm, acc, near, msg) for nm, acc, near, _, msg in SIMPLE_SCHEMA_CASES],
+    ids=[
+        f"{case[0]}-accepted{i}-near_miss{i}-{case[3]}"
+        for i, case in enumerate(SIMPLE_SCHEMA_CASES)
+    ],
+)
 def test_simple_schema_matchers(name, accepted, near_miss, message):
     instance(name, *accepted)
     with pytest.raises(SchemaError, match=message):
@@ -227,7 +316,10 @@ def test_simple_schema_matchers(name, accepted, near_miss, message):
 def test_schema_rejects_wrong_shape():
     lhs = parse_formula("(x == y){x: Str[n], y: Str[n]}")
     rhs = parse_formula("(y ~~ x){x: Str[n], y: Str[n]}")  # W1 keeps operand order
-    with pytest.raises(SchemaError, match="operands"):
+    with pytest.raises(
+        SchemaError,
+        match="the conclusion does not fit the template: e stands for both x and y",
+    ):
         match_axiom("W1", lhs, rhs)
 
 
@@ -292,8 +384,21 @@ def test_split_schema():
     bad = parse_formula(
         "((U(r)){r: Str[n+1]} * (U(s)){s: Str[n]})" + SPL_ENV
     )
-    with pytest.raises(SchemaError, match="bit"):
+    with pytest.raises(
+        SchemaError,
+        match="the conclusion does not fit the template: b stands for both b and r",
+    ):
         match_axiom("Ax_SPL", lhs, bad)
+
+
+def test_split_schema_side_condition():
+    # an extra variable in the outer annotation fits the template but not
+    # the side condition
+    wide = "{b: Bool, r: Str[n+1], s: Str[n], z: Bool}"
+    lhs = parse_formula("((U(r) /\\ (b .= head(r))) /\\ (s .= tail(r)))" + wide)
+    rhs = parse_formula("((U(b)){b: Bool} * (U(s)){s: Str[n]})" + wide)
+    with pytest.raises(SchemaError, match="side condition violated: r, b and s"):
+        match_axiom("Ax_SPL", lhs, rhs)
 
 
 MRG_ENV = "{b: Bool, r: Str[n], s: Str[n+1]}"
@@ -358,6 +463,135 @@ def test_star_unit_schemas():
     heavy = parse_formula("((U(x)){x: Bool} * (T){y: Bool}){x: Bool, y: Bool}")
     with pytest.raises(SchemaError):
         match_axiom("StarUnitE", heavy, parse_formula("(U(x)){x: Bool, y: Bool}"))
+
+
+def schema_steps(tree):
+    """Every certificate step of a proof tree that names a schema."""
+    for cert in (tree.pre_cert, tree.post_cert):
+        for step in cert.steps if cert else ():
+            if step.rule != "Trans" and step.rule in REG:
+                yield step
+    for child in tree.children:
+        yield from schema_steps(child)
+
+
+def test_every_corpus_schema_step_matches():
+    proofs = [
+        parse_proof_with_decls(path.read_text())
+        for path in sorted((ROOT / "corpus").glob("*.proof"))
+    ]
+    tool = ROOT / "tools" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", tool)
+    build_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_corpus)
+    for h in range(7):
+        decls, tree = build_corpus.build_exp(h)
+        symbols = SymbolTable()
+        for decl in decls:
+            symbols = parse_decls(decl, symbols)
+        proofs.append((symbols, tree))
+    used = set()
+    for symbols, tree in proofs:
+        for step in schema_steps(tree):
+            match_axiom(step.rule, step.lhs, step.rhs, symbols)
+            used.add(step.rule)
+    assert {"Ax_SPL", "Ax_MRG"} <= used
+
+
+# One accepted instance of each template schema, as (lhs, rhs, annotation).
+TEMPLATE_INSTANCES = {
+    "S0": ("T", "xor(x, y) ~~ xor(x, y)", ENV2),
+    "S1": ("x ~~ xor(x, y)", "xor(x, y) ~~ x", ENV2),
+    "S2": ("x ~~ y /\\ y ~~ xor(x, y)", "x ~~ xor(x, y)", ENV2),
+    "T0": ("T", "xor(x, y) == xor(x, y)", ENV2),
+    "T1": ("x == xor(x, y)", "xor(x, y) == x", ENV2),
+    "T2": ("x == y /\\ y == xor(x, y)", "x == xor(x, y)", ENV2),
+    "W1": ("x == xor(x, y)", "x ~~ xor(x, y)", ENV2),
+    "W2": ("x .= xor(x, y)", "x == xor(x, y)", ENV2),
+    "U1": ("x ~~ xor(x, y) /\\ U(x)", "U(xor(x, y))", ENV2),
+    "Ax_SPL": (
+        "(U(r) /\\ (b .= head(r))) /\\ (s .= tail(r))",
+        "(U(b)){b: Bool} * (U(s)){s: Str[n]}",
+        SPL_ENV,
+    ),
+    "Ax_MRG": (
+        "((U(r)){r: Str[n]} * (U(b)){b: Bool}){b: Bool, r: Str[n]}"
+        " /\\ (s .= concat(r, b))",
+        "U(s)",
+        MRG_ENV,
+    ),
+}
+
+
+def expr_swaps(e):
+    """e with the two arguments of one binary application swapped."""
+    if isinstance(e, App):
+        if len(e.args) == 2 and e.args[0] != e.args[1]:
+            yield replace(e, args=e.args[::-1])
+        for i, arg in enumerate(e.args):
+            for new in expr_swaps(arg):
+                yield replace(e, args=e.args[:i] + (new,) + e.args[i + 1 :])
+
+
+def swap_operands(f):
+    b = f.body
+    if isinstance(b, Atom):
+        if len(b.args) == 2 and b.args[0] != b.args[1]:
+            yield Formula(Atom(b.kind, b.args[::-1]), f.annotation)
+        for i, arg in enumerate(b.args):
+            for new in expr_swaps(arg):
+                args = b.args[:i] + (new,) + b.args[i + 1 :]
+                yield Formula(Atom(b.kind, args), f.annotation)
+
+
+def change_kind(f):
+    b = f.body
+    if isinstance(b, Atom) and len(b.args) == 2:
+        for kind in (ATOM_IND, ATOM_EQ, ATOM_ESPL):
+            if kind != b.kind:
+                yield Formula(Atom(kind, b.args), f.annotation)
+
+
+def change_annotation(f):
+    yield Formula(f.body, Env.make({**dict(f.annotation.items()), "z": BOOL}))
+    for name in f.annotation:
+        yield Formula(f.body, f.annotation.remove(name))
+
+
+def rewrites(f, at):
+    """Every formula that differs from f by one rewrite `at` of a subformula."""
+    yield from at(f)
+    b = f.body
+    if isinstance(b, (And, Star)):
+        for new in rewrites(b.left, at):
+            yield Formula(type(b)(new, b.right), f.annotation)
+        for new in rewrites(b.right, at):
+            yield Formula(type(b)(b.left, new), f.annotation)
+
+
+def mutants(lhs, rhs, at):
+    """Well-formed single-point mutations of the instance lhs |- rhs."""
+    pairs = [(m, rhs) for m in rewrites(lhs, at)]
+    pairs += [(lhs, m) for m in rewrites(rhs, at)]
+    for pair in pairs:
+        try:
+            for f in pair:
+                wf_formula(f)
+        except TypeCheckError:
+            continue
+        yield pair
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_TEMPLATES))
+@pytest.mark.parametrize("at", [swap_operands, change_kind, change_annotation])
+def test_template_schemas_reject_single_point_mutations(name, at):
+    lhs, rhs, env = TEMPLATE_INSTANCES[name]
+    lhs, rhs = instance(name, lhs, rhs, env)
+    near_misses = list(mutants(lhs, rhs, at))
+    assert near_misses
+    for mlhs, mrhs in near_misses:
+        with pytest.raises(SchemaError):
+            match_axiom(name, mlhs, mrhs)
 
 
 # Derivation checking

@@ -21,6 +21,7 @@ from cslcheck.dist import FinDist, Memory, Store, store_to_text
 from cslcheck.hoare import check_triple, validate_triple
 from cslcheck.semantics import run_store
 from cslcheck.syntax import (
+    And,
     App,
     Assign,
     Atom,
@@ -41,16 +42,15 @@ from cslcheck.syntax import (
     ProofTree,
     Seq,
     SizePoly,
+    Star,
     StrType,
     SymbolTable,
     Var,
-    conj,
     formula_to_text,
     parse_decls,
     parse_proof_with_decls,
     program_to_text,
     proof_to_text,
-    star,
     top,
 )
 
@@ -79,6 +79,14 @@ def espl(a, b, ann: Env) -> Formula:
 
 def ind(a, b, ann: Env) -> Formula:
     return Formula(Atom(ATOM_IND, (a, b)), ann)
+
+
+def conj(left: Formula, right: Formula, ann: Env) -> Formula:
+    return Formula(And(left, right), ann)
+
+
+def star(left: Formula, right: Formula, ann: Env) -> Formula:
+    return Formula(Star(left, right), ann)
 
 
 def step(sid: str, rule: str, lhs: Formula, rhs: Formula, *premises: str) -> CertStep:

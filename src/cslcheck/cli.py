@@ -150,7 +150,7 @@ def cmd_run(args) -> int:
         lines.append(f"n={n}")
         d = out.at(n)
         for m in d.support():
-            cells = " ".join(f"{name}={m.get(name)}" for name in out.env.names())
+            cells = " ".join(f"{name}={v}" for name, v in m.as_dict().items())
             lines.append(f"  {cells}  {d.prob(m)}")
     _emit("\n".join(lines) + "\n", args.out)
     return OK

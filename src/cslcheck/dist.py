@@ -1,13 +1,19 @@
 """Exact finite probability distributions over memories and values.
 
-Probabilities are arbitrary-precision rationals and zero-probability points
-are dropped eagerly, so structural equality of the support map is equality
-of distributions and every uniformity/distance check is decidable with no
-tolerance. Sub-unit total mass is permitted (the program semantics is
-linear and gets exercised on sub-distributions); stores and serialization
-require full mass. Only the public constructor, scale, add, Store and
-parse_store validate: map, bind, tensor, project, condition and the program
-kernel build results that are valid by construction (FinDist._trusted).
+A distribution holds positive integer weights over one denominator, in
+lowest terms, so structural equality of the weights is equality of
+distributions and every uniformity/distance check is decidable with no
+tolerance. A memory is the tuple of its values in the order of its
+environment, which alone holds the variable names. Fractions appear only at
+the boundary: the public constructor, scale, prob, items, total, the result
+of stat_dist and the store file format. mix is the one integer bind:
+FinDist.bind, add and the program kernel all go through it.
+
+Sub-unit total mass is permitted (the program semantics is linear and gets
+exercised on sub-distributions); stores and serialization require full
+mass. Only the public constructor, scale, add, Store and parse_store
+validate: map, bind, tensor, project, condition and the program kernel
+build results that are valid by construction (FinDist.from_ints).
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .syntax import (
@@ -30,9 +37,6 @@ from .syntax import (
     unique_keys,
 )
 from .types import TypeCheckError, env_ext, env_join
-
-ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 class ZeroMassError(ValueError):
@@ -65,7 +69,7 @@ class Memory:
 
     env: Env
     n: int
-    values: tuple[tuple[str, str], ...]  # sorted by variable name
+    values: tuple[str, ...]  # in env order; the names are only in env
 
     def __hash__(self) -> int:  # without env, which is slow to hash; == compares it
         return hash((self.n, self.values))
@@ -79,16 +83,13 @@ class Memory:
                 raise ValueError(f"memory missing a value for {name}")
             v = items.pop(name)
             _check_value(name, t, n, v)
-            values.append((name, v))
+            values.append(v)
         if items:
             raise ValueError(f"memory has extra variables {sorted(items)}")
         return Memory(env, n, tuple(values))
 
     def get(self, name: str) -> str:
-        for k, v in self.values:
-            if k == name:
-                return v
-        raise KeyError(name)
+        return self.as_dict()[name]
 
     def set(self, name: str, value: str) -> "Memory":
         if name not in self.env:
@@ -96,19 +97,13 @@ class Memory:
         return Memory.make(self.env, self.n, {**self.as_dict(), name: value})
 
     def restrict(self, target: Env) -> "Memory":
-        keep = set(target.names())
-        return Memory(
-            target, self.n, tuple((k, v) for k, v in self.values if k in keep)
-        )
+        return Memory(target, self.n, _picker(self.env.names(), target)(self.values))
 
     def merge(self, other: "Memory") -> "Memory":
-        if self.n != other.n:
-            raise ValueError("cannot merge memories at different n")
-        env = env_join(self.env, other.env)
-        return Memory(env, self.n, tuple(sorted(self.values + other.values)))
+        return tensor(FinDist.dirac(self), FinDist.dirac(other)).support()[0]
 
     def as_dict(self) -> dict[str, str]:
-        return dict(self.values)
+        return dict(zip(self.env.names(), self.values))
 
 
 def _check_value(name: str, t: Type, n: int, v: str) -> None:
@@ -119,71 +114,90 @@ def _check_value(name: str, t: Type, n: int, v: str) -> None:
         raise ValueError(f"value for {name} must have {want} bit(s), got {len(v)}")
 
 
+def _picker(names: tuple[str, ...], target: Env) -> Callable[[tuple], tuple]:
+    """Maps a value tuple in names order to the values of target, in its order."""
+    idx = [names.index(k) for k in target.names()]
+    if len(idx) == 1:
+        return lambda vals, i=idx[0]: (vals[i],)
+    return itemgetter(*idx) if idx else lambda vals: ()
+
+
 def all_memories(env: Env, n: int) -> list[Memory]:
     """Every well-typed memory over env at n, in canonical order."""
-    names = env.names()
     pools = [all_values(t, n) for _, t in env.items()]
-    return [
-        Memory(env, n, tuple(zip(names, combo))) for combo in product(*pools)
-    ]
-
-
-def point_key(p):
-    """Canonical sort key for support points (memories or plain values)."""
-    if isinstance(p, Memory):
-        return p.values
-    return p
+    return [Memory(env, n, combo) for combo in product(*pools)]
 
 
 # ---------------------------------------------------------------------------
 # Distributions
 
 
-class FinDist:
-    """A finite-support map from points to positive rational probabilities."""
+def _is_exact(pr) -> bool:
+    return isinstance(pr, (int, Fraction)) and not isinstance(pr, bool)
 
-    __slots__ = ("_probs",)
+
+class FinDist:
+    """A finite-support map from points to positive rational probabilities,
+    held as positive integer weights over one denominator in lowest terms."""
+
+    __slots__ = ("_weights", "_den")
 
     def __init__(self, probs: dict):
-        self._probs = {
-            point: Fraction(pr) for point, pr in probs.items() if pr != 0
-        }
-        for point, pr in self._probs.items():
+        for point, pr in probs.items():
+            if not _is_exact(pr):
+                raise ValueError(
+                    f"probability at {point!r} must be an int or a Fraction, got {pr!r}"
+                )
             if pr < 0:
                 raise ValueError(f"negative probability {pr} at {point!r}")
-        if self.total() > 1:
-            raise ValueError(f"probabilities sum to {self.total()} > 1")
+        den = lcm(*(pr.denominator for pr in probs.values()))
+        self._weights = {
+            p: pr.numerator * (den // pr.denominator) for p, pr in probs.items() if pr
+        }
+        self._den = den
+        self._check_mass()
 
     @staticmethod
-    def _trusted(probs: dict) -> "FinDist":
-        """Wrap positive Fraction weights of mass <= 1 without checking them."""
+    def from_ints(weights: dict, den: int) -> "FinDist":
+        """Positive integer weights over den, of sum at most den, taken
+        unchecked and reduced to lowest terms."""
+        g = gcd(den, *weights.values())
         d = object.__new__(FinDist)
-        d._probs = probs
+        d._weights = {p: w // g for p, w in weights.items()} if g > 1 else weights
+        d._den = den // g
         return d
+
+    def _check_mass(self) -> None:
+        if sum(self._weights.values()) > self._den:
+            raise ValueError(f"probabilities sum to {self.total()} > 1")
 
     # -- inspection
 
+    def weights(self) -> tuple[dict, int]:
+        """The integer weights and their denominator, to be read, not mutated."""
+        return self._weights, self._den
+
     def items(self) -> list:
-        return sorted(self._probs.items(), key=lambda kv: point_key(kv[0]))
+        return [(p, self.prob(p)) for p in self.support()]
 
     def support(self) -> list:
-        return sorted(self._probs.keys(), key=point_key)
+        """The points in canonical order; memories sort by their value tuples."""
+        return sorted(self._weights, key=lambda p: p.values if isinstance(p, Memory) else p)
 
     def prob(self, point) -> Fraction:
-        return self._probs.get(point, ZERO)
+        return Fraction(self._weights.get(point, 0), self._den)
 
     def total(self) -> Fraction:
-        weights, den = integer_weights(self._probs)
-        return Fraction(sum(weights.values()), den)
+        return Fraction(sum(self._weights.values()), self._den)
 
     def is_proper(self) -> bool:
-        return self.total() == 1
+        return sum(self._weights.values()) == self._den
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FinDist) and self._probs == other._probs
+        return isinstance(other, FinDist) and self.weights() == other.weights()
 
     def __len__(self) -> int:
-        return len(self._probs)
+        return len(self._weights)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{p!r}: {pr}" for p, pr in self.items())
@@ -193,85 +207,94 @@ class FinDist:
 
     @staticmethod
     def dirac(point) -> "FinDist":
-        return FinDist({point: ONE})
-
-    @staticmethod
-    def from_weights(pairs: Iterable[tuple[object, Fraction]]) -> "FinDist":
-        acc: dict = {}
-        for point, pr in pairs:
-            acc[point] = acc.get(point, ZERO) + Fraction(pr)
-        return FinDist(acc)
+        return FinDist.from_ints({point: 1}, 1)
 
     def map(self, fn: Callable) -> "FinDist":
-        acc: dict = {}
-        for point, pr in self._probs.items():
-            out_point = fn(point)
-            acc[out_point] = acc.get(out_point, ZERO) + pr
-        return FinDist._trusted(acc)
+        out: dict = {}
+        for p, w in self._weights.items():
+            q = fn(p)
+            out[q] = out.get(q, 0) + w
+        return FinDist.from_ints(out, self._den)
 
     def bind(self, k: Callable[[object], "FinDist"]) -> "FinDist":
-        acc: dict = {}
-        for point, pr in self._probs.items():
-            for out_point, out_pr in k(point)._probs.items():
-                acc[out_point] = acc.get(out_point, ZERO) + pr * out_pr
-        return FinDist._trusted(acc)
+        return FinDist.from_ints(*mix(self._weights, self._den, lambda p: k(p).weights()))
 
     def scale(self, factor: Fraction) -> "FinDist":
-        return FinDist({p: pr * Fraction(factor) for p, pr in self._probs.items()})
+        if not _is_exact(factor):
+            raise ValueError(f"scale factor must be an int or a Fraction, got {factor!r}")
+        den = self._den
+        return FinDist({p: Fraction(w, den) * factor for p, w in self._weights.items()})
 
     def add(self, other: "FinDist") -> "FinDist":
-        acc = dict(self._probs)
-        for point, pr in other._probs.items():
-            acc[point] = acc.get(point, ZERO) + pr
-        return FinDist(acc)
+        parts = (self.weights(), other.weights())
+        d = FinDist.from_ints(*mix({0: 1, 1: 1}, 1, parts.__getitem__))
+        d._check_mass()
+        return d
 
 
-def integer_weights(probs: dict, key: Callable = lambda p: p) -> tuple[dict, int]:
-    """Fraction weights as integers over the lcm of their denominators, each
-    point renamed by key (which must not give two points one name)."""
-    den = lcm(*{pr.denominator for pr in probs.values()})
-    return {key(p): pr.numerator * (den // pr.denominator) for p, pr in probs.items()}, den
+def mix(weights: dict, den: int, k: Callable) -> tuple[dict, int]:
+    """The integer bind: the sum over points p of weights[p]/den times k(p),
+    where k(p) is a (weights, den) pair too. The result is over den times
+    the lcm of k's denominators, and need not be in lowest terms."""
+    out, lcd = {}, 1
+    for p, w in weights.items():
+        ws, d = k(p)
+        if lcd % d:
+            g = d // gcd(lcd, d)
+            out = {q: x * g for q, x in out.items()}
+            lcd *= g
+        s = w * (lcd // d)
+        for q, x in ws.items():
+            out[q] = out.get(q, 0) + s * x
+    return out, den * lcd
 
 
 def uniform_values(t: Type, n: int) -> FinDist:
     vals = all_values(t, n)
-    pr = Fraction(1, len(vals))
-    return FinDist({v: pr for v in vals})
+    return FinDist.from_ints(dict.fromkeys(vals, 1), len(vals))
 
 
 def uniform_memories(env: Env, n: int) -> FinDist:
     mems = all_memories(env, n)
-    pr = Fraction(1, len(mems))
-    return FinDist({m: pr for m in mems})
+    return FinDist.from_ints(dict.fromkeys(mems, 1), len(mems))
 
 
 def tensor(a: FinDist, b: FinDist) -> FinDist:
     """Product distribution over merged memories; domains must be disjoint."""
-    acc: dict = {}
-    for ma, pa in a._probs.items():
-        for mb, pb in b._probs.items():
-            acc[ma.merge(mb)] = pa * pb
-    return FinDist._trusted(acc)
+    if not a._weights or not b._weights:
+        return FinDist.from_ints({}, 1)
+    ma, mb = next(iter(a._weights)), next(iter(b._weights))
+    if ma.n != mb.n:
+        raise ValueError("cannot merge memories at different n")
+    env = env_join(ma.env, mb.env)
+    pick = _picker(ma.env.names() + mb.env.names(), env)
+    acc = {
+        Memory(env, ma.n, pick(x.values + y.values)): wa * wb
+        for x, wa in a._weights.items()
+        for y, wb in b._weights.items()
+    }
+    return FinDist.from_ints(acc, a._den * b._den)
 
 
 def project(d: FinDist, target: Env) -> FinDist:
     """Push forward along restriction of memories to a sub-environment."""
-    for m in d._probs:
+    for m in d._weights:
         if not env_ext(target, m.env):
             raise TypeCheckError(
                 "project", "target is not a sub-environment of the distribution's"
             )
-        break
-    return d.map(lambda m: m.restrict(target))
+        pick = _picker(m.env.names(), target)
+        return d.map(lambda mem: Memory(target, mem.n, pick(mem.values)))
+    return d
 
 
 def condition(d: FinDist, r: str, b: str) -> FinDist:
     """Renormalized restriction to the event m(r) = b; b is '0' or '1'."""
-    hits = {m: pr for m, pr in d._probs.items() if m.get(r) == b}
-    mass = sum(hits.values(), ZERO)
+    hits = {m: w for m, w in d._weights.items() if m.get(r) == b}
+    mass = sum(hits.values())
     if mass == 0:
         raise ZeroMassError(f"conditioning on {r} = {b}, an event of mass zero")
-    return FinDist._trusted({m: pr / mass for m, pr in hits.items()})
+    return FinDist.from_ints(hits, mass)
 
 
 def convex(a: FinDist, b: FinDist, guard: FinDist) -> FinDist:
@@ -284,8 +307,11 @@ def convex(a: FinDist, b: FinDist, guard: FinDist) -> FinDist:
 
 def stat_dist(a: FinDist, b: FinDist) -> Fraction:
     """Total variation distance: half the pointwise L1 distance."""
-    points = set(a._probs) | set(b._probs)
-    return sum((abs(a.prob(p) - b.prob(p)) for p in points), ZERO) / 2
+    den = lcm(a._den, b._den)
+    fa, fb = den // a._den, den // b._den
+    wa, wb = a._weights, b._weights
+    diff = sum(abs(wa.get(p, 0) * fa - wb.get(p, 0) * fb) for p in wa.keys() | wb.keys())
+    return Fraction(diff, 2 * den)
 
 
 def is_uniform(d: FinDist, t: Type, n: int) -> bool:
@@ -308,7 +334,7 @@ class Store:
         for n, d in self.family.items():
             if not d.is_proper():
                 raise ValueError(f"store distribution at n={n} has mass != 1")
-            for m in d._probs:
+            for m in d._weights:
                 if m.env != env or m.n != n:
                     raise ValueError(
                         f"memory over {m.env} at n={m.n} in the n={n} slot"
@@ -408,6 +434,7 @@ def parse_store(text: str) -> Store:
         raise ValueError("store family must hold at least one n")
     env = Env.make({name: parse_type(t) for name, t in doc["env"].items()})
     family = {}
+    rationals: dict = {}  # each distinct "prob" text is decoded once
     for n_text, entries in doc["family"].items():
         if not _N_KEY.fullmatch(n_text):
             raise ValueError(
@@ -427,7 +454,10 @@ def parse_store(text: str) -> Store:
             ):
                 raise ValueError(f"{where}: needs a 'values' object and a 'prob'")
             m = Memory.make(env, n, entry["values"])
-            prob = exact_rational(entry["prob"], f"{where}: prob")
-            probs[m] = probs.get(m, ZERO) + prob
+            raw = entry["prob"]
+            if not isinstance(raw, str) or raw not in rationals:
+                rationals[raw] = exact_rational(raw, f"{where}: prob")
+            prob = rationals[raw]
+            probs[m] = probs[m] + prob if m in probs else prob
         family[n] = FinDist(probs)
     return Store(env, family)

@@ -27,9 +27,9 @@ from importlib import resources
 from itertools import combinations
 from typing import Callable, Optional
 
-from .dist import Store, is_uniform, stat_dist, uniform_values
+from .dist import Store, stat_dist, uniform_values
 from .semantics import (
-    eval_det,
+    compile_det,
     eval_expr,
     store_indist,
     store_project,
@@ -41,7 +41,6 @@ from .syntax import (
     Atom,
     ATOM_EQ,
     ATOM_ESPL,
-    ATOM_IND,
     ATOM_OPS,
     ATOM_U,
     BoolType,
@@ -99,37 +98,22 @@ def sat_atom(
     if s.env != f.annotation:
         raise TypeCheckError("sat_atom", "store environment differs from annotation")
     env = f.annotation
-    if a.kind == ATOM_U:
-        t = type_expr(env, a.args[0], symbols)
-        for n in s.tested_ns():
-            out = eval_expr(env, a.args[0], n, s.at(n), symbols)
-            if epsilon == 0:
-                if not is_uniform(out, t, n):
-                    return False
-            elif stat_dist(out, uniform_values(t, n)) > epsilon:
-                return False
-        return True
-    if a.kind == ATOM_IND:
-        for n in s.tested_ns():
-            d1 = eval_expr(env, a.args[0], n, s.at(n), symbols)
-            d2 = eval_expr(env, a.args[1], n, s.at(n), symbols)
-            if stat_dist(d1, d2) > epsilon:
-                return False
-        return True
-    if a.kind == ATOM_EQ:
-        # equality of output distributions is exact in every mode
-        for n in s.tested_ns():
-            d1 = eval_expr(env, a.args[0], n, s.at(n), symbols)
-            d2 = eval_expr(env, a.args[1], n, s.at(n), symbols)
-            if d1 != d2:
-                return False
-        return True
+    t = type_expr(env, a.args[0], symbols) if a.kind == ATOM_U else None
+    tolerance = ZERO if a.kind == ATOM_EQ else epsilon  # == is exact in every mode
     for n in s.tested_ns():
-        for m in s.at(n).support():
-            v1 = eval_det(env, a.args[0], n, m, symbols)
-            v2 = eval_det(env, a.args[1], n, m, symbols)
-            if v1 != v2:
+        if a.kind == ATOM_ESPL:
+            f1 = compile_det(env, a.args[0], n, symbols)
+            f2 = compile_det(env, a.args[1], n, symbols)
+            if any(f1(m) != f2(m) for m in s.at(n).support()):
                 return False
+            continue
+        d1 = eval_expr(env, a.args[0], n, s.at(n), symbols)
+        if a.kind == ATOM_U:
+            d2 = uniform_values(t, n)
+        else:
+            d2 = eval_expr(env, a.args[1], n, s.at(n), symbols)
+        if stat_dist(d1, d2) > tolerance:
+            return False
     return True
 
 

@@ -1,10 +1,12 @@
 """Exact program semantics and the store algebra.
 
 Two equivalent interpreters are provided: run compiles each statement once
-and pushes the whole input through it as value tuples with integer weights
-over one denominator, splitting on the guard bit at conditionals; run_kozen
-splits on the guard distribution (conditioning each branch and recombining
-convexly). Both are exact and linear in the input distribution.
+and pushes the whole input through it at once, splitting on the guard bit
+at conditionals; run_kozen splits on the guard distribution (conditioning
+each branch and recombining convexly). Both are exact and linear in the
+input distribution. run works on FinDist's own representation: memories'
+value tuples with integer weights over one denominator, combined by
+dist.mix; it builds Memory objects only for the output.
 
 Uninterpreted declared symbols fail loudly when a memory reaches them;
 bind_stub attaches one of the named concrete evaluators so corpus programs
@@ -14,23 +16,21 @@ can run.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .dist import (
     FinDist,
     Memory,
     Store,
-    ZERO,
     _check_value,
-    all_values,
     condition,
     convex,
-    integer_weights,
     memory_bits,
+    mix,
     project,
     stat_dist,
     tensor,
+    uniform_values,
     value_len,
 )
 from .syntax import (
@@ -110,8 +110,7 @@ def _compile(
             TypeCheckError("eval_det", f"{e.fname} is not deterministic")
         )
     if e.fname == "rnd":
-        uniform = {v: 1 for v in all_values(StrType(POLY_N), n)}
-        return True, lambda vals: (uniform, len(uniform))
+        return True, lambda vals, u=uniform_values(StrType(POLY_N), n).weights(): u
     if sym is None and e.fname == "setzero":
         apply = lambda args: "0" * poly_eval(e.size_args[0], n)
     elif sym is None and e.fname in _BUILTINS:
@@ -119,7 +118,7 @@ def _compile(
     elif sym is None or sym.impl is None:
         apply = lambda args: _raise(UninterpretedSymbolError(e.fname))
     elif randomized:
-        apply = lambda args: integer_weights(sym.impl(n, args)._probs)
+        apply = lambda args: sym.impl(n, args).weights()
     else:
         apply = lambda args: sym.impl(n, args)
     parts = [_compile(a, names, n, symbols, det) for a in e.args]
@@ -134,8 +133,7 @@ def _compile(
             ws, d = f(vals)
             args = {t + (v,): w * x for t, w in args.items() for v, x in ws.items()}
             den *= d
-        ws, d = _mix(args, _lift((randomized, apply)))
-        return ws, den * d
+        return mix(args, den, _lift((randomized, apply)))
 
     return True, sample
 
@@ -146,40 +144,28 @@ def _lift(part: tuple[bool, Callable]) -> Callable:
     return fn if randomized else lambda vals: ({fn(vals): 1}, 1)
 
 
-def _mix(points: dict, k: Callable) -> tuple[dict, int]:
-    """Integer bind: the sum of points[p] * k(p), k(p) = (weights, L), over an lcm."""
-    out, den = {}, 1
-    for p, w in points.items():
-        weights, d = k(p)
-        if den % d:
-            g = d // gcd(den, d)
-            out = {q: x * g for q, x in out.items()}
-            den *= g
-        s = w * (den // d)
-        for q, x in weights.items():
-            out[q] = out.get(q, 0) + s * x
-    return out, den
-
-
-def _values(m: Memory) -> tuple:
-    return tuple(v for _, v in m.values)
+def compile_det(
+    env: Env, e: Expr, n: int, symbols: Optional[SymbolTable] = None
+) -> Callable[[Memory], str]:
+    """A deterministic expression compiled once, as a function of a memory."""
+    _, fn = _compile(e, env.names(), n, symbols or SymbolTable(), det=True)
+    return lambda m: fn(m.values)
 
 
 def eval_det(
     env: Env, d: Expr, n: int, m: Memory, symbols: Optional[SymbolTable] = None
 ) -> str:
     """Evaluate a deterministic expression in one memory."""
-    _, fn = _compile(d, env.names(), n, symbols or SymbolTable(), det=True)
-    return fn(_values(m))
+    return compile_det(env, d, n, symbols)(m)
 
 
 def eval_expr(
     env: Env, e: Expr, n: int, d: FinDist, symbols: Optional[SymbolTable] = None
 ) -> FinDist:
     """Output-value distribution of e over an input memory distribution."""
-    points, den = integer_weights(d._probs, _values)
-    out, extra = _mix(points, _lift(_compile(e, env.names(), n, symbols or SymbolTable())))
-    return FinDist._trusted({v: Fraction(w, den * extra) for v, w in out.items()})
+    fn = _lift(_compile(e, env.names(), n, symbols or SymbolTable()))
+    weights, den = d.weights()
+    return FinDist.from_ints(*mix(weights, den, lambda m: fn(m.values)))
 
 
 def _exec(p: Program, env: Env, n: int, symbols: SymbolTable, points: dict, den: int):
@@ -197,33 +183,31 @@ def _exec(p: Program, env: Env, n: int, symbols: SymbolTable, points: dict, den:
             parts[vals[g] == "1"][vals] = w
         then_out = _exec(p.then_branch, env, n, symbols, parts[True], den)
         else_out = _exec(p.else_branch, env, n, symbols, parts[False], den)
-        return _mix({0: 1, 1: 1}, (then_out, else_out).__getitem__)  # by linearity
+        return mix({0: 1, 1: 1}, 1, (then_out, else_out).__getitem__)  # by linearity
     i = names.index(p.target)
     if p.target not in fv(p.rhs):
         # the old value is never read: merge the points that differ only there
-        points, _ = _mix(points, lambda v: ({v[:i] + (None,) + v[i + 1 :]: 1}, 1))
+        points, den = mix(points, den, lambda v: ({v[:i] + (None,) + v[i + 1 :]: 1}, 1))
     fn = _lift(_compile(p.rhs, names, n, symbols))
 
     def assigned(vals):
         ws, d = fn(vals)
         return {vals[:i] + (v,) + vals[i + 1 :]: x for v, x in ws.items()}, d
 
-    out, extra = _mix(points, assigned)
+    out, den = mix(points, den, assigned)
     for v in {vals[i] for vals in out}:
         _check_value(p.target, env.lookup(p.target), n, v)
-    return out, den * extra
+    return out, den
 
 
 def run(
     env: Env, p: Program, n: int, d: FinDist, symbols: Optional[SymbolTable] = None
 ) -> FinDist:
     """Push the whole input through p; env is the memories' environment."""
-    points, den = integer_weights(d._probs, _values)
+    weights, den = d.weights()
+    points = {m.values: w for m, w in weights.items()}
     points, den = _exec(p, env, n, symbols or SymbolTable(), points, den)
-    names = env.names()
-    return FinDist._trusted(
-        {Memory(env, n, tuple(zip(names, v))): Fraction(w, den) for v, w in points.items()}
-    )
+    return FinDist.from_ints({Memory(env, n, v): w for v, w in points.items()}, den)
 
 
 def run_kozen(
@@ -244,7 +228,7 @@ def run_kozen(
     if isinstance(p, Seq):
         return run_kozen(env, p.second, n, run_kozen(env, p.first, n, d, symbols), symbols)
     total = d.total()
-    w1 = sum((pr for m, pr in d.items() if m.get(p.guard) == "1"), ZERO)
+    w1 = sum(pr for m, pr in d.items() if m.get(p.guard) == "1")
     if w1 == total:
         return run_kozen(env, p.then_branch, n, d, symbols)
     if w1 == 0:
@@ -282,7 +266,7 @@ def store_ext(sub: Store, sup: Store) -> bool:
     return all(project(sup.at(n), sub.env) == sub.at(n) for n in sub.tested_ns())
 
 
-def store_indist(a: Store, b: Store, epsilon: Fraction = ZERO) -> bool:
+def store_indist(a: Store, b: Store, epsilon: Fraction = Fraction(0)) -> bool:
     """Per-n total variation distance at most epsilon (0 = exact equality)."""
     if a.env != b.env or a.tested_ns() != b.tested_ns():
         return False

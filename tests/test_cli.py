@@ -428,6 +428,25 @@ def test_store_prob_must_be_exact():
             parse_store(store(*probs))
 
 
+def test_store_prob_texts_repeat_and_errors_name_their_entry():
+    def store(*probs):
+        entries = [
+            {"values": {"x": x}, "prob": p} for x, p in zip(("00", "01", "10", "11"), probs)
+        ]
+        return json.dumps({"env": {"x": "Str[n]"}, "family": {"2": entries}})
+
+    assert parse_store(store(*["1/4"] * 4)) == uniform_store(parse_env("{x: Str[n]}"), (2,))
+    cases = [
+        (("1/4", "1/4", "1/x", "1/x"), 2),
+        (("1/x", "1/4", "1/x", "1/4"), 0),
+        (("1", 1, True, 0), 2),  # True is not the int 1
+        ((0, "1", False, 0), 2),
+    ]
+    for probs, bad in cases:
+        with pytest.raises(ValueError, match=f"entry {bad}: prob"):
+            parse_store(store(*probs))
+
+
 # properties
 
 

@@ -72,6 +72,20 @@ def test_mass_is_summed_exactly_over_mixed_denominators():
         FinDist({"a": third, "b": sixth + Fraction(1, 97 * 6), "c": HALF})
 
 
+def test_probabilities_must_be_ints_or_fractions():
+    # a float is refused even where it is exact (0.5), and where its binary
+    # expansion would push the sum past one (0.1 + 0.9)
+    bad = [{"a": 0.5, "b": 0.5}, {"a": 0.1, "b": 0.9}, {"a": True}, {"a": "1/2"}]
+    for probs in bad:
+        with pytest.raises(ValueError, match="probability at 'a' must be an int or a Fraction"):
+            FinDist(probs)
+    d = FinDist({"a": HALF, "b": HALF})
+    for factor in (0.5, True, "1/2"):
+        with pytest.raises(ValueError, match="scale factor must be an int or a Fraction"):
+            d.scale(factor)
+    assert FinDist({"a": 1}) == FinDist.dirac("a") and d.scale(1) == d
+
+
 def test_memory_equality_compares_the_environment():
     a = mem("{x: Bool}", x="1")
     b = mem("{x: Bool}", x="1")  # an equal environment, parsed again
@@ -84,12 +98,6 @@ def test_sub_distributions_allowed():
     d = FinDist({"a": QUARTER})
     assert d.total() == QUARTER
     assert not d.is_proper()
-
-
-def test_from_weights_accumulates_pairs():
-    d = FinDist.from_weights([("a", QUARTER), ("b", QUARTER), ("a", QUARTER)])
-    assert d.prob("a") == HALF
-    assert d.prob("b") == QUARTER
 
 
 def test_map_merges_collisions():

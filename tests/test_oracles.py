@@ -5,14 +5,16 @@ Every expected value below comes from an enumeration small enough to do on
 paper: distributions over one or two bits with at most four support points.
 The comments show the enumeration; the asserts pin the implementation to it.
 
-The last section keeps the per-memory semantics that run, eval_expr and
-eval_det had before the compiled kernel, and compares the two on generated
-programs and expressions.
+The last two sections keep the per-memory semantics that run, eval_expr
+and eval_det had before the compiled kernel, and the per-point Fraction
+versions of the distribution operations that integer weights replaced, and
+compare old and new on generated programs, expressions and distributions.
 """
 
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 from cslcheck import _gen
 from cslcheck.dist import (
@@ -20,6 +22,7 @@ from cslcheck.dist import (
     Memory,
     Store,
     ZeroMassError,
+    all_memories,
     condition,
     convex,
     project,
@@ -60,7 +63,7 @@ from cslcheck.syntax import (
 )
 from cslcheck.logic import sat_atom, sat_formula
 from cslcheck.syntax import parse_formula
-from cslcheck.types import TypeCheckError
+from cslcheck.types import TypeCheckError, env_join
 
 import pytest
 
@@ -454,3 +457,100 @@ def test_a_stub_of_the_wrong_width_is_a_value_error():
     prog = parse_program("x := tail(h(x))", grow)
     with pytest.raises(ValueError, match="length-preserving"):
         run(env, prog, 2, d, grow)
+
+
+# ---------------------------------------------------------------------------
+# The per-point Fraction versions of the distribution operations, as they
+# were before FinDist held integer weights over one denominator. Each takes
+# FinDists, reads them only through items(), and returns a plain dict from
+# points to Fractions. Memories are rebuilt by name, the way they were when
+# each memory carried its names.
+
+
+def ref_map(d, fn):
+    acc = {}
+    for point, pr in d.items():
+        out = fn(point)
+        acc[out] = acc.get(out, 0) + pr
+    return acc
+
+
+def ref_bind(d, k):
+    acc = {}
+    for point, pr in d.items():
+        for out, out_pr in k(point).items():
+            acc[out] = acc.get(out, 0) + pr * out_pr
+    return acc
+
+
+def ref_tensor(a, b):
+    acc = {}
+    for ma, pa in a.items():
+        for mb, pb in b.items():
+            env = env_join(ma.env, mb.env)
+            acc[Memory.make(env, ma.n, {**ma.as_dict(), **mb.as_dict()})] = pa * pb
+    return acc
+
+
+def ref_project(d, target):
+    return ref_map(d, lambda m: Memory.make(target, m.n, {k: m.get(k) for k in target}))
+
+
+def ref_condition(d, r, b):
+    hits = {m: pr for m, pr in d.items() if m.get(r) == b}
+    mass = sum(hits.values())
+    if mass == 0:
+        raise ZeroMassError(f"conditioning on {r} = {b}, an event of mass zero")
+    return {m: pr / mass for m, pr in hits.items()}
+
+
+def ref_stat_dist(a, b):
+    pa, pb = dict(a.items()), dict(b.items())
+    return sum(abs(pa.get(p, 0) - pb.get(p, 0)) for p in pa.keys() | pb.keys()) / 2
+
+
+def _mixed_dist(rng, points):
+    """Weights with denominators 3, 5 and 7 on some of points; sub-unit 40%
+    of the time."""
+    chosen = rng.sample(points, rng.randint(1, min(4, len(points))))
+    raw = [Fraction(rng.randint(1, 6), rng.choice((3, 5, 7))) for _ in chosen]
+    scale = Fraction(rng.randint(1, 4), 5) if rng.random() < 0.4 else 1
+    return FinDist({p: w / sum(raw) * scale for p, w in zip(chosen, raw)})
+
+
+def _same(got, want):
+    """got is want as a FinDist, and its weights are in lowest terms."""
+    weights, den = got.weights()
+    assert gcd(den, *weights.values()) == 1
+    assert dict(got.items()) == want and got == FinDist(want)
+
+
+def test_integer_weights_agree_with_the_per_point_fraction_operations():
+    rng = random.Random(8)
+    subunit = 0
+    for case in range(300):
+        env = _gen.gen_env(rng, 1, 4)
+        n = rng.choice((1, 2))
+        mems = all_memories(env, n)
+        d, e = _mixed_dist(rng, mems), _mixed_dist(rng, mems)
+        subunit += not d.is_proper()
+        coarse = lambda m: m.values[0][:1]
+        _same(d.map(coarse), ref_map(d, coarse))
+        kernels = {m: _mixed_dist(rng, ["0", "1", "00"]) for m in mems}
+        _same(d.bind(kernels.__getitem__), ref_bind(d, kernels.__getitem__))
+        names = list(env.names())
+        rng.shuffle(names)
+        cut = rng.randint(0, len(names))
+        left, right = env.restrict(names[:cut]), env.restrict(names[cut:])
+        _same(project(d, left), ref_project(d, left))
+        a = _mixed_dist(rng, all_memories(left, n))
+        b = _mixed_dist(rng, all_memories(right, n))
+        _same(tensor(a, b), ref_tensor(a, b))
+        r, bit = rng.choice(names), rng.choice("01")
+        got, want = _outcome(condition, d, r, bit), _outcome(ref_condition, d, r, bit)
+        assert got[0] == want[0], case
+        if got[0] == "ok":
+            _same(got[1], want[1])
+        assert stat_dist(d, e) == ref_stat_dist(d, e)
+        assert stat_dist(d, d) == 0
+    assert 60 <= subunit <= 240, subunit

@@ -8,7 +8,7 @@ satisfaction, axiom schemas, entailment certificates), hoare (the triple
 checker, validation, and fuzzing), and cli (the command-line driver).
 """
 
-from .dist import FinDist, Memory, Store, stat_dist, uniform_store, zero_store
+from .dist import FinDist, Store, memory, stat_dist, uniform_store, zero_store
 from .hoare import (
     FuzzReport,
     ProofError,
@@ -80,7 +80,6 @@ __all__ = [
     "Formula",
     "FuzzReport",
     "HoareTriple",
-    "Memory",
     "ParseError",
     "ProofError",
     "ProofTree",
@@ -102,6 +101,7 @@ __all__ = [
     "fuzz_rule_soundness",
     "load_registry",
     "match_axiom",
+    "memory",
     "parse_cert",
     "parse_decls",
     "parse_env",

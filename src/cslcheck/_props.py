@@ -14,10 +14,11 @@ from fractions import Fraction
 from . import _gen
 from .dist import (
     FinDist,
-    Memory,
     Store,
     all_memories,
     all_values,
+    memory,
+    project,
     tensor,
     uniform_memories,
     uniform_store,
@@ -32,14 +33,7 @@ from .logic import (
     sat_formula,
     search_annotation,
 )
-from .semantics import (
-    bind_stub,
-    run,
-    run_kozen,
-    run_store,
-    store_project,
-    store_tensor,
-)
+from .semantics import bind_stub, run, run_kozen, run_store
 from .syntax import (
     BOOL,
     EMPTY_ENV,
@@ -138,27 +132,25 @@ def suite_pkrm(rng, cases, ns, result):
         envs = [Env.make({nm: rng.choice(_gen._TYPE_POOL)}) for nm in names]
         stores = [_gen.gen_store(rng, e, ns) for e in envs]
         a, b, c = stores
-        left = store_tensor(store_tensor(a, b), c)
-        right = store_tensor(a, store_tensor(b, c))
+        left = tensor(tensor(a, b), c)
+        right = tensor(a, tensor(b, c))
         if left != right:
             _note(result, "tensor associativity fails")
         unit = zero_store(EMPTY_ENV, ns)
-        if store_tensor(a, unit) != a or store_tensor(unit, a) != a:
+        if tensor(a, unit) != a or tensor(unit, a) != a:
             _note(result, "tensor identity fails")
         whole = left
         # preorder: marginals of marginals are marginals
         sub = env_join(envs[0], envs[1])
-        if store_project(store_project(whole, sub), envs[0]) != store_project(
-            whole, envs[0]
-        ):
+        if project(project(whole, sub), envs[0]) != project(whole, envs[0]):
             _note(result, "projection transitivity fails")
-        if store_project(whole, whole.env) != whole:
+        if project(whole, whole.env) != whole:
             _note(result, "projection reflexivity fails")
         # tensor respects the preorder componentwise
         t1 = _gen.gen_store(rng, env_join(envs[0], envs[1]), ns)
         t2 = _gen.gen_store(rng, envs[2], ns)
-        if store_project(store_tensor(t1, t2), env_join(envs[0], envs[2])) != store_tensor(
-            store_project(t1, envs[0]), store_project(t2, envs[2])
+        if project(tensor(t1, t2), env_join(envs[0], envs[2])) != tensor(
+            project(t1, envs[0]), project(t2, envs[2])
         ):
             _note(result, "tensor compatibility with projection fails")
 
@@ -173,7 +165,7 @@ def suite_mv(rng, cases, ns, result):
         rest = env.restrict(set(env.names()) - mv(prog))
         s = _gen.gen_store(rng, env, ns)
         out = run_store(s, prog, symbols)
-        if store_project(out, rest) != store_project(s, rest):
+        if project(out, rest) != project(s, rest):
             _note(result, "marginal of unmodified variables changed")
 
 
@@ -187,8 +179,8 @@ def suite_locality(rng, cases, ns, result):
         sub = env.restrict(sub_names)
         prog = _gen.gen_program(rng, sub, symbols)
         s = _gen.gen_store(rng, env, ns)
-        if store_project(run_store(s, prog, symbols), sub) != run_store(
-            store_project(s, sub), prog, symbols
+        if project(run_store(s, prog, symbols), sub) != run_store(
+            project(s, sub), prog, symbols
         ):
             _note(result, "projection does not commute with execution")
 
@@ -202,8 +194,8 @@ def suite_frame(rng, cases, ns, result):
         prog = _gen.gen_program(rng, xi, symbols)
         left = _gen.gen_store(rng, xi, ns)
         right = _gen.gen_store(rng, theta, ns)
-        joint = store_tensor(left, right)
-        if run_store(joint, prog, symbols) != store_tensor(
+        joint = tensor(left, right)
+        if run_store(joint, prog, symbols) != tensor(
             run_store(left, prog, symbols), right
         ):
             _note(result, "independence is not preserved by a local program")
@@ -217,9 +209,9 @@ def suite_unit(rng, cases, ns, result):
         env = _gen.gen_env(rng)
         s = _gen.gen_store(rng, env, ns)
         unit = zero_store(EMPTY_ENV, ns)
-        if store_tensor(unit, s) != s:
+        if tensor(unit, s) != s:
             _note(result, "unit tensor changed the store")
-        if store_project(s, EMPTY_ENV) != unit:
+        if project(s, EMPTY_ENV) != unit:
             _note(result, "projection to the empty environment is not the unit")
 
 
@@ -277,7 +269,7 @@ def suite_axioms(rng, cases, ns, result):
     for nn in ns:
         pts = {}
         for v in all_values(env.lookup("r"), nn):
-            m = Memory.make(env, nn, {"r": v, "b": v[0], "s": v[1:]})
+            m = memory(env, nn, {"r": v, "b": v[0], "s": v[1:]})
             pts[m] = Fraction(1, 2 ** (nn + 1))
         family[nn] = FinDist(pts)
     s = Store(env, family)
@@ -297,7 +289,7 @@ def suite_axioms(rng, cases, ns, result):
         pts = {}
         for v in all_values(env.lookup("r"), nn):
             for bit in "01":
-                m = Memory.make(env, nn, {"r": v, "b": bit, "s": v + bit})
+                m = memory(env, nn, {"r": v, "b": bit, "s": v + bit})
                 pts[m] = Fraction(1, 2 ** (nn + 1))
         family[nn] = FinDist(pts)
     s = Store(env, family)
@@ -339,16 +331,16 @@ def suite_bi(rng, cases, ns, result):
         env = _gen.gen_env(rng, 1, 2)
         f = _gen.gen_formula(rng, env, symbols)
         s = _gen.gen_store(rng, env, ns)
-        annotated = sat_formula(store_project(s, f.annotation), f, symbols=symbols)
-        plain = sat_bi(store_project(s, f.annotation), f, symbols=symbols)
+        annotated = sat_formula(project(s, f.annotation), f, symbols=symbols)
+        plain = sat_bi(project(s, f.annotation), f, symbols=symbols)
         if annotated and not plain:
             _note(result, "annotated satisfaction without a plain witness")
         if plain:
             witness = search_annotation(
-                store_project(s, f.annotation), f.body, symbols=symbols
+                project(s, f.annotation), f.body, symbols=symbols
             )
             if witness is None or not sat_formula(
-                store_project(s, f.annotation), witness, symbols=symbols
+                project(s, f.annotation), witness, symbols=symbols
             ):
                 _note(result, "no annotation found for a plainly-true formula")
 
@@ -364,11 +356,11 @@ def suite_split_merge(rng, cases, ns, result):
     def verdicts(d: FinDist):
         s = Store(env, {1: d})
         joint_uniform = d == uniform_memories(env, 1)
-        mx = store_project(s, ex), store_project(s, ey)
+        mx = project(s, ex), project(s, ey)
         marg_uniform = all(
             p.at(1) == uniform_memories(p.env, 1) for p in mx
         )
-        product = d == tensor(mx[0].at(1), mx[1].at(1))
+        product = s == tensor(*mx)
         return joint_uniform, marg_uniform and product
 
     for den in range(1, 9):
@@ -421,20 +413,21 @@ def suite_independence(rng, cases, ns, result):
         # brute force: all product pairs with probabilities k/total
         found = False
         for kx in range(total + 1):
+            u = FinDist(
+                {
+                    xmems[0]: Fraction(kx, total),
+                    xmems[1]: Fraction(total - kx, total),
+                }
+            )
+            u = Store(ex, {n: u})
             for ky in range(total + 1):
-                u = FinDist(
-                    {
-                        xmems[0]: Fraction(kx, total),
-                        xmems[1]: Fraction(total - kx, total),
-                    }
-                )
                 v = FinDist(
                     {
                         ymems[0]: Fraction(ky, total),
                         ymems[1]: Fraction(total - ky, total),
                     }
                 )
-                if tensor(u, v) == d:
+                if tensor(u, Store(ey, {n: v})) == s:
                     found = True
                     break
             if found:

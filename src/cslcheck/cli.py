@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from ._props import ALL_SUITES
-from .dist import Store, exact_rational, parse_store, store_to_text, zero_store
+from .dist import _N_KEY, Store, exact_rational, parse_store, store_to_text, zero_store
 from .hoare import ProofError, check_triple
 from .logic import load_registry, sat_formula
 from .semantics import (
@@ -64,13 +64,11 @@ def _read(path: str) -> str:
 
 
 def _parse_ns(text: str) -> tuple[int, ...]:
-    try:
-        ns = tuple(sorted({int(part) for part in text.split(",") if part.strip()}))
-    except ValueError:
+    """The n of a comma-separated list, each written as a store family key is."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts or not all(_N_KEY.fullmatch(part) for part in parts):
         raise ValueError(f"bad n list {text!r}; expected e.g. 1,2,3")
-    if not ns or any(n < 1 for n in ns):
-        raise ValueError(f"bad n list {text!r}; all entries must be >= 1")
-    return ns
+    return tuple(sorted({int(part) for part in parts}))
 
 
 def _select_ns(store: Store, n_text: Optional[str]) -> Store:
@@ -150,7 +148,7 @@ def cmd_run(args) -> int:
         lines.append(f"n={n}")
         d = out.at(n)
         for m in d.support():
-            cells = " ".join(f"{name}={v}" for name, v in m.as_dict().items())
+            cells = " ".join(f"{name}={v}" for name, v in zip(out.env.names(), m))
             lines.append(f"  {cells}  {d.prob(m)}")
     _emit("\n".join(lines) + "\n", args.out)
     return OK

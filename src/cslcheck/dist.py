@@ -4,10 +4,14 @@ A distribution holds positive integer weights over one denominator, in
 lowest terms, so structural equality of the weights is equality of
 distributions and every uniformity/distance check is decidable with no
 tolerance. A memory is the tuple of its values in the order of its
-environment, which alone holds the variable names. Fractions appear only at
-the boundary: the public constructor, scale, prob, items, total, the result
-of stat_dist and the store file format. mix is the one integer bind:
-FinDist.bind, add and the program kernel all go through it.
+environment. FinDist knows nothing of environments: the Store that holds a
+memory distribution, or the caller that passes env, names the values, so
+project, tensor and condition take theirs from there. memory() is the one
+checked way to build a memory from names, and parse_store reads through the
+same reader. Fractions appear only at the boundary: the public constructor,
+scale, prob, items, total, the result of stat_dist and the store file
+format. mix is the one integer bind: FinDist.bind, add and the program
+kernel all go through it.
 
 Sub-unit total mass is permitted (the program semantics is linear and gets
 exercised on sub-distributions); stores and serialization require full
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -31,6 +34,7 @@ from .syntax import (
     BoolType,
     Env,
     Type,
+    env_to_text,
     parse_type,
     poly_eval,
     type_to_text,
@@ -60,58 +64,40 @@ def memory_bits(env: Env, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Memories
+# Memories: a memory over env at n is the tuple of its values in env order.
 
 
-@dataclass(frozen=True)
-class Memory:
-    """A well-typed assignment of bitstring values to the variables of env."""
+def _memory_reader(env: Env, n: int) -> Callable[[dict], tuple]:
+    """Reads a memory from a mapping of names to bitstrings, checking every
+    value; the widths are worked out once, here."""
+    fields = [(name, value_len(t, n)) for name, t in env.items()]
 
-    env: Env
-    n: int
-    values: tuple[str, ...]  # in env order; the names are only in env
-
-    def __hash__(self) -> int:  # without env, which is slow to hash; == compares it
-        return hash((self.n, self.values))
-
-    @staticmethod
-    def make(env: Env, n: int, mapping) -> "Memory":
-        items = dict(mapping.items() if isinstance(mapping, dict) else mapping)
+    def read(mapping: dict) -> tuple:
         values = []
-        for name, t in env.items():
-            if name not in items:
+        for name, width in fields:
+            if name not in mapping:
                 raise ValueError(f"memory missing a value for {name}")
-            v = items.pop(name)
-            _check_value(name, t, n, v)
+            v = mapping[name]
+            _check_value(name, width, v)
             values.append(v)
-        if items:
-            raise ValueError(f"memory has extra variables {sorted(items)}")
-        return Memory(env, n, tuple(values))
+        if len(mapping) > len(fields):
+            extra = set(mapping) - set(env.names())
+            raise ValueError(f"memory has extra variables {sorted(extra)}")
+        return tuple(values)
 
-    def get(self, name: str) -> str:
-        return self.as_dict()[name]
-
-    def set(self, name: str, value: str) -> "Memory":
-        if name not in self.env:
-            raise KeyError(name)
-        return Memory.make(self.env, self.n, {**self.as_dict(), name: value})
-
-    def restrict(self, target: Env) -> "Memory":
-        return Memory(target, self.n, _picker(self.env.names(), target)(self.values))
-
-    def merge(self, other: "Memory") -> "Memory":
-        return tensor(FinDist.dirac(self), FinDist.dirac(other)).support()[0]
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(zip(self.env.names(), self.values))
+    return read
 
 
-def _check_value(name: str, t: Type, n: int, v: str) -> None:
+def memory(env: Env, n: int, mapping) -> tuple:
+    """The memory over env at n that maps each name to its bitstring."""
+    return _memory_reader(env, n)(dict(mapping))
+
+
+def _check_value(name: str, width: int, v) -> None:
     if not isinstance(v, str) or v.strip("01"):
         raise ValueError(f"value for {name} must be a bitstring, got {v!r}")
-    want = value_len(t, n)
-    if len(v) != want:
-        raise ValueError(f"value for {name} must have {want} bit(s), got {len(v)}")
+    if len(v) != width:
+        raise ValueError(f"value for {name} must have {width} bit(s), got {len(v)}")
 
 
 def _picker(names: tuple[str, ...], target: Env) -> Callable[[tuple], tuple]:
@@ -122,10 +108,9 @@ def _picker(names: tuple[str, ...], target: Env) -> Callable[[tuple], tuple]:
     return itemgetter(*idx) if idx else lambda vals: ()
 
 
-def all_memories(env: Env, n: int) -> list[Memory]:
+def all_memories(env: Env, n: int) -> list[tuple]:
     """Every well-typed memory over env at n, in canonical order."""
-    pools = [all_values(t, n) for _, t in env.items()]
-    return [Memory(env, n, combo) for combo in product(*pools)]
+    return list(product(*(all_values(t, n) for _, t in env.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +166,8 @@ class FinDist:
         return [(p, self.prob(p)) for p in self.support()]
 
     def support(self) -> list:
-        """The points in canonical order; memories sort by their value tuples."""
-        return sorted(self._weights, key=lambda p: p.values if isinstance(p, Memory) else p)
+        """The points in canonical order."""
+        return sorted(self._weights)
 
     def prob(self, point) -> Fraction:
         return Fraction(self._weights.get(point, 0), self._den)
@@ -259,38 +244,11 @@ def uniform_memories(env: Env, n: int) -> FinDist:
     return FinDist.from_ints(dict.fromkeys(mems, 1), len(mems))
 
 
-def tensor(a: FinDist, b: FinDist) -> FinDist:
-    """Product distribution over merged memories; domains must be disjoint."""
-    if not a._weights or not b._weights:
-        return FinDist.from_ints({}, 1)
-    ma, mb = next(iter(a._weights)), next(iter(b._weights))
-    if ma.n != mb.n:
-        raise ValueError("cannot merge memories at different n")
-    env = env_join(ma.env, mb.env)
-    pick = _picker(ma.env.names() + mb.env.names(), env)
-    acc = {
-        Memory(env, ma.n, pick(x.values + y.values)): wa * wb
-        for x, wa in a._weights.items()
-        for y, wb in b._weights.items()
-    }
-    return FinDist.from_ints(acc, a._den * b._den)
-
-
-def project(d: FinDist, target: Env) -> FinDist:
-    """Push forward along restriction of memories to a sub-environment."""
-    for m in d._weights:
-        if not env_ext(target, m.env):
-            raise TypeCheckError(
-                "project", "target is not a sub-environment of the distribution's"
-            )
-        pick = _picker(m.env.names(), target)
-        return d.map(lambda mem: Memory(target, mem.n, pick(mem.values)))
-    return d
-
-
-def condition(d: FinDist, r: str, b: str) -> FinDist:
-    """Renormalized restriction to the event m(r) = b; b is '0' or '1'."""
-    hits = {m: w for m, w in d._weights.items() if m.get(r) == b}
+def condition(d: FinDist, env: Env, r: str, b: str) -> FinDist:
+    """Renormalized restriction of d, over env, to the event m(r) = b; b is
+    '0' or '1'."""
+    i = env.names().index(r)
+    hits = {m: w for m, w in d._weights.items() if m[i] == b}
     mass = sum(hits.values())
     if mass == 0:
         raise ZeroMassError(f"conditioning on {r} = {b}, an event of mass zero")
@@ -324,20 +282,23 @@ def is_uniform(d: FinDist, t: Type, n: int) -> bool:
 
 
 class Store:
-    """An environment with one memory distribution per tested n."""
+    """An environment with one memory distribution per tested n; the
+    environment names the values of every memory."""
 
     __slots__ = ("env", "family")
 
     def __init__(self, env: Env, family: dict[int, FinDist]):
         self.env = env
         self.family = dict(family)
+        arity = len(env)
         for n, d in self.family.items():
             if not d.is_proper():
                 raise ValueError(f"store distribution at n={n} has mass != 1")
             for m in d._weights:
-                if m.env != env or m.n != n:
+                if not isinstance(m, tuple) or len(m) != arity:
                     raise ValueError(
-                        f"memory over {m.env} at n={m.n} in the n={n} slot"
+                        f"memory {m!r} in the n={n} slot does not hold one "
+                        f"value per variable of {env_to_text(env)}"
                     )
 
     def tested_ns(self) -> list[int]:
@@ -366,9 +327,7 @@ def dirac_store(env: Env, ns: Iterable[int], value_fn) -> Store:
     """Store of point masses; value_fn(name, type, n) gives each value."""
     family = {}
     for n in ns:
-        mem = Memory.make(
-            env, n, {name: value_fn(name, t, n) for name, t in env.items()}
-        )
+        mem = memory(env, n, {name: value_fn(name, t, n) for name, t in env.items()})
         family[n] = FinDist.dirac(mem)
     return Store(env, family)
 
@@ -377,15 +336,43 @@ def zero_store(env: Env, ns: Iterable[int]) -> Store:
     return dirac_store(env, ns, lambda name, t, n: "0" * value_len(t, n))
 
 
+def project(s: Store, target: Env) -> Store:
+    """The marginal of s on target, a sub-environment of s.env."""
+    if not env_ext(target, s.env):
+        raise TypeCheckError("project", "target is not a sub-environment")
+    pick = _picker(s.env.names(), target)
+    return Store(target, {n: d.map(pick) for n, d in s.family.items()})
+
+
+def tensor(a: Store, b: Store) -> Store:
+    """The product of two stores over disjoint environments, n by n."""
+    if a.tested_ns() != b.tested_ns():
+        raise ValueError("stores are tested at different n sets")
+    env = env_join(a.env, b.env)
+    pick = _picker(a.env.names() + b.env.names(), env)
+    family = {}
+    for n, da in a.family.items():
+        db = b.family[n]
+        acc = {
+            pick(x + y): wa * wb
+            for x, wa in da._weights.items()
+            for y, wb in db._weights.items()
+        }
+        family[n] = FinDist.from_ints(acc, da._den * db._den)
+    return Store(env, family)
+
+
 # ---------------------------------------------------------------------------
 # The store file format:
 # {"env": {name: type}, "family": {n: [{"values": {name: bits}, "prob": p}]}}
 
 
 def store_to_text(s: Store) -> str:
+    names = s.env.names()
     family = {
         str(n): [
-            {"values": m.as_dict(), "prob": str(d.prob(m))} for m in d.support()
+            {"values": dict(zip(names, m)), "prob": str(d.prob(m))}
+            for m in d.support()
         ]
         for n, d in sorted(s.family.items())
     }
@@ -444,6 +431,7 @@ def parse_store(text: str) -> Store:
         if not isinstance(entries, list):
             raise ValueError(f"store family {n_text!r} must be a list of entries")
         n = int(n_text)
+        read = _memory_reader(env, n)
         probs = {}
         for i, entry in enumerate(entries):
             where = f"store family {n_text!r} entry {i}"
@@ -453,7 +441,10 @@ def parse_store(text: str) -> Store:
                 and "prob" in entry
             ):
                 raise ValueError(f"{where}: needs a 'values' object and a 'prob'")
-            m = Memory.make(env, n, entry["values"])
+            try:
+                m = read(entry["values"])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             raw = entry["prob"]
             if not isinstance(raw, str) or raw not in rationals:
                 rationals[raw] = exact_rational(raw, f"{where}: prob")

@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import _gen
-from .dist import Store, ZeroMassError, condition
+from .dist import Store, ZeroMassError, condition, project
 from .logic import CertError, check_hilbert, load_registry, sat_formula
-from .semantics import DEFAULT_MAX_BITS, check_bit_budget, run_store, store_project
+from .semantics import DEFAULT_MAX_BITS, check_bit_budget, run_store
 from .syntax import (
     Assign,
     Atom,
@@ -421,7 +421,7 @@ def _fuzz_composite(rng, ns, epsilon, symbols, report, star_shape):
         if not sat_formula(store, triple.pre, epsilon, symbols):
             continue
         # premise: the child triple must hold on the projected store
-        proj = store_project(store, child.env)
+        proj = project(store, child.env)
         verdict = _pointwise_valid(child, proj, epsilon, symbols)
         if verdict is not True:
             continue
@@ -440,7 +440,7 @@ def _fuzz_rcond_case(rng, ns, epsilon, symbols, report):
             family = {}
             for n in store.tested_ns():
                 try:
-                    family[n] = condition(store.at(n), guard, bit)
+                    family[n] = condition(store.at(n), store.env, guard, bit)
                 except ZeroMassError:
                     pass  # the branch is never taken at this n
             if not family:

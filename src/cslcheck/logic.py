@@ -27,14 +27,8 @@ from importlib import resources
 from itertools import combinations
 from typing import Callable, Optional
 
-from .dist import Store, stat_dist, uniform_values
-from .semantics import (
-    compile_det,
-    eval_expr,
-    store_indist,
-    store_project,
-    store_tensor,
-)
+from .dist import Store, project, stat_dist, tensor, uniform_values
+from .semantics import compile_det, eval_expr, store_indist
 from .syntax import (
     And,
     App,
@@ -137,15 +131,15 @@ def sat_formula(
     if isinstance(b, Atom):
         return sat_atom(s, f, epsilon, symbols)
     left, right = b.left, b.right
-    lproj = store_project(s, left.annotation)
-    rproj = store_project(s, right.annotation)
+    lproj = project(s, left.annotation)
+    rproj = project(s, right.annotation)
     if isinstance(b, And):
         return sat_formula(lproj, left, epsilon, symbols) and sat_formula(
             rproj, right, epsilon, symbols
         )
     joined = env_join(left.annotation, right.annotation)
     independent = store_indist(
-        store_project(s, joined), store_tensor(lproj, rproj), epsilon
+        project(s, joined), tensor(lproj, rproj), epsilon
     )
     return (
         independent
@@ -167,9 +161,9 @@ def entailment_holds_on(
     check is that the lhs marginal satisfying lhs forces the rhs marginal to
     satisfy rhs.
     """
-    if not sat_formula(store_project(s, lhs.annotation), lhs, epsilon, symbols):
+    if not sat_formula(project(s, lhs.annotation), lhs, epsilon, symbols):
         return True
-    return sat_formula(store_project(s, rhs.annotation), rhs, epsilon, symbols)
+    return sat_formula(project(s, rhs.annotation), rhs, epsilon, symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +193,11 @@ def _splits(s: Store, left: Formula, right: Formula, epsilon: Fraction):
         for theta in _subenvs(rest):
             if not need_right <= set(theta.names()):
                 continue
-            lproj = store_project(s, xi)
-            rproj = store_project(s, theta)
+            lproj = project(s, xi)
+            rproj = project(s, theta)
             if store_indist(
-                store_project(s, env_join(xi, theta)),
-                store_tensor(lproj, rproj),
+                project(s, env_join(xi, theta)),
+                tensor(lproj, rproj),
                 epsilon,
             ):
                 yield lproj, rproj

@@ -4,9 +4,9 @@ Two equivalent interpreters are provided: run compiles each statement once
 and pushes the whole input through it at once, splitting on the guard bit
 at conditionals; run_kozen splits on the guard distribution (conditioning
 each branch and recombining convexly). Both are exact and linear in the
-input distribution. run works on FinDist's own representation: memories'
-value tuples with integer weights over one denominator, combined by
-dist.mix; it builds Memory objects only for the output.
+input distribution. Both work on FinDist's own representation: memories
+are value tuples in env order, with integer weights over one denominator,
+combined by dist.mix. The caller passes env, which names the values.
 
 Uninterpreted declared symbols fail loudly when a memory reaches them;
 bind_stub attaches one of the named concrete evaluators so corpus programs
@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Optional
 
 from .dist import (
     FinDist,
-    Memory,
     Store,
     _check_value,
     condition,
@@ -29,7 +28,6 @@ from .dist import (
     mix,
     project,
     stat_dist,
-    tensor,
     uniform_values,
     value_len,
 )
@@ -51,7 +49,7 @@ from .syntax import (
     poly_eval,
     POLY_N,
 )
-from .types import TypeCheckError, env_join, env_ext
+from .types import TypeCheckError, env_ext
 
 DEFAULT_MAX_BITS = 22
 
@@ -146,14 +144,13 @@ def _lift(part: tuple[bool, Callable]) -> Callable:
 
 def compile_det(
     env: Env, e: Expr, n: int, symbols: Optional[SymbolTable] = None
-) -> Callable[[Memory], str]:
+) -> Callable[[tuple], str]:
     """A deterministic expression compiled once, as a function of a memory."""
-    _, fn = _compile(e, env.names(), n, symbols or SymbolTable(), det=True)
-    return lambda m: fn(m.values)
+    return _compile(e, env.names(), n, symbols or SymbolTable(), det=True)[1]
 
 
 def eval_det(
-    env: Env, d: Expr, n: int, m: Memory, symbols: Optional[SymbolTable] = None
+    env: Env, d: Expr, n: int, m: tuple, symbols: Optional[SymbolTable] = None
 ) -> str:
     """Evaluate a deterministic expression in one memory."""
     return compile_det(env, d, n, symbols)(m)
@@ -165,7 +162,7 @@ def eval_expr(
     """Output-value distribution of e over an input memory distribution."""
     fn = _lift(_compile(e, env.names(), n, symbols or SymbolTable()))
     weights, den = d.weights()
-    return FinDist.from_ints(*mix(weights, den, lambda m: fn(m.values)))
+    return FinDist.from_ints(*mix(weights, den, fn))
 
 
 def _exec(p: Program, env: Env, n: int, symbols: SymbolTable, points: dict, den: int):
@@ -195,8 +192,9 @@ def _exec(p: Program, env: Env, n: int, symbols: SymbolTable, points: dict, den:
         return {vals[:i] + (v,) + vals[i + 1 :]: x for v, x in ws.items()}, d
 
     out, den = mix(points, den, assigned)
+    width = value_len(env.lookup(p.target), n)
     for v in {vals[i] for vals in out}:
-        _check_value(p.target, env.lookup(p.target), n, v)
+        _check_value(p.target, width, v)
     return out, den
 
 
@@ -204,10 +202,7 @@ def run(
     env: Env, p: Program, n: int, d: FinDist, symbols: Optional[SymbolTable] = None
 ) -> FinDist:
     """Push the whole input through p; env is the memories' environment."""
-    weights, den = d.weights()
-    points = {m.values: w for m, w in weights.items()}
-    points, den = _exec(p, env, n, symbols or SymbolTable(), points, den)
-    return FinDist.from_ints({Memory(env, n, v): w for v, w in points.items()}, den)
+    return FinDist.from_ints(*_exec(p, env, n, symbols or SymbolTable(), *d.weights()))
 
 
 def run_kozen(
@@ -228,13 +223,14 @@ def run_kozen(
     if isinstance(p, Seq):
         return run_kozen(env, p.second, n, run_kozen(env, p.first, n, d, symbols), symbols)
     total = d.total()
-    w1 = sum(pr for m, pr in d.items() if m.get(p.guard) == "1")
+    g = env.names().index(p.guard)
+    w1 = sum(pr for m, pr in d.items() if m[g] == "1")
     if w1 == total:
         return run_kozen(env, p.then_branch, n, d, symbols)
     if w1 == 0:
         return run_kozen(env, p.else_branch, n, d, symbols)
-    then_out = run_kozen(env, p.then_branch, n, condition(d, p.guard, "1"), symbols)
-    else_out = run_kozen(env, p.else_branch, n, condition(d, p.guard, "0"), symbols)
+    then_out = run_kozen(env, p.then_branch, n, condition(d, env, p.guard, "1"), symbols)
+    else_out = run_kozen(env, p.else_branch, n, condition(d, env, p.guard, "0"), symbols)
     return convex(then_out, else_out, FinDist({"1": w1, "0": total - w1}))
 
 
@@ -246,24 +242,11 @@ def run_store(s: Store, p: Program, symbols: Optional[SymbolTable] = None) -> St
     return Store(s.env, {n: run(s.env, p, n, d, symbols) for n, d in s.family.items()})
 
 
-def store_project(s: Store, target: Env) -> Store:
-    if not env_ext(target, s.env):
-        raise TypeCheckError("store_project", "target is not a sub-environment")
-    return Store(target, {n: project(d, target) for n, d in s.family.items()})
-
-
-def store_tensor(a: Store, b: Store) -> Store:
-    if a.tested_ns() != b.tested_ns():
-        raise ValueError("stores are tested at different n sets")
-    env = env_join(a.env, b.env)
-    return Store(env, {n: tensor(a.at(n), b.at(n)) for n in a.tested_ns()})
-
-
 def store_ext(sub: Store, sup: Store) -> bool:
     """sub is exactly the marginal of sup on sub's environment."""
     if not env_ext(sub.env, sup.env) or sub.tested_ns() != sup.tested_ns():
         return False
-    return all(project(sup.at(n), sub.env) == sub.at(n) for n in sub.tested_ns())
+    return project(sup, sub.env) == sub
 
 
 def store_indist(a: Store, b: Store, epsilon: Fraction = Fraction(0)) -> bool:

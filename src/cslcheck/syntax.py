@@ -160,6 +160,7 @@ class Env:
     """Finite map from variable names to types, kept sorted by name."""
 
     bindings: tuple[tuple[str, Type], ...]
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [name for name, _ in self.bindings]
@@ -167,6 +168,7 @@ class Env:
             raise ValueError("environment bindings must be sorted by name")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable in environment")
+        object.__setattr__(self, "_names", tuple(names))
 
     @staticmethod
     def make(mapping) -> "Env":
@@ -180,7 +182,7 @@ class Env:
         return None
 
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.bindings)
+        return self._names
 
     def items(self) -> tuple[tuple[str, Type], ...]:
         return self.bindings

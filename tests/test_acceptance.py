@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from cslcheck import _gen, _props
-from cslcheck.dist import FinDist, Memory, Store, all_memories, tensor
+from cslcheck.dist import FinDist, Store, all_memories, memory, tensor
 from cslcheck.hoare import ProofError, check_triple, validate_triple
 from cslcheck.logic import sat_formula
 from cslcheck.semantics import run_store
@@ -159,15 +159,15 @@ def test_02_pad_output_secrecy():
     )
     rng = random.Random(SEED + 2)
     symbols = SymbolTable()
-    base_env = env.restrict(("c", "k"))
+    base_env, msg_env = env.restrict(("c", "k")), env.restrict(("m",))
     failures = 0
     for _ in range(20):
-        family = {}
+        base, msg = {}, {}
         for n in (1, 2, 3):
-            msg = _gen.gen_dist(rng, env.restrict(("m",)), n)
-            base = FinDist.dirac(Memory.make(base_env, n, {"c": "0" * n, "k": "0" * n}))
-            family[n] = tensor(base, msg)
-        out = run_store(Store(env, family), prog, symbols)
+            msg[n] = _gen.gen_dist(rng, msg_env, n)
+            base[n] = FinDist.dirac(memory(base_env, n, {"c": "0" * n, "k": "0" * n}))
+        joint = tensor(Store(base_env, base), Store(msg_env, msg))
+        out = run_store(joint, prog, symbols)
         if not sat_formula(out, post, Fraction(0), symbols):
             failures += 1
     report(

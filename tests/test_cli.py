@@ -358,6 +358,44 @@ def test_eval_store_with_a_repeated_key_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_a_bad_store_value_names_its_entry(tmp_path, capsys):
+    doc = {
+        "env": {"x": "Str[n]"},
+        "family": {
+            "1": [{"values": {"x": "0"}, "prob": 1}],
+            "2": [
+                {"values": {"x": "01"}, "prob": "1/2"},
+                {"values": {"x": "011"}, "prob": "1/2"},
+            ],
+        },
+    }
+    f = write(tmp_path, "t.f", "(T){x: Str[n]}")
+    store = write(tmp_path, "wide.json", json.dumps(doc))
+    assert main(["eval", f, store]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: store family '2' entry 1: value for x must have 2 bit(s), got 3\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n_text", ["1_0", "01", " +1", "0", "1,-2", ","])
+def test_n_is_read_by_the_store_key_rule(otp_prog, tmp_path, capsys, n_text):
+    store = fresh_store(tmp_path, otp_prog)
+    f = write(tmp_path, "u.f", "(U(c))" + OTP_ENV)
+    for argv in (
+        ["run", otp_prog, "--env", OTP_ENV, "--n", n_text],
+        ["run", otp_prog, "--input", store, "--n", n_text],
+        ["eval", f, store, "--n", n_text],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad n list {n_text!r}; expected e.g. 1,2,3\n"
+        assert captured.out == ""
+    assert main(["eval", f, store, "--n", " 2 , 1 ,"]) == 0  # spaces around commas
+    assert capsys.readouterr().out == "n=1: true\nn=2: true\noverall: true\n"
+
+
 def test_check_proof_with_a_repeated_key_is_a_usage_error(tmp_path, capsys):
     text = GOOD_PROOF.replace('"rule": "Skip",', '"rule": "Skip", "rule": "Skip",')
     path = write(tmp_path, "dup.proof", text)
@@ -421,7 +459,7 @@ def test_store_prob_must_be_exact():
     want = {"0": Fraction(1, 4), "1": Fraction(3, 4)}
     for probs in [("1/4", "3/4"), ("0.25", "0.75")]:
         d = parse_store(store(*probs)).at(1)
-        assert {m.get("x"): pr for m, pr in d.items()} == want
+        assert {x: pr for (x,), pr in d.items()} == want
     assert parse_store(store(1)).at(1).is_proper()
     for probs in [(0.25, 0.75), (0.1, 0.9), (True,), ("1/0",), ("1e-3",), (None,)]:
         with pytest.raises(ValueError, match="prob"):

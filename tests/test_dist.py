@@ -6,7 +6,6 @@ import pytest
 
 from cslcheck.dist import (
     FinDist,
-    Memory,
     Store,
     ZeroMassError,
     all_memories,
@@ -15,6 +14,7 @@ from cslcheck.dist import (
     convex,
     dirac_store,
     is_uniform,
+    memory,
     memory_bits,
     project,
     stat_dist,
@@ -24,7 +24,9 @@ from cslcheck.dist import (
     uniform_values,
     zero_store,
 )
+from cslcheck.semantics import store_indist
 from cslcheck.syntax import BOOL, parse_env, parse_type
+from cslcheck.types import TypeCheckError
 
 
 HALF = Fraction(1, 2)
@@ -35,7 +37,7 @@ AB = parse_env("{a: Str[1], b: Str[1]}")
 def mem(env, n=1, **values):
     if isinstance(env, str):
         env = parse_env(env)
-    return Memory.make(env, n, values)
+    return memory(env, n, values)
 
 
 # FinDist basics
@@ -84,14 +86,6 @@ def test_probabilities_must_be_ints_or_fractions():
         with pytest.raises(ValueError, match="scale factor must be an int or a Fraction"):
             d.scale(factor)
     assert FinDist({"a": 1}) == FinDist.dirac("a") and d.scale(1) == d
-
-
-def test_memory_equality_compares_the_environment():
-    a = mem("{x: Bool}", x="1")
-    b = mem("{x: Bool}", x="1")  # an equal environment, parsed again
-    assert a.env is not b.env and a == b and hash(a) == hash(b)
-    assert mem("{y: Bool}", y="1") != a
-    assert mem("{x: Bool}", n=2, x="1") != a
 
 
 def test_sub_distributions_allowed():
@@ -154,15 +148,10 @@ def test_stat_dist():
 # Memories
 
 
-def test_memory_is_sorted_and_hashable():
-    m = mem("{a: Str[2], b: Bool}", n=1, b="1", a="01")
-    assert m.as_dict() == {"a": "01", "b": "1"}
-    assert m.get("a") == "01"
-    assert m == mem("{a: Str[2], b: Bool}", n=1, a="01", b="1")
-    assert hash(m) == hash(mem("{a: Str[2], b: Bool}", n=1, b="1", a="01"))
-
-
 def test_memory_checks_value_shape():
+    # the values come in the environment's order, whatever the mapping's
+    assert mem("{a: Str[2], b: Bool}", n=1, b="1", a="01") == ("01", "1")
+    assert memory(parse_env("{a: Bool}"), 1, [("a", "0")]) == ("0",)
     with pytest.raises(ValueError, match="bit"):
         mem("{a: Str[2]}", a="0")  # wrong length
     with pytest.raises(ValueError, match="bit"):
@@ -176,21 +165,9 @@ def test_memory_checks_value_shape():
 
 
 def test_memory_length_tracks_n():
-    m = mem("{x: Str[n+1]}", n=2, x="000")
-    assert m.get("x") == "000"
+    assert mem("{x: Str[n+1]}", n=2, x="000") == ("000",)
     with pytest.raises(ValueError):
         mem("{x: Str[n+1]}", n=2, x="00")
-
-
-def test_memory_set_restrict_merge():
-    m = mem("{a: Str[1], b: Bool}", a="0", b="1")
-    assert m.set("a", "1").get("a") == "1"
-    small = m.restrict(parse_env("{a: Str[1]}"))
-    assert small.env == parse_env("{a: Str[1]}")
-    merged = small.merge(mem("{c: Bool}", c="0"))
-    assert merged.as_dict() == {"a": "0", "c": "0"}
-    with pytest.raises(Exception):
-        small.merge(mem("{a: Str[1]}", a="1"))  # overlapping domains
 
 
 def test_all_memories_and_uniform():
@@ -225,20 +202,23 @@ def test_project_marginal():
             mem(AB, a="1", b="0"): HALF,
         }
     )
-    marg = project(d, parse_env("{a: Str[1]}"))
+    marg = project(Store(AB, {1: d}), parse_env("{a: Str[1]}")).at(1)
     assert marg == FinDist(
         {mem("{a: Str[1]}", a="0"): HALF, mem("{a: Str[1]}", a="1"): HALF}
     )
 
 
 def test_tensor_builds_products():
-    da = FinDist({mem("{a: Bool}", a="0"): HALF, mem("{a: Bool}", a="1"): HALF})
-    db = FinDist.dirac(mem("{b: Bool}", b="1"))
-    prod = tensor(da, db)
-    assert prod.prob(mem("{a: Bool, b: Bool}", a="0", b="1")) == HALF
-    assert prod.prob(mem("{a: Bool, b: Bool}", a="0", b="0")) == 0
+    ea, eb = parse_env("{a: Bool}"), parse_env("{b: Bool}")
+    da = FinDist({mem(ea, a="0"): HALF, mem(ea, a="1"): HALF})
+    db = FinDist.dirac(mem(eb, b="1"))
+    prod = tensor(Store(ea, {1: da}), Store(eb, {1: db}))
+    assert prod.at(1).prob(mem("{a: Bool, b: Bool}", a="0", b="1")) == HALF
+    assert prod.at(1).prob(mem("{a: Bool, b: Bool}", a="0", b="0")) == 0
     # marginals reconstruct the factors
-    assert project(prod, parse_env("{a: Bool}")) == da
+    assert project(prod, ea) == Store(ea, {1: da})
+    with pytest.raises(TypeCheckError):
+        tensor(prod, Store(ea, {1: da}))  # overlapping domains
 
 
 def test_condition_renormalizes():
@@ -250,11 +230,11 @@ def test_condition_renormalizes():
             mem(gx, g="0", x="0"): HALF,
         }
     )
-    c = condition(d, "g", "1")
+    c = condition(d, gx, "g", "1")
     assert c.prob(mem(gx, g="1", x="0")) == HALF
     assert c.total() == 1
     with pytest.raises(ZeroMassError):
-        condition(condition(d, "g", "0"), "x", "1")
+        condition(condition(d, gx, "g", "0"), gx, "x", "1")
 
 
 # Stores
@@ -271,15 +251,13 @@ def test_store_holds_proper_families():
 def test_dirac_store_uses_value_fn():
     env = parse_env("{x: Str[n]}")
     s = dirac_store(env, (1, 2), lambda name, t, n: "1" * n)
-    assert s.at(2).support()[0].get("x") == "11"
+    assert s.at(2).support() == [("11",)]
     assert s.at(1).is_proper()
 
 
 def test_zero_store_conventions():
     s = zero_store(parse_env("{x: Str[n], b: Bool}"), (2,))
-    m = s.at(2).support()[0]
-    assert m.get("x") == "00"
-    assert m.get("b") == "0"
+    assert s.at(2).support() == [("0", "00")]  # b, then x
 
 
 def test_store_rejects_subnormalized_family():
@@ -290,7 +268,18 @@ def test_store_rejects_subnormalized_family():
 
 
 def test_store_rejects_mismatched_memories():
-    env = parse_env("{x: Bool}")
-    other = FinDist.dirac(mem("{y: Bool}", y="0"))
-    with pytest.raises(ValueError):
-        Store(env, {1: other})
+    # a point of the wrong arity, or one that is not a value tuple
+    env = parse_env("{x: Bool, y: Bool}")
+    for point in [("0",), ("0", "0", "0"), (), "00"]:
+        with pytest.raises(ValueError, match="one value per variable"):
+            Store(env, {1: FinDist.dirac(point)})
+    Store(env, {1: FinDist.dirac(("0", "0"))})
+
+
+def test_stores_over_different_environments_differ():
+    # the same tuples over {x: Bool} and {y: Bool}: the Store holds the names
+    d = FinDist({("0",): HALF, ("1",): HALF})
+    sx, sy = Store(parse_env("{x: Bool}"), {1: d}), Store(parse_env("{y: Bool}"), {1: d})
+    assert sx != sy
+    assert not store_indist(sx, sy)
+    assert sx == Store(parse_env("{x: Bool}"), {1: d})  # an equal env, parsed again

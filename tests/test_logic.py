@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cslcheck.dist import FinDist, Memory, Store, uniform_store, zero_store
+from cslcheck.dist import FinDist, Store, memory, uniform_store, zero_store
 from cslcheck.logic import (
     SCHEMA_TEMPLATES,
     CertError,
@@ -51,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def mem(env, n=1, **values):
     if isinstance(env, str):
         env = parse_env(env)
-    return Memory.make(env, n, values)
+    return memory(env, n, values)
 
 
 def anticorrelated_store():

@@ -19,12 +19,12 @@ from math import gcd
 from cslcheck import _gen
 from cslcheck.dist import (
     FinDist,
-    Memory,
     Store,
     ZeroMassError,
     all_memories,
     condition,
     convex,
+    memory,
     project,
     stat_dist,
     tensor,
@@ -39,7 +39,6 @@ from cslcheck.semantics import (
     eval_expr,
     run,
     run_kozen,
-    store_project,
 )
 from cslcheck.syntax import (
     App,
@@ -72,7 +71,7 @@ Q = Fraction(1, 4)
 
 
 def mem(env, n, **values):
-    return Memory.make(env, n, values)
+    return memory(env, n, values)
 
 
 def test_negation_of_a_fair_bit_is_fair():
@@ -87,7 +86,7 @@ def test_conditioning_uniform_two_bools():
     # {(0,0): 1/2, (0,1): 1/2}
     env = parse_env("{r: Bool, s: Bool}")
     d = uniform_memories(env, 1)
-    got = condition(d, "r", "0")
+    got = condition(d, env, "r", "0")
     want = FinDist(
         {
             mem(env, 1, r="0", s="0"): H,
@@ -101,7 +100,7 @@ def test_conditioning_on_a_missing_event_raises():
     env = parse_env("{r: Bool}")
     d = FinDist.dirac(mem(env, 1, r="1"))
     with pytest.raises(ZeroMassError):
-        condition(d, "r", "0")
+        condition(d, env, "r", "0")
 
 
 def test_point_mass_is_half_away_from_uniform():
@@ -129,9 +128,9 @@ def test_otp_output_at_n1_from_biased_message():
             mem(env, 1, m="1", k="0", c="0"): 2 * third,
         }
     )
-    out = run(env, prog, 1, d)
+    out = Store(env, {1: run(env, prog, 1, d)})
     mc = parse_env("{c: Str[n], m: Str[n]}")
-    got = project(out, mc)
+    got = project(out, mc).at(1)
     want = FinDist(
         {
             mem(mc, 1, m="0", c="0"): Fraction(1, 6),
@@ -142,9 +141,9 @@ def test_otp_output_at_n1_from_biased_message():
     )
     assert got == want
     c_only = project(out, parse_env("{c: Str[n]}"))
-    assert c_only == uniform_memories(parse_env("{c: Str[n]}"), 1)
+    assert c_only.at(1) == uniform_memories(parse_env("{c: Str[n]}"), 1)
     m_only = project(out, parse_env("{m: Str[n]}"))
-    assert got == tensor(m_only, c_only)
+    assert got == tensor(m_only, c_only).at(1)
 
 
 def test_xor_program_truth_table():
@@ -182,9 +181,9 @@ def test_tensor_marginals_recover_factors():
     b = FinDist(
         {mem(ey, 1, y="0"): Fraction(2, 5), mem(ey, 1, y="1"): Fraction(3, 5)}
     )
-    joint = tensor(a, b)
-    assert project(joint, ex) == a
-    assert project(joint, ey) == b
+    joint = tensor(Store(ex, {1: a}), Store(ey, {1: b}))
+    assert project(joint, ex).at(1) == a
+    assert project(joint, ey).at(1) == b
 
 
 def test_xor_with_fresh_randomness_is_uniform():
@@ -261,7 +260,7 @@ def test_store_projection_of_otp_output_is_uniform_cipher():
     zero[2] = FinDist.dirac(mem(env, 2, c="00", k="00", m="00"))
     out_store = Store(env, {n: run(env, prog, n, d) for n, d in zero.items()})
     c_env = parse_env("{c: Str[n]}")
-    got = store_project(out_store, c_env)
+    got = project(out_store, c_env)
     assert got.at(1) == uniform_memories(c_env, 1)
     assert got.at(2) == uniform_memories(c_env, 2)
 
@@ -270,7 +269,12 @@ def test_store_projection_of_otp_output_is_uniform_cipher():
 # The per-memory semantics that the compiled kernel replaced, kept as a
 # reference: every support memory goes through the program on its own,
 # expressions are evaluated by walking the tree, and each statement's result
-# is a nested bind of FinDists.
+# is a nested bind of FinDists. Expressions read a memory by name, from the
+# dict that named() builds.
+
+
+def named(env, m):
+    return dict(zip(env.names(), m))
 
 
 def ref_apply(e, sym, vals, n):
@@ -295,7 +299,7 @@ def ref_apply(e, sym, vals, n):
 
 def ref_eval_det(e, n, m, symbols):
     if isinstance(e, Var):
-        return m.get(e.name)
+        return m[e.name]
     if isinstance(e, Lit):
         return e.bit
     sym = symbols.lookup(e.fname)
@@ -306,7 +310,7 @@ def ref_eval_det(e, n, m, symbols):
 
 def ref_presem(e, n, m, symbols):
     if isinstance(e, Var):
-        return FinDist.dirac(m.get(e.name))
+        return FinDist.dirac(m[e.name])
     if isinstance(e, Lit):
         return FinDist.dirac(e.bit)
     if e.fname == "rnd":
@@ -323,18 +327,21 @@ def ref_presem(e, n, m, symbols):
     return args.map(lambda vals: ref_apply(e, sym, vals, n))
 
 
-def ref_run(p, n, d, symbols):
+def ref_run(p, env, n, d, symbols):
     if isinstance(p, Skip):
         return d
     if isinstance(p, Assign):
         return d.bind(
-            lambda m: ref_presem(p.rhs, n, m, symbols).map(lambda v: m.set(p.target, v))
+            lambda m: ref_presem(p.rhs, n, named(env, m), symbols).map(
+                lambda v: memory(env, n, {**named(env, m), p.target: v})
+            )
         )
     if isinstance(p, Seq):
-        return ref_run(p.second, n, ref_run(p.first, n, d, symbols), symbols)
+        return ref_run(p.second, env, n, ref_run(p.first, env, n, d, symbols), symbols)
     return d.bind(
         lambda m: ref_run(
-            p.then_branch if m.get(p.guard) == "1" else p.else_branch,
+            p.then_branch if named(env, m)[p.guard] == "1" else p.else_branch,
+            env,
             n,
             FinDist.dirac(m),
             symbols,
@@ -409,17 +416,17 @@ def test_compiled_kernel_agrees_with_the_per_memory_semantics():
             d = d.scale(Fraction(rng.randint(1, 4), 5))
             kinds["sub-unit"] += 1
         text = program_to_text(prog)
-        want = _outcome(ref_run, prog, n, d, syms)
+        want = _outcome(ref_run, prog, env, n, d, syms)
         assert _outcome(run, env, prog, n, d, syms) == want, (case, text)
         t = rng.choice([t for _, t in env.items()])
         e = _wrap(rng, _gen.gen_expr(rng, env, t, syms), t)
         kinds["if"] += "if " in text
         for name in ("f", "c", "g"):
             kinds[name] += f"{name}(" in text + expr_to_text(e)
-        want = _outcome(lambda: d.bind(lambda m: ref_presem(e, n, m, syms)))
+        want = _outcome(lambda: d.bind(lambda m: ref_presem(e, n, named(env, m), syms)))
         assert _outcome(eval_expr, env, e, n, d, syms) == want, (case, expr_to_text(e))
         for m in d.support():
-            want = _outcome(ref_eval_det, e, n, m, syms)
+            want = _outcome(ref_eval_det, e, n, named(env, m), syms)
             assert _outcome(eval_det, env, e, n, m, syms) == want, (case, expr_to_text(e))
     assert min(kinds.values()) >= 30, kinds
 
@@ -449,7 +456,7 @@ def test_a_stub_of_the_wrong_width_is_a_value_error():
     wide = syms.bind("g", lambda n, vals: vals[0] + "1")
     message = "value for x must have 2 bit(s), got 3"
     with pytest.raises(ValueError, match=re.escape(message)):
-        ref_run(prog, 2, d, wide)
+        ref_run(prog, env, 2, d, wide)
     with pytest.raises(ValueError, match=re.escape(message)):
         run(env, prog, 2, d, wide)
     grow = parse_decls("decl h : Str[n] -> Str[n+1] det;")
@@ -463,8 +470,8 @@ def test_a_stub_of_the_wrong_width_is_a_value_error():
 # The per-point Fraction versions of the distribution operations, as they
 # were before FinDist held integer weights over one denominator. Each takes
 # FinDists, reads them only through items(), and returns a plain dict from
-# points to Fractions. Memories are rebuilt by name, the way they were when
-# each memory carried its names.
+# points to Fractions. Memories are read and rebuilt by name, from the
+# environment passed beside each distribution.
 
 
 def ref_map(d, fn):
@@ -483,21 +490,22 @@ def ref_bind(d, k):
     return acc
 
 
-def ref_tensor(a, b):
+def ref_tensor(a, ea, b, eb):
+    env = env_join(ea, eb)
     acc = {}
     for ma, pa in a.items():
         for mb, pb in b.items():
-            env = env_join(ma.env, mb.env)
-            acc[Memory.make(env, ma.n, {**ma.as_dict(), **mb.as_dict()})] = pa * pb
+            both = {**named(ea, ma), **named(eb, mb)}
+            acc[tuple(both[k] for k in env.names())] = pa * pb
     return acc
 
 
-def ref_project(d, target):
-    return ref_map(d, lambda m: Memory.make(target, m.n, {k: m.get(k) for k in target}))
+def ref_project(d, env, target):
+    return ref_map(d, lambda m: tuple(named(env, m)[k] for k in target.names()))
 
 
-def ref_condition(d, r, b):
-    hits = {m: pr for m, pr in d.items() if m.get(r) == b}
+def ref_condition(d, env, r, b):
+    hits = {m: pr for m, pr in d.items() if named(env, m)[r] == b}
     mass = sum(hits.values())
     if mass == 0:
         raise ZeroMassError(f"conditioning on {r} = {b}, an event of mass zero")
@@ -518,6 +526,11 @@ def _mixed_dist(rng, points):
     return FinDist({p: w / sum(raw) * scale for p, w in zip(chosen, raw)})
 
 
+def _proper(d):
+    """d renormalized to mass one, as a store holds it."""
+    return d.scale(1 / d.total())
+
+
 def _same(got, want):
     """got is want as a FinDist, and its weights are in lowest terms."""
     weights, den = got.weights()
@@ -534,7 +547,7 @@ def test_integer_weights_agree_with_the_per_point_fraction_operations():
         mems = all_memories(env, n)
         d, e = _mixed_dist(rng, mems), _mixed_dist(rng, mems)
         subunit += not d.is_proper()
-        coarse = lambda m: m.values[0][:1]
+        coarse = lambda m: m[0][:1]
         _same(d.map(coarse), ref_map(d, coarse))
         kernels = {m: _mixed_dist(rng, ["0", "1", "00"]) for m in mems}
         _same(d.bind(kernels.__getitem__), ref_bind(d, kernels.__getitem__))
@@ -542,12 +555,14 @@ def test_integer_weights_agree_with_the_per_point_fraction_operations():
         rng.shuffle(names)
         cut = rng.randint(0, len(names))
         left, right = env.restrict(names[:cut]), env.restrict(names[cut:])
-        _same(project(d, left), ref_project(d, left))
-        a = _mixed_dist(rng, all_memories(left, n))
-        b = _mixed_dist(rng, all_memories(right, n))
-        _same(tensor(a, b), ref_tensor(a, b))
+        whole = _proper(d)
+        _same(project(Store(env, {n: whole}), left).at(n), ref_project(whole, env, left))
+        a = _proper(_mixed_dist(rng, all_memories(left, n)))
+        b = _proper(_mixed_dist(rng, all_memories(right, n)))
+        _same(tensor(Store(left, {n: a}), Store(right, {n: b})).at(n), ref_tensor(a, left, b, right))
         r, bit = rng.choice(names), rng.choice("01")
-        got, want = _outcome(condition, d, r, bit), _outcome(ref_condition, d, r, bit)
+        got = _outcome(condition, d, env, r, bit)
+        want = _outcome(ref_condition, d, env, r, bit)
         assert got[0] == want[0], case
         if got[0] == "ok":
             _same(got[1], want[1])

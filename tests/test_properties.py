@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from cslcheck import _gen
-from cslcheck.dist import FinDist, project, stat_dist, tensor
+from cslcheck.dist import FinDist, Store, project, stat_dist, tensor
 from cslcheck.semantics import run, run_kozen
 from cslcheck.syntax import (
     SizePoly,
@@ -221,8 +221,8 @@ def test_project_recovers_tensor_factors(seed):
     rng = random.Random(seed)
     env_a = parse_env("{a: Bool}")
     env_b = parse_env("{b: Str[1]}")
-    da = _gen.gen_dist(rng, env_a, 1)
-    db = _gen.gen_dist(rng, env_b, 1)
+    da = Store(env_a, {1: _gen.gen_dist(rng, env_a, 1)})
+    db = Store(env_b, {1: _gen.gen_dist(rng, env_b, 1)})
     prod = tensor(da, db)
     assert project(prod, env_a) == da
     assert project(prod, env_b) == db

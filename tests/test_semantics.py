@@ -6,8 +6,10 @@ import pytest
 
 from cslcheck.dist import (
     FinDist,
-    Memory,
+    Store,
+    memory,
     project,
+    tensor,
     uniform_memories,
     uniform_store,
     uniform_values,
@@ -27,8 +29,6 @@ from cslcheck.semantics import (
     run_store,
     store_ext,
     store_indist,
-    store_project,
-    store_tensor,
 )
 from cslcheck.syntax import (
     EMPTY_ENV,
@@ -47,7 +47,7 @@ QUARTER = Fraction(1, 4)
 def mem(env, n=1, **values):
     if isinstance(env, str):
         env = parse_env(env)
-    return Memory.make(env, n, values)
+    return memory(env, n, values)
 
 
 # Deterministic evaluation
@@ -151,7 +151,7 @@ def test_run_otp_makes_ciphertext_uniform():
     prog = parse_program("k := rnd(); c := xor(m, k)")
     d = FinDist.dirac(mem(env, n=2, c="00", k="00", m="10"))
     out = run(env, prog, 2, d)
-    c_marg = project(out, parse_env("{c: Str[n]}"))
+    c_marg = project(Store(env, {2: out}), parse_env("{c: Str[n]}")).at(2)
     assert c_marg == uniform_memories(parse_env("{c: Str[n]}"), 2)
 
 
@@ -199,17 +199,17 @@ def test_run_store_runs_every_n():
     out = run_store(s, parse_program("k := rnd(); c := xor(m, k)"))
     assert out.tested_ns() == [1, 2]
     for n in (1, 2):
-        marg = store_project(out, parse_env("{c: Str[n]}"))
+        marg = project(out, parse_env("{c: Str[n]}"))
         assert marg.at(n) == uniform_memories(parse_env("{c: Str[n]}"), n)
 
 
 def test_store_tensor_and_ext():
     a = uniform_store(parse_env("{x: Bool}"), (1,))
     b = zero_store(parse_env("{y: Bool}"), (1,))
-    both = store_tensor(a, b)
+    both = tensor(a, b)
     assert both.env == parse_env("{x: Bool, y: Bool}")
-    assert store_ext(store_project(both, parse_env("{x: Bool}")), both)
-    assert store_project(both, parse_env("{x: Bool}")) == a
+    assert store_ext(project(both, parse_env("{x: Bool}")), both)
+    assert project(both, parse_env("{x: Bool}")) == a
 
 
 def test_store_ext_checks_marginals():
@@ -233,7 +233,7 @@ def test_store_indist_tolerance():
 def test_empty_store_is_unit_for_tensor():
     s = uniform_store(parse_env("{x: Bool}"), (1, 2))
     e = zero_store(EMPTY_ENV, (1, 2))
-    assert store_tensor(s, e) == s
+    assert tensor(s, e) == s
 
 
 # Bit budget

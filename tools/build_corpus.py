@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cslcheck.dist import FinDist, Memory, Store, store_to_text
+from cslcheck.dist import FinDist, Store, memory, store_to_text
 from cslcheck.hoare import check_triple, validate_triple
 from cslcheck.semantics import run_store
 from cslcheck.syntax import (
@@ -539,8 +539,8 @@ def otp_input_store(ns) -> Store:
         zero, one = "0" * n, "1" * n
         family[n] = FinDist(
             {
-                Memory.make(env, n, {"c": zero, "k": zero, "m": zero}): Fraction(3, 4),
-                Memory.make(env, n, {"c": zero, "k": zero, "m": one}): Fraction(1, 4),
+                memory(env, n, {"c": zero, "k": zero, "m": zero}): Fraction(3, 4),
+                memory(env, n, {"c": zero, "k": zero, "m": one}): Fraction(1, 4),
             }
         )
     return Store(env, family)
@@ -555,7 +555,7 @@ def mirrored_pair_store(ns) -> Store:
         for v in range(2 ** n):
             r_bits = format(v, f"0{n}b")
             s_bits = "".join("1" if ch == "0" else "0" for ch in r_bits)
-            probs[Memory.make(env, n, {"r": r_bits, "s": s_bits})] = Fraction(
+            probs[memory(env, n, {"r": r_bits, "s": s_bits})] = Fraction(
                 1, 2 ** n
             )
         family[n] = FinDist(probs)
@@ -616,7 +616,7 @@ def main() -> int:
     diracs = []
     for kb in "01":
         for mb in "01":
-            mem = Memory.make(xenv, 1, {"c": "0", "k": kb, "m": mb})
+            mem = memory(xenv, 1, {"c": "0", "k": kb, "m": mb})
             diracs.append(Store(xenv, {1: FinDist.dirac(mem)}))
     report = validate_triple(xor_tree.conclusion, diracs)
     if not (report.ok and report.hits == 4):

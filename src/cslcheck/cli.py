@@ -33,7 +33,7 @@ from .syntax import (
     env_to_text,
     formula_to_text,
     parse_env,
-    parse_formula,
+    parse_formula_with_decls,
     parse_proof_with_decls,
     parse_program_with_decls,
     program_to_text,
@@ -155,15 +155,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    formula = parse_formula(_read(args.formula))
-    wf_formula(formula)
+    symbols, formula = parse_formula_with_decls(_read(args.formula))
+    symbols = _apply_binds(symbols, args.bind)
+    wf_formula(formula, symbols)
     store = _select_ns(parse_store(_read(args.store)), args.n)
     epsilon = exact_rational(args.epsilon, "--epsilon")
     if epsilon < 0:
         raise ValueError(f"--epsilon must be >= 0, got {args.epsilon}")
     check_bit_budget(store.env, store.tested_ns(), args.max_bits)
     verdicts = [
-        (n, sat_formula(Store(store.env, {n: d}), formula, epsilon))
+        (n, sat_formula(Store(store.env, {n: d}), formula, epsilon, symbols))
         for n, d in sorted(store.family.items())
     ]
     for n, verdict in verdicts:
@@ -193,6 +194,16 @@ def cmd_properties(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_bind(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--bind",
+        action="append",
+        default=[],
+        metavar="SYM=STUB",
+        help=f"bind a declared symbol to a stub ({', '.join(STUB_NAMES)})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cslcheck",
@@ -215,13 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", help="input store JSON (default: zeroed --env)")
     p.add_argument("--env", help="environment text for an all-zero input store")
-    p.add_argument(
-        "--bind",
-        action="append",
-        default=[],
-        metavar="SYM=STUB",
-        help=f"bind a declared symbol to a stub ({', '.join(STUB_NAMES)})",
-    )
+    _add_bind(p)
     p.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
     p.add_argument("--json", action="store_true", help="emit the store as JSON")
     p.add_argument("--out", help="write output to a file instead of stdout")
@@ -234,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", help="comma-separated n values (default: every n of the store)"
     )
     p.add_argument("--epsilon", default="0", help="tolerance, e.g. 1/8")
+    _add_bind(p)
     p.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
     p.set_defaults(fn=cmd_eval)
 

@@ -401,6 +401,25 @@ def exact_rational(raw, what: str) -> Fraction:
         raise ValueError(f"{what} is not a rational number: {raw!r}") from None
 
 
+def _family_dist(points: list) -> FinDist:
+    """The distribution of one store family from (memory, (p, q)) entries,
+    with the checks of the FinDist constructor: a memory listed twice gets
+    the sum of its entries, and a negative sum or a mass above 1 raises."""
+    den = lcm(*{q for _, (_, q) in points})
+    weights: dict = {}
+    for m, (p, q) in points:
+        weights[m] = weights.get(m, 0) + p * (den // q)
+    for m, w in weights.items():
+        if w < 0:
+            raise ValueError(f"negative probability {Fraction(w, den)} at {m!r}")
+    weights = {m: w for m, w in weights.items() if w}
+    if sum(weights.values()) > den:
+        raise ValueError(
+            f"probabilities sum to {Fraction(sum(weights.values()), den)} > 1"
+        )
+    return FinDist.from_ints(weights, den)
+
+
 def parse_store(text: str) -> Store:
     """Decode a store file; a document of any other shape raises ValueError.
 
@@ -432,7 +451,7 @@ def parse_store(text: str) -> Store:
             raise ValueError(f"store family {n_text!r} must be a list of entries")
         n = int(n_text)
         read = _memory_reader(env, n)
-        probs = {}
+        points = []
         for i, entry in enumerate(entries):
             where = f"store family {n_text!r} entry {i}"
             if not (
@@ -447,8 +466,8 @@ def parse_store(text: str) -> Store:
                 raise ValueError(f"{where}: {exc}") from None
             raw = entry["prob"]
             if not isinstance(raw, str) or raw not in rationals:
-                rationals[raw] = exact_rational(raw, f"{where}: prob")
-            prob = rationals[raw]
-            probs[m] = probs[m] + prob if m in probs else prob
-        family[n] = FinDist(probs)
+                pr = exact_rational(raw, f"{where}: prob")
+                rationals[raw] = (pr.numerator, pr.denominator)
+            points.append((m, rationals[raw]))
+        family[n] = _family_dist(points)
     return Store(env, family)

@@ -48,7 +48,7 @@ from .types import (
     mv,
     type_expr,
     type_program,
-    wf_formula,
+    wf_formula_once,
 )
 
 ZERO = Fraction(0)
@@ -72,14 +72,18 @@ def check_triple(
     symbols: Optional[SymbolTable] = None,
     registry: Optional[frozenset] = None,
 ) -> HoareTriple:
-    """Check a proof tree; returns the root conclusion it establishes."""
+    """Check a proof tree; returns the root conclusion it establishes.
+
+    Each formula object of the tree and its certificates is checked for
+    well-formedness once (see wf_formula_once), where it first occurs.
+    """
     symbols = symbols or SymbolTable()
     registry = registry if registry is not None else load_registry()
-    _check_node(tree, "root", symbols, registry)
+    _check_node(tree, "root", symbols, registry, {})
     return tree.conclusion
 
 
-def _check_node(node: ProofTree, path: str, symbols, registry) -> None:
+def _check_node(node: ProofTree, path: str, symbols, registry, checked) -> None:
     def fail(message: str):
         raise ProofError(path, message)
 
@@ -88,8 +92,8 @@ def _check_node(node: ProofTree, path: str, symbols, registry) -> None:
         fail(f"unknown rule {node.rule!r}")
     try:
         type_program(t.env, t.program, symbols)
-        wf_formula(t.pre, symbols)
-        wf_formula(t.post, symbols)
+        wf_formula_once(t.pre, symbols, checked)
+        wf_formula_once(t.post, symbols, checked)
     except TypeCheckError as exc:
         fail(str(exc))
     if t.pre.annotation != t.env:
@@ -98,9 +102,9 @@ def _check_node(node: ProofTree, path: str, symbols, registry) -> None:
         fail("postcondition annotation differs from the triple environment")
 
     checker = _RULE_CHECKS[node.rule]
-    checker(node, t, fail, symbols, registry)
+    checker(node, t, fail, symbols, registry, checked)
     for i, child in enumerate(node.children):
-        _check_node(child, f"{path}.children[{i}]", symbols, registry)
+        _check_node(child, f"{path}.children[{i}]", symbols, registry, checked)
 
 
 def _need_children(node, k, fail):
@@ -108,7 +112,7 @@ def _need_children(node, k, fail):
         fail(f"{node.rule} takes {k} subproof(s), got {len(node.children)}")
 
 
-def _check_skip(node, t, fail, symbols, registry):
+def _check_skip(node, t, fail, symbols, registry, checked):
     _need_children(node, 0, fail)
     if not isinstance(t.program, Skip):
         fail("Skip applies to the empty program")
@@ -116,7 +120,7 @@ def _check_skip(node, t, fail, symbols, registry):
         fail("Skip keeps the assertion unchanged")
 
 
-def _check_seq(node, t, fail, symbols, registry):
+def _check_seq(node, t, fail, symbols, registry, checked):
     _need_children(node, 2, fail)
     if not isinstance(t.program, Seq):
         fail("Seq applies to a sequential composition")
@@ -135,7 +139,7 @@ def _assign_of(t, fail) -> Assign:
     return t.program
 
 
-def _check_plain_assign(node, t, fail, symbols, registry, atom_kind):
+def _check_plain_assign(node, t, fail, symbols, registry, checked, atom_kind):
     _need_children(node, 0, fail)
     stmt = _assign_of(t, fail)
     if not _is_top(t.pre):
@@ -149,15 +153,15 @@ def _check_plain_assign(node, t, fail, symbols, registry, atom_kind):
         fail(".= needs a deterministic expression")
 
 
-def _check_assn(node, t, fail, symbols, registry):
-    _check_plain_assign(node, t, fail, symbols, registry, ATOM_EQ)
+def _check_assn(node, t, fail, symbols, registry, checked):
+    _check_plain_assign(node, t, fail, symbols, registry, checked, ATOM_EQ)
 
 
-def _check_dassn(node, t, fail, symbols, registry):
-    _check_plain_assign(node, t, fail, symbols, registry, ATOM_ESPL)
+def _check_dassn(node, t, fail, symbols, registry, checked):
+    _check_plain_assign(node, t, fail, symbols, registry, checked, ATOM_ESPL)
 
 
-def _check_scoped_assign(node, t, fail, symbols, registry, atom_kind):
+def _check_scoped_assign(node, t, fail, symbols, registry, checked, atom_kind):
     _need_children(node, 0, fail)
     stmt = _assign_of(t, fail)
     if not isinstance(t.pre.body, Star):
@@ -184,15 +188,15 @@ def _check_scoped_assign(node, t, fail, symbols, registry, atom_kind):
         fail(f"the postcondition must be {formula_to_text(want)}")
 
 
-def _check_srassn(node, t, fail, symbols, registry):
-    _check_scoped_assign(node, t, fail, symbols, registry, ATOM_EQ)
+def _check_srassn(node, t, fail, symbols, registry, checked):
+    _check_scoped_assign(node, t, fail, symbols, registry, checked, ATOM_EQ)
 
 
-def _check_sdassn(node, t, fail, symbols, registry):
-    _check_scoped_assign(node, t, fail, symbols, registry, ATOM_ESPL)
+def _check_sdassn(node, t, fail, symbols, registry, checked):
+    _check_scoped_assign(node, t, fail, symbols, registry, checked, ATOM_ESPL)
 
 
-def _check_rcond(node, t, fail, symbols, registry):
+def _check_rcond(node, t, fail, symbols, registry, checked):
     _need_children(node, 2, fail)
     if not isinstance(t.program, If):
         fail("RCond applies to a conditional")
@@ -213,7 +217,7 @@ def _check_rcond(node, t, fail, symbols, registry):
         fail("the second subproof must run the else branch from guard=0 to post")
 
 
-def _check_weak(node, t, fail, symbols, registry):
+def _check_weak(node, t, fail, symbols, registry, checked):
     _need_children(node, 1, fail)
     child = node.children[0].conclusion
     if child.env != t.env or child.program != t.program:
@@ -221,20 +225,20 @@ def _check_weak(node, t, fail, symbols, registry):
     if node.pre_cert is None or node.post_cert is None:
         fail("Weak needs pre and post certificates")
     try:
-        got = check_hilbert(node.pre_cert, symbols, registry)
+        got = check_hilbert(node.pre_cert, symbols, registry, checked)
     except CertError as exc:
         fail(f"pre certificate: {exc}")
     if got != (t.pre, child.pre):
         fail("the pre certificate must derive the subproof precondition from pre")
     try:
-        got = check_hilbert(node.post_cert, symbols, registry)
+        got = check_hilbert(node.post_cert, symbols, registry, checked)
     except CertError as exc:
         fail(f"post certificate: {exc}")
     if got != (child.post, t.post):
         fail("the post certificate must derive post from the subproof postcondition")
 
 
-def _check_composite(node, t, fail, symbols, registry, body_type, name):
+def _check_composite(node, t, fail, symbols, registry, checked, body_type, name):
     _need_children(node, 1, fail)
     child = node.children[0].conclusion
     if child.program != t.program:
@@ -254,16 +258,16 @@ def _check_composite(node, t, fail, symbols, registry, body_type, name):
     return xi_pre
 
 
-def _check_const(node, t, fail, symbols, registry):
-    xi = _check_composite(node, t, fail, symbols, registry, And, "Const")
+def _check_const(node, t, fail, symbols, registry, checked):
+    xi = _check_composite(node, t, fail, symbols, registry, checked, And, "Const")
     touched = mv(t.program)
     clash = sorted(set(xi.annotation.names()) & touched)
     if clash:
         fail(f"the context mentions variables the program writes: {clash}")
 
 
-def _check_frame(node, t, fail, symbols, registry):
-    _check_composite(node, t, fail, symbols, registry, Star, "Frame")
+def _check_frame(node, t, fail, symbols, registry, checked):
+    _check_composite(node, t, fail, symbols, registry, checked, Star, "Frame")
 
 
 _RULE_CHECKS = {

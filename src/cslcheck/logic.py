@@ -69,6 +69,7 @@ from .types import (
     formula_fv,
     type_expr,
     wf_formula,
+    wf_formula_once,
 )
 
 ZERO = Fraction(0)
@@ -745,16 +746,21 @@ def match_axiom(
     rhs: Formula,
     symbols: Optional[SymbolTable] = None,
     registry: Optional[frozenset] = None,
+    checked: Optional[dict] = None,
 ) -> None:
-    """Check one claimed schema instance; SchemaError explains failures."""
+    """Check one claimed schema instance; SchemaError explains failures.
+
+    checked is as for wf_formula_once, for the formulas of one check.
+    """
     symbols = symbols or SymbolTable()
     registry = registry if registry is not None else load_registry()
+    checked = {} if checked is None else checked
     if name not in _SCHEMA_MATCHERS:
         raise SchemaError(name, "unknown schema")
     if name not in registry:
         raise SchemaError(name, "schema is disabled in the registry")
-    wf_formula(lhs, symbols)
-    wf_formula(rhs, symbols)
+    wf_formula_once(lhs, symbols, checked)
+    wf_formula_once(rhs, symbols, checked)
     _SCHEMA_MATCHERS[name](lhs, rhs, symbols, name)
 
 
@@ -882,10 +888,16 @@ def check_hilbert(
     cert: EntailmentCert,
     symbols: Optional[SymbolTable] = None,
     registry: Optional[frozenset] = None,
+    checked: Optional[dict] = None,
 ) -> tuple[Formula, Formula]:
-    """Check every step of a derivation; returns the root conclusion."""
+    """Check every step of a derivation; returns the root conclusion.
+
+    checked is as for wf_formula_once: check_triple passes one for all the
+    certificates and nodes of a tree.
+    """
     symbols = symbols or SymbolTable()
     registry = registry if registry is not None else load_registry()
+    checked = {} if checked is None else checked
     seen: dict[str, object] = {}
     for step in cert.steps:
         sid = step.sid
@@ -903,7 +915,7 @@ def check_hilbert(
 
         for f in (step.lhs, step.rhs):
             try:
-                wf_formula(f, symbols)
+                wf_formula_once(f, symbols, checked)
             except TypeCheckError as exc:
                 fail(f"ill-formed formula: {exc}")
         if step.rule in CORE_RULES:
@@ -924,7 +936,7 @@ def check_hilbert(
             if step.premises:
                 fail("schema instances take no premises")
             try:
-                match_axiom(step.rule, step.lhs, step.rhs, symbols, registry)
+                match_axiom(step.rule, step.lhs, step.rhs, symbols, registry, checked)
             except SchemaError as exc:
                 fail(str(exc))
         else:

@@ -20,7 +20,11 @@ Surface syntax summary:
     preamble   decl g : Str[n] -> Str[n+1] det;
 
 Proof scripts and entailment certificates are JSON documents whose leaves
-use the grammars above; see parse_proof and parse_cert.
+use the grammars above; see parse_proof and parse_cert. Within one script,
+each distinct formula, program and environment text is parsed once, and so
+is each distinct annotation inside them: the tokenizer reads an annotation
+on one line as one token, so equal annotations share one Env object and
+equal texts share one tree.
 """
 
 from __future__ import annotations
@@ -535,18 +539,27 @@ class ProofTree:
 
 # One alternative per token class, tried in order at each position. The
 # grammar is ASCII: any other character matches nothing and is reported.
-# Only newline and the three token kinds are named groups, so whitespace
-# and "#" comments match with lastgroup None. Two-character punctuation
-# comes first so that ":=" is not read as ":" followed by "=".
+# Only newline and the token kinds are named groups, so whitespace and "#"
+# comments match with lastgroup None. Two-character punctuation comes first
+# so that ":=" is not read as ":" followed by "=".
+#
+# "{" always opens an environment, so a whole annotation on one line is one
+# env token, which the parser reads once per distinct text (see
+# _Parser.env). Its characters are those that tokenize on their own, with
+# no brace, newline or "#", so the tokens of its text (see _env_bindings)
+# are those the other alternatives would have given in place, and an error
+# in it is reported where it was when "{" was a token of its own. Any other
+# "{" (unclosed, or with a line break, comment or brace inside) is punct.
 _TOKEN = re.compile(
     r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"|(?P<env>\{[A-Za-z0-9_ \t\r()\[\],;:*+^]*\})"
     r"|(?P<punct>:=|->|==|\.=|~~|/\\|[(){}\[\],;:*+^])"
     r"|(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
 )
 
 
 class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "punct" | "eof"
+    kind: str  # "ident" | "int" | "punct" | "env" | "eof"
     text: str
     line: int
     col: int
@@ -574,6 +587,11 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _shown(tok: Token) -> str:
+    """How an error names a token: an env token by its opening brace."""
+    return "{" if tok.kind == "env" else tok.text
+
+
 # Parentheses, function arguments, begin and if may nest this deep. The
 # deepest script built by tools/build_corpus.build_exp(32) nests 34 levels;
 # the parser and every recursive pass over the tree it builds stay well
@@ -582,11 +600,24 @@ MAX_DEPTH = 100
 
 
 class _Parser:
-    def __init__(self, text: str, symbols: Optional[SymbolTable] = None):
-        self.tokens = tokenize(text)
+    """Recursive descent over a token list.
+
+    envs maps the text of each env token read so far to its Env, so equal
+    annotations are parsed once and share one object; parse_formula and
+    parse_env take it from their caller to share it across texts.
+    """
+
+    def __init__(
+        self,
+        tokens: list[Token],
+        symbols: Optional[SymbolTable] = None,
+        envs: Optional[dict] = None,
+    ):
+        self.tokens = tokens
         self.pos = 0
         self.depth = 0
         self.symbols = symbols.copy() if symbols else SymbolTable()
+        self.envs = {} if envs is None else envs
 
     # -- token plumbing
 
@@ -610,16 +641,23 @@ class _Parser:
             return True
         return False
 
+    def at_env(self) -> bool:
+        return self.peek().kind == "env" or self.at("{")
+
     def expect(self, text: str) -> Token:
         tok = self.peek()
         if not self.at(text):
-            raise ParseError(f"expected {text!r}, got {tok.text!r}", tok.line, tok.col)
+            raise ParseError(
+                f"expected {text!r}, got {_shown(tok)!r}", tok.line, tok.col
+            )
         return self.next()
 
     def expect_ident(self, what: str = "identifier") -> Token:
         tok = self.peek()
         if tok.kind != "ident":
-            raise ParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.col)
+            raise ParseError(
+                f"expected {what}, got {_shown(tok)!r}", tok.line, tok.col
+            )
         return self.next()
 
     def fail(self, message: str):
@@ -670,7 +708,18 @@ class _Parser:
         raise ParseError(f"expected a type, got {tok.text!r}", tok.line, tok.col)
 
     def env(self) -> Env:
-        self.expect("{")
+        tok = self.peek()
+        if tok.kind != "env":
+            self.expect("{")
+            return self.make_env(self.bindings())
+        self.next()
+        found = self.envs.get(tok.text)
+        if found is None:
+            found = self.envs[tok.text] = self.make_env(_env_bindings(tok))
+        return found
+
+    def bindings(self) -> list[tuple[str, Type]]:
+        """The bindings of an environment after its "{", through its "}"."""
         bindings = []
         if not self.at("}"):
             while True:
@@ -680,6 +729,10 @@ class _Parser:
                 if not self.eat(","):
                     break
         self.expect("}")
+        return bindings
+
+    def make_env(self, bindings: list[tuple[str, Type]]) -> Env:
+        """Env.make, failing at the token after the annotation."""
         try:
             return Env.make(bindings)
         except ValueError as exc:
@@ -831,7 +884,7 @@ class _Parser:
             inner = self.raw_star()
             self.expect(")")
             self.depth -= 1
-            if self.at("{"):
+            if self.at_env():
                 if inner.ann is not None:
                     self.fail("formula is annotated twice")
                 inner.ann = self.env()
@@ -858,9 +911,21 @@ class _Parser:
         self.fail("expected ==, ~~ or .= after expression")
 
     def opt_ann(self) -> Optional[Env]:
-        if self.at("{"):
+        if self.at_env():
             return self.env()
         return None
+
+
+def _env_bindings(tok: Token) -> list[tuple[str, Type]]:
+    """The bindings of an env token, read by _Parser.bindings from the tokens
+    of its text, with any error placed where it is in the env token."""
+    try:
+        tokens = tokenize(tok.text[1:-1])  # braces cut off, so no env token
+        # the eof token stands where the closing brace does
+        tokens[-1] = Token("punct", "}", 1, tokens[-1].col)
+        return _Parser(tokens).bindings()
+    except ParseError as exc:
+        raise ParseError(exc.message, tok.line, tok.col + exc.col) from None
 
 
 @dataclass
@@ -945,52 +1010,65 @@ def parse_program(text: str, symbols: Optional[SymbolTable] = None) -> Program:
 def parse_program_with_decls(
     text: str, symbols: Optional[SymbolTable] = None
 ) -> tuple[SymbolTable, Program]:
-    p = _Parser(text, symbols)
+    p = _Parser(tokenize(text), symbols)
     p.decls()
     prog = p.program()
     p.expect("")  # eof
     return p.symbols, prog
 
 
-def parse_formula(text: str, symbols: Optional[SymbolTable] = None) -> Formula:
-    """Parse an annotated formula, allowing an optional decl preamble."""
-    p = _Parser(text, symbols)
+def parse_formula(
+    text: str, symbols: Optional[SymbolTable] = None, envs: Optional[dict] = None
+) -> Formula:
+    """Parse an annotated formula, allowing an optional decl preamble.
+
+    envs, when given, maps annotation texts to the Env objects parsed from
+    them so far and gains this text's; see _Parser.
+    """
+    return parse_formula_with_decls(text, symbols, envs)[1]
+
+
+def parse_formula_with_decls(
+    text: str, symbols: Optional[SymbolTable] = None, envs: Optional[dict] = None
+) -> tuple[SymbolTable, Formula]:
+    p = _Parser(tokenize(text), symbols, envs)
     p.decls()
     f = p.formula()
     p.expect("")
-    return f
+    return p.symbols, f
 
 
 def parse_expr(text: str, symbols: Optional[SymbolTable] = None) -> Expr:
-    p = _Parser(text, symbols)
+    p = _Parser(tokenize(text), symbols)
     e = p.expr()
     p.expect("")
     return e
 
 
 def parse_type(text: str) -> Type:
-    p = _Parser(text)
+    p = _Parser(tokenize(text))
     t = p.type_()
     p.expect("")
     return t
 
 
-def parse_env(text: str) -> Env:
-    p = _Parser(text)
+def parse_env(text: str, envs: Optional[dict] = None) -> Env:
+    """Parse an environment; envs as for parse_formula."""
+    p = _Parser(tokenize(text), envs=envs)
     env = p.env()
     p.expect("")
     return env
 
 
 def parse_poly(text: str) -> SizePoly:
-    p = _Parser(text)
+    p = _Parser(tokenize(text))
     poly = p.poly()
     p.expect("")
     return poly
 
 
 def parse_decls(text: str, symbols: Optional[SymbolTable] = None) -> SymbolTable:
-    p = _Parser(text, symbols)
+    p = _Parser(tokenize(text), symbols)
     p.decls()
     p.expect("")
     return p.symbols
@@ -1030,7 +1108,8 @@ def _parsed(memo: dict, obj: dict, key: str, where: str, parse: Callable, *args)
     """parse(obj[key], *args), computed once per distinct text in one script.
 
     memo lives for one parse_proof_with_decls or parse_cert call, where the
-    symbol table is fixed, so the text alone is a sound key.
+    symbol table is fixed, so the text alone is a sound key. It also serves
+    parse_formula and parse_env as their envs, under annotation-text keys.
     """
     text = _json_str(obj, key, where)
     found = memo.get((parse, text))
@@ -1054,8 +1133,8 @@ def _cert_from_obj(
             CertStep(
                 sid=_json_str(raw, "id", where),
                 rule=_json_str(raw, "rule", where),
-                lhs=_parsed(memo, raw, "lhs", where, parse_formula, symbols),
-                rhs=_parsed(memo, raw, "rhs", where, parse_formula, symbols),
+                lhs=_parsed(memo, raw, "lhs", where, parse_formula, symbols, memo),
+                rhs=_parsed(memo, raw, "rhs", where, parse_formula, symbols, memo),
                 premises=tuple(_json_list(raw, "premises", where, str)),
             )
         )
@@ -1089,12 +1168,12 @@ def _tree_from_obj(
     rule = _json_str(obj, "rule", path)
     if rule not in RULE_NAMES:
         raise ValueError(f"{path}: unknown rule name {rule!r}")
-    env = _parsed(memo, obj, "env", path, parse_env)
+    env = _parsed(memo, obj, "env", path, parse_env, memo)
     conclusion = HoareTriple(
-        pre=_parsed(memo, obj, "pre", path, parse_formula, symbols),
+        pre=_parsed(memo, obj, "pre", path, parse_formula, symbols, memo),
         env=env,
         program=_parsed(memo, obj, "program", path, parse_program, symbols),
-        post=_parsed(memo, obj, "post", path, parse_formula, symbols),
+        post=_parsed(memo, obj, "post", path, parse_formula, symbols, memo),
     )
     children = tuple(
         _tree_from_obj(c, symbols, f"{path}.children[{i}]", memo)
@@ -1102,7 +1181,7 @@ def _tree_from_obj(
     )
     mid = None
     if "mid" in obj:
-        mid = _parsed(memo, obj, "mid", path, parse_formula, symbols)
+        mid = _parsed(memo, obj, "mid", path, parse_formula, symbols, memo)
     elif rule == "Seq":
         raise ValueError(f"{path}: Seq node needs a 'mid' witness formula")
     pre_cert = post_cert = None

@@ -287,6 +287,19 @@ def wf_formula(
         )
 
 
+def wf_formula_once(f: Formula, symbols: SymbolTable, checked: dict) -> None:
+    """wf_formula(f, symbols), unless this very object already passed it.
+
+    checked maps id(f) to each formula that passed under symbols, and holds
+    it so that its id is not reused; the caller keeps it for one check. Only
+    a success is recorded, so an ill-formed formula fails where it is first
+    checked, and again wherever it is checked after that.
+    """
+    if id(f) not in checked:
+        wf_formula(f, symbols)
+        checked[id(f)] = f
+
+
 def _wf_atom(ann: Env, a: Atom, symbols: SymbolTable, path: str) -> None:
     if a.kind == ATOM_U:
         type_expr(ann, a.args[0], symbols, path)

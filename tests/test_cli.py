@@ -302,6 +302,37 @@ def test_eval_ill_formed_formula_is_a_usage_error(tmp_path, capsys, text, messag
     assert captured.out == ""
 
 
+DECL_G = "decl g : Str[n] -> Str[n] det; "
+
+
+@pytest.mark.parametrize(
+    "body, code, out",
+    [
+        # r and s are uniform at every n of pair.store, so r and g(s) = s
+        # have one distribution; but r = not(s) in every memory, so r .= s
+        # holds in none
+        (
+            "(r == g(s)){r: Str[n], s: Str[n]}",
+            0,
+            "n=1: true\nn=2: true\noverall: true\n",
+        ),
+        (
+            "(r .= g(s)){r: Str[n], s: Str[n]}",
+            1,
+            "n=1: false\nn=2: false\noverall: false\n",
+        ),
+    ],
+)
+def test_eval_reads_the_decl_preamble_and_binds_stubs(tmp_path, capsys, body, code, out):
+    f = write(tmp_path, "g.f", DECL_G + body)
+    store = str(CORPUS / "pair.store")
+    assert main(["eval", f, store, "--bind", "g=identity"]) == code
+    assert capsys.readouterr() == (out, "")
+    assert main(["eval", f, store]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: unbound symbol g\n"
+
+
 def test_eval_error_exit(tmp_path, capsys):
     f = write(tmp_path, "u.f", "(U(c))" + OTP_ENV)
     assert main(["eval", f, "/nope.json"]) == 2

@@ -1,7 +1,11 @@
 """The proof-tree checker, semantic spot checks, and rule fuzzing."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from cslcheck import types
 from cslcheck.dist import uniform_store, zero_store
 from cslcheck.hoare import (
     ProofError,
@@ -11,11 +15,16 @@ from cslcheck.hoare import (
 )
 from cslcheck.syntax import (
     HoareTriple,
+    SymbolTable,
     parse_env,
     parse_formula,
     parse_program,
     parse_proof,
+    parse_proof_with_decls,
+    proof_to_text,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def check(doc):
@@ -376,3 +385,79 @@ def test_fuzz_rules_find_no_violations(rule):
 def test_fuzz_unknown_rule():
     with pytest.raises(ValueError, match="fuzz generator"):
         fuzz_rule_soundness("Skip", cases=1)
+
+
+# Each formula object is checked for well-formedness once per check
+
+
+def _build_exp(h):
+    tool = ROOT / "tools" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", tool)
+    build_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_corpus)
+    decls, tree = build_corpus.build_exp(h)
+    return proof_to_text(tree, decls)
+
+
+def test_each_formula_object_is_checked_once(monkeypatch):
+    symbols, tree = parse_proof_with_decls(_build_exp(4))
+    top_level = []
+    depth = [0]
+    wf_formula = types.wf_formula
+
+    def counting(f, *args):
+        if depth[0] == 0:
+            top_level.append(f)
+        depth[0] += 1
+        try:
+            return wf_formula(f, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(types, "wf_formula", counting)
+    check_triple(tree, symbols)
+
+    formulas = {}
+
+    def collect(t):
+        for f in (t.conclusion.pre, t.conclusion.post):
+            formulas[id(f)] = f
+        for cert in (t.pre_cert, t.post_cert):
+            for step in cert.steps if cert else ():
+                formulas[id(step.lhs)] = step.lhs
+                formulas[id(step.rhs)] = step.rhs
+        for child in t.children:
+            collect(child)
+
+    collect(tree)
+    assert len(top_level) == len({id(f) for f in top_level}) == len(formulas)
+    assert {id(f) for f in top_level} == set(formulas)
+
+
+def test_ill_formed_formula_fails_in_the_certificate_it_first_appears_in():
+    # the SRAssn node's pre is also the rhs of its Weak parent's pre_cert
+    text = (ROOT / "corpus" / "otp.proof").read_text()
+    shared = "((T){} * (T){c: Str[n], m: Str[n]}){c: Str[n], k: Str[n], m: Str[n]}"
+    bad = shared.replace("(T){c:", "(U(q)){c:")
+    assert text.count(shared) == 2
+    tree = parse_proof(text.replace(shared, bad))
+    weak = tree.children[0]
+    assert weak.pre_cert.steps[0].rhs is weak.children[0].conclusion.pre
+    with pytest.raises(ProofError) as exc:
+        check_triple(tree)
+    assert exc.value.path == "root.children[0]"
+    assert exc.value.message == (
+        "pre certificate: step s1: ill-formed formula: "
+        "formula.right: unbound variable q"
+    )
+
+
+def test_wf_formula_once_records_only_successes():
+    checked = {}
+    good = parse_formula("(U(x)){x: Bool}")
+    bad = parse_formula("(U(q)){x: Bool}")
+    for _ in range(2):
+        with pytest.raises(types.TypeCheckError):
+            types.wf_formula_once(bad, SymbolTable(), checked)
+        types.wf_formula_once(good, SymbolTable(), checked)
+    assert checked == {id(good): good}

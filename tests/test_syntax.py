@@ -512,13 +512,30 @@ _PIECES = (
     + ["Str", "x1", "42"]
     + [" ", "\t", "\r", "\n", "#", "# c\n"]
     + ["$", "\f"]
+    + ["{x: Str[n]}", "{}"]
 )
+
+
+def tokenize_expanded(text):
+    """tokenize, with each env token replaced by the tokens of its text, each
+    at its own line and column."""
+    out = []
+    for t in tokenize(text):
+        if t.kind != "env":
+            out.append(t)
+            continue
+        out.append(("punct", "{", t.line, t.col))
+        for kind, inner, _, col in tokenize(t.text[1:-1])[:-1]:
+            out.append((kind, inner, t.line, t.col + col))
+        out.append(("punct", "}", t.line, t.col + len(t.text) - 1))
+    return out
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
 def test_tokenize_agrees_with_the_reference(text):
-    assert tokens_or_error(tokenize, text) == tokens_or_error(reference_tokenize, text)
+    got = tokens_or_error(tokenize_expanded, text)
+    assert got == tokens_or_error(reference_tokenize, text)
 
 
 def test_tokenize_positions_and_comments():
@@ -605,3 +622,140 @@ def test_exp_family_parses_to_the_built_tree():
         parsed = parse_proof(text)
         assert parsed == tree
         assert proof_to_text(parsed, decls) == text
+
+
+# Each annotation is one token, parsed once per script
+
+# (annotation, error after "(U(x))" + annotation + "   * (T){z: Bool}",
+#  error as the pre field "(U(k))" + annotation of a script node,
+#  error as the lhs "(T)" + annotation of a certificate step), each error as
+# (message, line, col); the figures are those of the per-character "{"
+# tokenizer, before annotations became tokens.
+MALFORMED_ANNOTATIONS = [
+    (
+        "{x: Str[n}",
+        ("expected ']', got '}'", 1, 16),
+        ("expected ']', got '}'", 1, 16),
+        ("expected ']', got '}'", 1, 13),
+    ),
+    (
+        "{x Bool}",
+        ("expected ':', got 'Bool'", 1, 10),
+        ("expected ':', got 'Bool'", 1, 10),
+        ("expected ':', got 'Bool'", 1, 7),
+    ),
+    (
+        "{x: Bool,}",
+        ("expected a variable name, got '}'", 1, 16),
+        ("expected a variable name, got '}'", 1, 16),
+        ("expected a variable name, got '}'", 1, 13),
+    ),
+    (
+        "{x: Bool, x: Bool}",
+        ("duplicate variable in environment", 1, 28),
+        ("duplicate variable in environment", 1, 25),
+        ("duplicate variable in environment", 1, 22),
+    ),
+    (
+        "{x: Str[2n^]}",
+        ("expected an integer exponent", 1, 18),
+        ("expected an integer exponent", 1, 18),
+        ("expected an integer exponent", 1, 15),
+    ),
+    (
+        "{x: Bool",
+        ("expected '}', got '*'", 1, 18),
+        ("expected '}', got ''", 1, 15),
+        ("expected '}', got ''", 1, 12),
+    ),
+    (
+        "{x: é}",
+        ("unexpected character 'é'", 1, 11),
+        ("unexpected character 'é'", 1, 11),
+        ("unexpected character 'é'", 1, 8),
+    ),
+    (
+        "{x: {}",
+        ("expected a type, got '{'", 1, 11),
+        ("expected a type, got '{'", 1, 11),
+        ("expected a type, got '{'", 1, 8),
+    ),
+    (
+        "{x: Bool;}",
+        ("expected '}', got ';'", 1, 15),
+        ("expected '}', got ';'", 1, 15),
+        ("expected '}', got ';'", 1, 12),
+    ),
+]
+
+
+def parse_error(parse, text):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    return exc.value.message, exc.value.line, exc.value.col
+
+
+@pytest.mark.parametrize(
+    "ann, in_formula, in_node, in_cert",
+    MALFORMED_ANNOTATIONS,
+    ids=[row[0] for row in MALFORMED_ANNOTATIONS],
+)
+def test_malformed_annotations_fail_where_they_did(ann, in_formula, in_node, in_cert):
+    assert parse_error(parse_formula, f"(U(x)){ann}   * (T){{z: Bool}}") == in_formula
+    text = (ROOT / "corpus" / "otp.proof").read_text()
+    doc = json.loads(text)
+    doc["root"]["children"][1]["pre"] = f"(U(k)){ann}"
+    assert parse_error(parse_proof, json.dumps(doc)) == in_node
+    doc = json.loads(text)
+    doc["root"]["children"][0]["post_cert"]["steps"][0]["lhs"] = f"(T){ann}"
+    assert parse_error(parse_proof, json.dumps(doc)) == in_cert
+
+
+def test_annotations_that_are_not_one_token_parse_as_before():
+    # a line break, a comment or a nested brace keeps "{" a token of its own
+    for ann in ("{x:\n Bool}", "{x: Bool # c\n}"):
+        assert [t.kind for t in tokenize(ann)][0] == "punct"
+        assert parse_env(ann) == parse_env("{x: Bool}")
+    assert parse_error(parse_formula, "x == {x: Bool}") == (
+        "expected an expression, got '{'", 1, 6
+    )
+    assert parse_error(parse_formula, "(T){x: Bool} {y: Bool}") == (
+        "expected '', got '{'", 1, 14
+    )
+
+
+def test_equal_annotation_texts_share_one_env():
+    tool = ROOT / "tools" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", tool)
+    build_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_corpus)
+    decls, built = build_corpus.build_exp(4)
+    tree = parse_proof(proof_to_text(built, decls))
+
+    envs = []
+
+    def formula(f):
+        envs.append(f.annotation)
+        if isinstance(f.body, (And, Star)):
+            formula(f.body.left)
+            formula(f.body.right)
+
+    def node(t):
+        envs.append(t.conclusion.env)
+        formula(t.conclusion.pre)
+        formula(t.conclusion.post)
+        if t.mid is not None:
+            formula(t.mid)
+        for cert in (t.pre_cert, t.post_cert):
+            for step in cert.steps if cert else ():
+                formula(step.lhs)
+                formula(step.rhs)
+        for child in t.children:
+            node(child)
+
+    node(tree)
+    by_text = {}
+    for env in envs:
+        by_text.setdefault(env_to_text(env), set()).add(id(env))
+    assert len(envs) > 10 * len(by_text)
+    assert all(len(ids) == 1 for ids in by_text.values())

@@ -133,14 +133,8 @@ class FinDist:
                 raise ValueError(
                     f"probability at {point!r} must be an int or a Fraction, got {pr!r}"
                 )
-            if pr < 0:
-                raise ValueError(f"negative probability {pr} at {point!r}")
-        den = lcm(*(pr.denominator for pr in probs.values()))
-        self._weights = {
-            p: pr.numerator * (den // pr.denominator) for p, pr in probs.items() if pr
-        }
-        self._den = den
-        self._check_mass()
+        entries = [(p, (pr.numerator, pr.denominator)) for p, pr in probs.items()]
+        self._weights, self._den = _checked_dist(entries).weights()
 
     @staticmethod
     def from_ints(weights: dict, den: int) -> "FinDist":
@@ -151,10 +145,6 @@ class FinDist:
         d._weights = {p: w // g for p, w in weights.items()} if g > 1 else weights
         d._den = den // g
         return d
-
-    def _check_mass(self) -> None:
-        if sum(self._weights.values()) > self._den:
-            raise ValueError(f"probabilities sum to {self.total()} > 1")
 
     # -- inspection
 
@@ -213,7 +203,8 @@ class FinDist:
     def add(self, other: "FinDist") -> "FinDist":
         parts = (self.weights(), other.weights())
         d = FinDist.from_ints(*mix({0: 1, 1: 1}, 1, parts.__getitem__))
-        d._check_mass()
+        if d.total() > 1:
+            raise ValueError(f"probabilities sum to {d.total()} > 1")
         return d
 
 
@@ -270,11 +261,6 @@ def stat_dist(a: FinDist, b: FinDist) -> Fraction:
     wa, wb = a._weights, b._weights
     diff = sum(abs(wa.get(p, 0) * fa - wb.get(p, 0) * fb) for p in wa.keys() | wb.keys())
     return Fraction(diff, 2 * den)
-
-
-def is_uniform(d: FinDist, t: Type, n: int) -> bool:
-    """True iff d is exactly the uniform distribution over values of t at n."""
-    return d == uniform_values(t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +387,11 @@ def exact_rational(raw, what: str) -> Fraction:
         raise ValueError(f"{what} is not a rational number: {raw!r}") from None
 
 
-def _family_dist(points: list) -> FinDist:
-    """The distribution of one store family from (memory, (p, q)) entries,
-    with the checks of the FinDist constructor: a memory listed twice gets
-    the sum of its entries, and a negative sum or a mass above 1 raises."""
+def _checked_dist(points: list) -> FinDist:
+    """The distribution of (point, (p, q)) entries, the one validating path
+    behind the FinDist constructor and parse_store: a point listed twice
+    gets the sum of its entries, and a negative sum or a mass above 1
+    raises."""
     den = lcm(*{q for _, (_, q) in points})
     weights: dict = {}
     for m, (p, q) in points:
@@ -469,5 +456,5 @@ def parse_store(text: str) -> Store:
                 pr = exact_rational(raw, f"{where}: prob")
                 rationals[raw] = (pr.numerator, pr.denominator)
             points.append((m, rationals[raw]))
-        family[n] = _family_dist(points)
+        family[n] = _checked_dist(points)
     return Store(env, family)

@@ -346,14 +346,6 @@ class FuzzReport:
         return not self.violations
 
 
-def _pointwise_valid(triple, store, epsilon, symbols) -> Optional[bool]:
-    """None when the precondition misses, else the postcondition verdict."""
-    if not sat_formula(store, triple.pre, epsilon, symbols):
-        return None
-    out = run_store(store, triple.program, symbols)
-    return sat_formula(out, triple.post, epsilon, symbols)
-
-
 def fuzz_rule_soundness(
     rule: str,
     cases: int = 50,
@@ -362,7 +354,12 @@ def fuzz_rule_soundness(
     epsilon: Fraction = ZERO,
 ) -> FuzzReport:
     """Generate random instances of one proof rule and hunt for stores where
-    the premises hold but the conclusion fails."""
+    the premises hold but the conclusion fails.
+
+    Each instance is a conclusion triple and a test of the rule's premises
+    on a store; validate_triple checks the conclusion on the stores that
+    pass it.
+    """
     rng = random.Random(seed)
     symbols = SymbolTable()
     report = FuzzReport(rule, cases)
@@ -376,70 +373,69 @@ def fuzz_rule_soundness(
     if rule not in makers:
         raise ValueError(f"no fuzz generator for rule {rule!r}")
     for _ in range(cases):
-        makers[rule](rng, ns, epsilon, symbols, report)
+        inst = makers[rule](rng, ns, epsilon, symbols)
+        if inst is None:
+            continue
+        triple, premises_hold = inst
+        stores = _gen.gen_stores(rng, triple.env, ns, count=3)
+        found = validate_triple(
+            triple, [s for s in stores if premises_hold(s)], epsilon, symbols
+        )
+        report.hits += found.hits
+        report.violations.extend(
+            {
+                "program": program_to_text(triple.program),
+                "pre": formula_to_text(triple.pre),
+                "post": formula_to_text(triple.post),
+                "input": failure.input,
+                "output": failure.output,
+            }
+            for failure in found.failures
+        )
     return report
 
 
-def _record(report, triple, store, out):
-    report.violations.append(
-        {
-            "program": program_to_text(triple.program),
-            "pre": formula_to_text(triple.pre),
-            "post": formula_to_text(triple.post),
-            "input": store,
-            "output": out,
-        }
-    )
-
-
-def _conclusion_check(report, triple, store, epsilon, symbols):
-    report.hits += 1
-    out = run_store(store, triple.program, symbols)
-    if not sat_formula(out, triple.post, epsilon, symbols):
-        _record(report, triple, store, out)
+def _holds_on(triple, store, epsilon, symbols) -> bool:
+    """store meets the precondition and its output the postcondition."""
+    found = validate_triple(triple, [store], epsilon, symbols)
+    return found.hits == 1 and found.ok
 
 
 def _fuzz_scoped_case(atom_kind):
-    def case(rng, ns, epsilon, symbols, report):
+    def case(rng, ns, epsilon, symbols):
         inst = _gen.gen_scoped_assign(rng, ns, symbols, exact=atom_kind == ATOM_ESPL)
         if inst is None:
-            return
+            return None
         triple, node = inst
         try:
             check_triple(node, symbols)
         except ProofError:
-            return
-        for store in _gen.gen_stores(rng, triple.env, ns, count=3):
-            if sat_formula(store, triple.pre, epsilon, symbols):
-                _conclusion_check(report, triple, store, epsilon, symbols)
+            return None
+        return triple, lambda store: True  # an axiom: no premises
 
     return case
 
 
-def _fuzz_composite(rng, ns, epsilon, symbols, report, star_shape):
+def _fuzz_composite(rng, ns, epsilon, symbols, star_shape):
     inst = _gen.gen_composite(rng, ns, symbols, star_shape=star_shape)
     if inst is None:
-        return
+        return None
     triple, child = inst
-    for store in _gen.gen_stores(rng, triple.env, ns, count=3):
-        if not sat_formula(store, triple.pre, epsilon, symbols):
-            continue
-        # premise: the child triple must hold on the projected store
-        proj = project(store, child.env)
-        verdict = _pointwise_valid(child, proj, epsilon, symbols)
-        if verdict is not True:
-            continue
-        _conclusion_check(report, triple, store, epsilon, symbols)
+    # premise: the child triple holds on the store's marginal
+    return triple, lambda store: _holds_on(
+        child, project(store, child.env), epsilon, symbols
+    )
 
 
-def _fuzz_rcond_case(rng, ns, epsilon, symbols, report):
+def _fuzz_rcond_case(rng, ns, epsilon, symbols):
     inst = _gen.gen_rcond(rng, ns, symbols)
     if inst is None:
-        return
+        return None
     triple, then_triple, else_triple = inst
     guard = triple.program.guard
-    for store in _gen.gen_stores(rng, triple.env, ns, count=3):
-        ok = True
+
+    def premises_hold(store) -> bool:
+        # premises: each branch holds on the store conditioned on taking it
         for branch, bit in ((then_triple, "1"), (else_triple, "0")):
             family = {}
             for n in store.tested_ns():
@@ -447,13 +443,10 @@ def _fuzz_rcond_case(rng, ns, epsilon, symbols, report):
                     family[n] = condition(store.at(n), store.env, guard, bit)
                 except ZeroMassError:
                     pass  # the branch is never taken at this n
-            if not family:
-                continue  # the branch is never taken at all
-            verdict = _pointwise_valid(
+            if family and not _holds_on(
                 branch, Store(store.env, family), epsilon, symbols
-            )
-            if verdict is not True:
-                ok = False
-                break
-        if ok:
-            _conclusion_check(report, triple, store, epsilon, symbols)
+            ):
+                return False
+        return True
+
+    return triple, premises_hold

@@ -3,8 +3,9 @@
 Satisfaction is decided exactly on explicit stores. The separating
 conjunction is decided by the product-of-marginals criterion: the store's
 marginal on the joined child domains must equal the tensor of the two child
-marginals. The plain (annotation-free) evaluator sat_bi instead searches all
-disjoint sub-environment splits for a witnessing product.
+marginals. Plain (annotation-free) satisfaction is the witness search
+search_annotation, which tries every disjoint sub-environment split for a
+witnessing product; sat_bi holds when it finds a witness.
 
 Entailments between annotated formulas are checked only against explicit
 step-by-step certificates; see check_hilbert. Leaf steps are named axiom
@@ -132,21 +133,30 @@ def sat_formula(
     if isinstance(b, Atom):
         return sat_atom(s, f, epsilon, symbols)
     left, right = b.left, b.right
-    lproj = project(s, left.annotation)
-    rproj = project(s, right.annotation)
     if isinstance(b, And):
-        return sat_formula(lproj, left, epsilon, symbols) and sat_formula(
-            rproj, right, epsilon, symbols
-        )
-    joined = env_join(left.annotation, right.annotation)
-    independent = store_indist(
-        project(s, joined), tensor(lproj, rproj), epsilon
+        lproj = project(s, left.annotation)
+        rproj = project(s, right.annotation)
+    else:
+        parts = _independent(s, left.annotation, right.annotation, epsilon)
+        if parts is None:
+            return False
+        lproj, rproj = parts
+    return sat_formula(lproj, left, epsilon, symbols) and sat_formula(
+        rproj, right, epsilon, symbols
     )
-    return (
-        independent
-        and sat_formula(lproj, left, epsilon, symbols)
-        and sat_formula(rproj, right, epsilon, symbols)
-    )
+
+
+def _independent(
+    s: Store, left: Env, right: Env, epsilon: Fraction
+) -> Optional[tuple[Store, Store]]:
+    """The marginals of s on left and on right, when the marginal of s on
+    their join is within epsilon of the product of the two; else None."""
+    lproj = project(s, left)
+    rproj = project(s, right)
+    joint = project(s, env_join(left, right))
+    if store_indist(joint, tensor(lproj, rproj), epsilon):
+        return lproj, rproj
+    return None
 
 
 def entailment_holds_on(
@@ -194,14 +204,9 @@ def _splits(s: Store, left: Formula, right: Formula, epsilon: Fraction):
         for theta in _subenvs(rest):
             if not need_right <= set(theta.names()):
                 continue
-            lproj = project(s, xi)
-            rproj = project(s, theta)
-            if store_indist(
-                project(s, env_join(xi, theta)),
-                tensor(lproj, rproj),
-                epsilon,
-            ):
-                yield lproj, rproj
+            parts = _independent(s, xi, theta, epsilon)
+            if parts is not None:
+                yield parts
 
 
 def sat_bi(
@@ -210,29 +215,9 @@ def sat_bi(
     epsilon: Fraction = ZERO,
     symbols: Optional[SymbolTable] = None,
 ) -> bool:
-    """Decide a formula on a store ignoring all annotations.
-
-    Conjunction reads both conjuncts on the same store; separating
-    conjunction searches every pair of disjoint sub-environments for a
-    split whose marginals are independent and satisfy the two sides.
-    """
-    symbols = symbols or SymbolTable()
-    b = f.body
-    if isinstance(b, Top):
-        return True
-    if isinstance(b, Bot):
-        return False
-    if isinstance(b, Atom):
-        return sat_atom(s, Formula(b, s.env), epsilon, symbols)
-    if isinstance(b, And):
-        return sat_bi(s, b.left, epsilon, symbols) and sat_bi(
-            s, b.right, epsilon, symbols
-        )
-    return any(
-        sat_bi(lproj, b.left, epsilon, symbols)
-        and sat_bi(rproj, b.right, epsilon, symbols)
-        for lproj, rproj in _splits(s, b.left, b.right, epsilon)
-    )
+    """Decide a formula on a store ignoring all annotations: it holds when
+    search_annotation finds annotations under which it holds."""
+    return search_annotation(s, f.body, epsilon, symbols) is not None
 
 
 def search_annotation(
@@ -243,8 +228,10 @@ def search_annotation(
 ) -> Optional[Formula]:
     """Re-annotate a formula body so it holds on s, or return None.
 
-    Mirrors the sat_bi witness search: conjunctions get the full store
-    environment, separating conjunctions get a successful disjoint split.
+    Conjunction reads both conjuncts on the same store and gets the full
+    store environment; separating conjunction searches every pair of
+    disjoint sub-environments for a split whose marginals are independent
+    and satisfy the two sides. An ill-formed atom raises TypeCheckError.
     """
     symbols = symbols or SymbolTable()
     if isinstance(body, Top):
@@ -253,21 +240,22 @@ def search_annotation(
         return None
     if isinstance(body, Atom):
         f = Formula(body, s.env)
-        try:
-            wf_formula(f, symbols)
-        except TypeCheckError:
-            return None
+        wf_formula(f, symbols)
         return f if sat_atom(s, f, epsilon, symbols) else None
     if isinstance(body, And):
         left = search_annotation(s, body.left.body, epsilon, symbols)
+        if left is None:
+            return None
         right = search_annotation(s, body.right.body, epsilon, symbols)
-        if left is None or right is None:
+        if right is None:
             return None
         return Formula(And(left, right), s.env)
     for lproj, rproj in _splits(s, body.left, body.right, epsilon):
         left = search_annotation(lproj, body.left.body, epsilon, symbols)
+        if left is None:
+            continue
         right = search_annotation(rproj, body.right.body, epsilon, symbols)
-        if left is not None and right is not None:
+        if right is not None:
             return Formula(Star(left, right), s.env)
     return None
 

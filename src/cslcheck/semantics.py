@@ -1,4 +1,4 @@
-"""Exact program semantics and the store algebra.
+"""Exact program semantics and store indistinguishability.
 
 Two equivalent interpreters are provided: run compiles each statement once
 and pushes the whole input through it at once, splitting on the guard bit
@@ -26,7 +26,6 @@ from .dist import (
     convex,
     memory_bits,
     mix,
-    project,
     stat_dist,
     uniform_values,
     value_len,
@@ -49,7 +48,7 @@ from .syntax import (
     poly_eval,
     POLY_N,
 )
-from .types import TypeCheckError, env_ext
+from .types import TypeCheckError
 
 DEFAULT_MAX_BITS = 22
 
@@ -240,13 +239,6 @@ def run_kozen(
 
 def run_store(s: Store, p: Program, symbols: Optional[SymbolTable] = None) -> Store:
     return Store(s.env, {n: run(s.env, p, n, d, symbols) for n, d in s.family.items()})
-
-
-def store_ext(sub: Store, sup: Store) -> bool:
-    """sub is exactly the marginal of sup on sub's environment."""
-    if not env_ext(sub.env, sup.env) or sub.tested_ns() != sup.tested_ns():
-        return False
-    return project(sup, sub.env) == sub
 
 
 def store_indist(a: Store, b: Store, epsilon: Fraction = Fraction(0)) -> bool:

@@ -930,23 +930,23 @@ def _env_bindings(tok: Token) -> list[tuple[str, Type]]:
 
 @dataclass
 class _RawNode:
-    """Parse-tree node for formulas before annotation resolution."""
+    """Parse-tree node for formulas before annotation resolution; its free
+    variables are worked out once, when the node is built."""
 
     kind: str  # "top" | "bot" | "atom" | "and" | "star"
     left: Optional["_RawNode"] = None
     right: Optional["_RawNode"] = None
     atom: Optional[Atom] = None
     ann: Optional[Env] = None
+    free_vars: frozenset[str] = field(init=False)
 
-
-def _raw_fv(node: _RawNode) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    if node.kind == "atom":
-        for arg in node.atom.args:
-            out |= fv(arg)
-    elif node.kind in ("and", "star"):
-        out = _raw_fv(node.left) | _raw_fv(node.right)
-    return out
+    def __post_init__(self):
+        if self.atom is not None:
+            self.free_vars = frozenset().union(*map(fv, self.atom.args))
+        elif self.left is not None:
+            self.free_vars = self.left.free_vars | self.right.free_vars
+        else:
+            self.free_vars = frozenset()
 
 
 def _merge_annotations(a: Env, b: Env, parser: _Parser, disjoint: bool) -> Env:
@@ -986,8 +986,8 @@ def _resolve_formula(
     if star_node and ann is not None:
         # children of * must have disjoint domains, so an inherited
         # annotation is cut down to each child's free variables
-        child_inherit_left = ann.restrict(_raw_fv(node.left))
-        child_inherit_right = ann.restrict(_raw_fv(node.right))
+        child_inherit_left = ann.restrict(node.left.free_vars)
+        child_inherit_right = ann.restrict(node.right.free_vars)
     left = _resolve_formula(node.left, child_inherit_left, parser)
     right = _resolve_formula(node.right, child_inherit_right, parser)
     if ann is None:
@@ -1243,10 +1243,6 @@ def _tree_to_obj(t: ProofTree) -> dict:
 def proof_to_text(t: ProofTree, decls: Optional[list[str]] = None) -> str:
     doc = {"decls": decls or [], "root": _tree_to_obj(t)}
     return json.dumps(doc, indent=2) + "\n"
-
-
-def cert_to_text(cert: EntailmentCert) -> str:
-    return json.dumps(_cert_to_obj(cert), indent=2) + "\n"
 
 
 def parse_cert(text: str, symbols: Optional[SymbolTable] = None) -> EntailmentCert:

@@ -230,13 +230,6 @@ def env_join(a: Env, b: Env) -> Env:
     return Env.make(a.items() + b.items())
 
 
-def try_env_join(a: Env, b: Env) -> Optional[Env]:
-    try:
-        return env_join(a, b)
-    except TypeCheckError:
-        return None
-
-
 def env_union(a: Env, b: Env) -> Env:
     """Union requiring agreement on shared names; TypeCheckError on conflict."""
     merged = dict(a.items())

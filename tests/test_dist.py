@@ -13,7 +13,6 @@ from cslcheck.dist import (
     condition,
     convex,
     dirac_store,
-    is_uniform,
     memory,
     memory_bits,
     project,
@@ -182,8 +181,7 @@ def test_all_values_and_uniform_values():
     assert set(all_values(parse_type("Str[2]"), 1)) == {"00", "01", "10", "11"}
     u = uniform_values(BOOL, 3)
     assert u == FinDist({"0": HALF, "1": HALF})
-    assert is_uniform(u, BOOL, 3)
-    assert not is_uniform(FinDist.dirac("0"), BOOL, 3)
+    assert FinDist.dirac("0") != uniform_values(BOOL, 3)
 
 
 def test_memory_bits():

@@ -169,6 +169,19 @@ def test_search_annotation_searches_the_splits_sat_bi_does():
     assert sat_formula(product_store(), found)
 
 
+@pytest.mark.parametrize("atom", ["x == y", "x ~~ y", "x == z"])
+def test_an_ill_formed_atom_raises_in_plain_satisfaction(atom):
+    # x is a Bool and y a Str[n], and z is unbound: the atom does not type
+    # under the store, nor under any split of it that covers the atom
+    env = parse_env("{x: Bool, y: Str[n]}")
+    s = uniform_store(env, (1,))
+    body = parse_formula(f"({atom}){{x: Bool, y: Str[n], z: Bool}}").body
+    with pytest.raises(TypeCheckError):
+        sat_bi(s, Formula(body, env))
+    with pytest.raises(TypeCheckError):
+        search_annotation(s, body)
+
+
 def test_entailment_holds_on():
     s = anticorrelated_store()
     lhs = parse_formula("(x == y){x: Bool, y: Bool}")

@@ -5,10 +5,11 @@ Every expected value below comes from an enumeration small enough to do on
 paper: distributions over one or two bits with at most four support points.
 The comments show the enumeration; the asserts pin the implementation to it.
 
-The last two sections keep the per-memory semantics that run, eval_expr
-and eval_det had before the compiled kernel, and the per-point Fraction
+The last three sections keep the per-memory semantics that run, eval_expr
+and eval_det had before the compiled kernel, the per-point Fraction
 versions of the distribution operations that integer weights replaced, and
-compare old and new on generated programs, expressions and distributions.
+the recursive sat_bi that the witness search replaced, and compare old and
+new on generated programs, expressions, distributions and formulas.
 """
 
 import random
@@ -60,8 +61,8 @@ from cslcheck.syntax import (
     poly_eval,
     program_to_text,
 )
-from cslcheck.logic import sat_atom, sat_formula
-from cslcheck.syntax import parse_formula
+from cslcheck.logic import _splits, sat_atom, sat_bi, sat_formula
+from cslcheck.syntax import And, Atom, Bot, Formula, SymbolTable, Top, parse_formula
 from cslcheck.types import TypeCheckError, env_join
 
 import pytest
@@ -569,3 +570,45 @@ def test_integer_weights_agree_with_the_per_point_fraction_operations():
         assert stat_dist(d, e) == ref_stat_dist(d, e)
         assert stat_dist(d, d) == 0
     assert 60 <= subunit <= 240, subunit
+
+
+# ---------------------------------------------------------------------------
+# The recursive plain evaluator, as sat_bi was before it became the witness
+# search: annotations are ignored, a conjunction reads both conjuncts on the
+# same store, and a separating conjunction tries every split that _splits
+# yields.
+
+
+def ref_sat_bi(s, f, epsilon=Fraction(0), symbols=None):
+    symbols = symbols or SymbolTable()
+    b = f.body
+    if isinstance(b, Top):
+        return True
+    if isinstance(b, Bot):
+        return False
+    if isinstance(b, Atom):
+        return sat_atom(s, Formula(b, s.env), epsilon, symbols)
+    if isinstance(b, And):
+        return ref_sat_bi(s, b.left, epsilon, symbols) and ref_sat_bi(
+            s, b.right, epsilon, symbols
+        )
+    return any(
+        ref_sat_bi(lproj, b.left, epsilon, symbols)
+        and ref_sat_bi(rproj, b.right, epsilon, symbols)
+        for lproj, rproj in _splits(s, b.left, b.right, epsilon)
+    )
+
+
+def test_witness_search_agrees_with_the_recursive_plain_evaluator():
+    rng = random.Random(11)
+    symbols = SymbolTable()
+    verdicts = {True: 0, False: 0}
+    for case in range(320):
+        env = _gen.gen_env(rng, 1, 3)
+        f = _gen.gen_formula(rng, env, symbols)
+        s = _gen.gen_store(rng, env, (1, 2))
+        for epsilon in (Fraction(0), Q):
+            want = ref_sat_bi(s, f, epsilon, symbols)
+            assert sat_bi(s, f, epsilon, symbols) == want, (case, epsilon)
+            verdicts[want] += 1
+    assert min(verdicts.values()) >= 100, verdicts

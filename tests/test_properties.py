@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cslcheck import _gen
@@ -22,7 +23,7 @@ from cslcheck.syntax import (
     program_to_text,
     proof_to_text,
 )
-from cslcheck.types import env_ext, try_env_join, wf_formula
+from cslcheck.types import TypeCheckError, env_ext, env_join, wf_formula
 
 
 # Strategies
@@ -121,11 +122,14 @@ def test_env_names_sorted(env):
 
 @given(envs(), envs())
 def test_env_join_is_symmetric_when_defined(a, b):
-    ab = try_env_join(a, b)
-    ba = try_env_join(b, a)
-    assert ab == ba
-    if ab is not None:
-        assert env_ext(a, ab) and env_ext(b, ab)
+    if set(a.names()) & set(b.names()):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TypeCheckError):
+                env_join(x, y)
+        return
+    ab = env_join(a, b)
+    assert ab == env_join(b, a)
+    assert env_ext(a, ab) and env_ext(b, ab)
 
 
 @given(envs(), envs())

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cslcheck.hoare import ProofError, check_triple
 
+from cslcheck import syntax
 from cslcheck.syntax import (
     And,
     App,
@@ -26,6 +27,7 @@ from cslcheck.syntax import (
     Star,
     StrType,
     Var,
+    _cert_to_obj,
     env_to_text,
     expr_to_text,
     formula_to_text,
@@ -43,7 +45,6 @@ from cslcheck.syntax import (
     poly_to_text,
     program_to_text,
     proof_to_text,
-    cert_to_text,
     tokenize,
     type_to_text,
 )
@@ -305,6 +306,30 @@ def test_formula_star_children_inherit_restricted():
     assert f.body.right.annotation == parse_env("{m: Str[1]}")
 
 
+def test_free_variables_are_found_once_per_atom(monkeypatch):
+    # a right-nested * chain of k atoms under one annotation: each * cuts the
+    # annotation down to its children's free variables, which must not be
+    # recomputed from the leaves at every level
+    calls = 0
+    real_fv = syntax.fv
+
+    def counting_fv(e):
+        nonlocal calls
+        calls += 1
+        return real_fv(e)
+
+    monkeypatch.setattr(syntax, "fv", counting_fv)
+    for k in (10, 20, 40):
+        calls = 0
+        text = f"(x{k - 1} == x{k - 1})"
+        for i in reversed(range(k - 1)):
+            text = f"((x{i} == x{i}) * {text})"
+        ann = ", ".join(f"x{i}: Bool" for i in range(k))
+        f = parse_formula(f"{text}{{{ann}}}")
+        assert set(f.body.right.annotation.names()) == {f"x{i}" for i in range(1, k)}
+        assert calls <= 3 * k, (k, calls)
+
+
 def test_formula_requires_annotation_somewhere():
     with pytest.raises(ParseError, match="annotation"):
         parse_formula("U(k)")
@@ -429,7 +454,7 @@ def test_cert_round_trip():
     cert = parse_cert(doc)
     assert [s.sid for s in cert.steps] == ["a", "b"]
     assert cert.root == "a"
-    assert parse_cert(cert_to_text(cert)) == cert
+    assert parse_cert(json.dumps(_cert_to_obj(cert))) == cert
 
 
 def test_env_hashable_and_frozen():

@@ -25,7 +25,6 @@ from cslcheck.types import (
     fv,
     is_det_expr,
     mv,
-    try_env_join,
     type_expr,
     type_program,
     wf_formula,
@@ -149,7 +148,6 @@ def test_env_join_disjoint():
     assert joined == parse_env("{x: Bool, y: Str[n]}")
     with pytest.raises(TypeCheckError):
         env_join(parse_env("{x: Bool}"), parse_env("{x: Bool}"))
-    assert try_env_join(parse_env("{x: Bool}"), parse_env("{x: Bool}")) is None
 
 
 def test_env_union_must_agree():

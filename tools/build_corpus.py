@@ -126,15 +126,31 @@ def seq_chain(trees, progs, formulas, env: Env) -> tuple[ProofTree, object]:
 
 def build_otp() -> tuple[list[str], ProofTree]:
     delta = Env.make({"c": STR_N, "k": STR_N, "m": STR_N})
+    return [], pad_proof(delta, Var("k"))
+
+
+def build_potp() -> tuple[list[str], ProofTree]:
+    # the key stretched through g, and an idle r in the environment
+    delta = Env.make(
+        {"c": str_np(1), "k": STR_N, "m": str_np(1), "r": str_np(1)}
+    )
+    return [G_DECL], pad_proof(delta, App("g", (Var("k"),)))
+
+
+def pad_proof(delta: Env, key) -> ProofTree:
+    """The one-time-pad plan over delta: draw k, mask m with key (k, or an
+    expression in k), and conclude that c is uniform and apart from m. A key
+    other than k adds a weakening by Ax_POTP from U(k) to U(key)."""
     d = delta.restrict
     k, m, c = Var("k"), Var("m"), Var("c")
     draw = Assign("k", App("rnd", ()))
-    mask = Assign("c", App("xor", (m, k)))
+    mask = Assign("c", App("xor", (m, key)))
     prog = Seq(draw, mask)
 
     pre = top(delta)
     post = star(top(d(["m"])), u(c, d(["c"])), delta)
     mid = star(u(k, d(["k"])), top(d(["m"])), delta)
+    mid_key = star(u(key, d(["k"])), top(d(["m"])), delta)
 
     # first command: scoped randomized assignment, then rewrite to U(k)
     sr_pre = star(top(EMPTY_ENV), top(d(["c", "m"])), delta)
@@ -152,106 +168,47 @@ def build_otp() -> tuple[list[str], ProofTree]:
         post_cert=cert([step("s1", "AuxPOTP1", sr_post, mid)], "s1"),
     )
 
-    # second command: pin c pointwise, carry U(k) * T across, conclude
-    da_post = espl(c, App("xor", (m, k)), delta)
+    # second command: pin c pointwise, carry U(key) * T across, conclude
+    da_post = espl(c, App("xor", (m, key)), delta)
     da = ProofTree("DAssn", HoareTriple(top(delta), delta, mask, da_post))
-    ctx = star(u(k, d(["k"])), top(d(["m"])), d(["k", "m"]))
+    ctx = star(u(key, d(["k"])), top(d(["m"])), d(["k", "m"]))
     const_pre = conj(top(delta), ctx, delta)
     const_post = conj(da_post, ctx, delta)
     cn = ProofTree("Const", HoareTriple(const_pre, delta, mask, const_post), (da,))
     right = ProofTree(
         "Weak",
-        HoareTriple(mid, delta, mask, post),
+        HoareTriple(mid_key, delta, mask, post),
         (cn,),
         pre_cert=cert(
             [
-                step("s1", "TopI", mid, top(delta)),
-                step("s2", "AP", mid, mid),
-                step("s3", "AndI", mid, const_pre, "s1", "s2"),
+                step("s1", "TopI", mid_key, top(delta)),
+                step("s2", "AP", mid_key, mid_key),
+                step("s3", "AndI", mid_key, const_pre, "s1", "s2"),
             ],
             "s3",
         ),
         post_cert=cert([step("s1", "AuxPOTP2", const_post, post)], "s1"),
     )
+    if key != k:
+        right = ProofTree(
+            "Weak",
+            HoareTriple(mid, delta, mask, post),
+            (right,),
+            pre_cert=cert(
+                [
+                    step("s1", "Ax_POTP", u(k, d(["k"])), u(key, d(["k"]))),
+                    step("s2", "AP", top(d(["m"])), top(d(["m"]))),
+                    step("s3", "StarI", mid, mid_key, "s1", "s2"),
+                ],
+                "s3",
+            ),
+            post_cert=ap(post),
+        )
 
     root = ProofTree(
         "Seq", HoareTriple(pre, delta, prog, post), (left, right), mid=mid
     )
-    return [], root
-
-
-def build_potp() -> tuple[list[str], ProofTree]:
-    # same plan as the plain pad, with the key stretched through g and an
-    # idle r in the environment
-    delta = Env.make(
-        {"c": str_np(1), "k": STR_N, "m": str_np(1), "r": str_np(1)}
-    )
-    d = delta.restrict
-    k, m, c = Var("k"), Var("m"), Var("c")
-    gk = App("g", (k,))
-    draw = Assign("k", App("rnd", ()))
-    mask = Assign("c", App("xor", (m, gk)))
-    prog = Seq(draw, mask)
-
-    pre = top(delta)
-    post = star(top(d(["m"])), u(c, d(["c"])), delta)
-    mid = star(u(k, d(["k"])), top(d(["m"])), delta)
-    mid_g = star(u(gk, d(["k"])), top(d(["m"])), delta)
-
-    sr_pre = star(top(EMPTY_ENV), top(d(["c", "m"])), delta)
-    sr_post = star(
-        conj(top(EMPTY_ENV), eq(k, App("rnd", ()), d(["k"])), d(["k"])),
-        top(d(["c", "m"])),
-        delta,
-    )
-    sr = ProofTree("SRAssn", HoareTriple(sr_pre, delta, draw, sr_post))
-    left = ProofTree(
-        "Weak",
-        HoareTriple(pre, delta, draw, mid),
-        (sr,),
-        pre_cert=cert([step("s1", "StarUnitI", pre, sr_pre)], "s1"),
-        post_cert=cert([step("s1", "AuxPOTP1", sr_post, mid)], "s1"),
-    )
-
-    da_post = espl(c, App("xor", (m, gk)), delta)
-    da = ProofTree("DAssn", HoareTriple(top(delta), delta, mask, da_post))
-    ctx_g = star(u(gk, d(["k"])), top(d(["m"])), d(["k", "m"]))
-    const_pre = conj(top(delta), ctx_g, delta)
-    const_post = conj(da_post, ctx_g, delta)
-    cn = ProofTree("Const", HoareTriple(const_pre, delta, mask, const_post), (da,))
-    inner = ProofTree(
-        "Weak",
-        HoareTriple(mid_g, delta, mask, post),
-        (cn,),
-        pre_cert=cert(
-            [
-                step("s1", "TopI", mid_g, top(delta)),
-                step("s2", "AP", mid_g, mid_g),
-                step("s3", "AndI", mid_g, const_pre, "s1", "s2"),
-            ],
-            "s3",
-        ),
-        post_cert=cert([step("s1", "AuxPOTP2", const_post, post)], "s1"),
-    )
-    right = ProofTree(
-        "Weak",
-        HoareTriple(mid, delta, mask, post),
-        (inner,),
-        pre_cert=cert(
-            [
-                step("s1", "Ax_POTP", u(k, d(["k"])), u(gk, d(["k"]))),
-                step("s2", "AP", top(d(["m"])), top(d(["m"]))),
-                step("s3", "StarI", mid, mid_g, "s1", "s2"),
-            ],
-            "s3",
-        ),
-        post_cert=ap(post),
-    )
-
-    root = ProofTree(
-        "Seq", HoareTriple(pre, delta, prog, post), (left, right), mid=mid
-    )
-    return [G_DECL], root
+    return root
 
 
 # ---------------------------------------------------------------------------

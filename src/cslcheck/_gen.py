@@ -1,9 +1,12 @@
 """Random generators for environments, distributions, programs, formulas,
-and proof-rule instances.
+and proof-rule conclusions.
 
 Everything here is deliberately small: variables draw from a fixed name
 pool, string types stay at width 1 or n, and supports stay tiny, so that
 exhaustive enumeration downstream is instant even at n = 3.
+
+The rule generators (gen_scoped_assign, gen_composite, gen_rcond) draw
+conclusions only; hoare's rule functions give each its post or premises.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .syntax import (
     Lit,
     POLY_N,
     POLY_ONE,
-    ProofTree,
     Seq,
     SKIP,
     Star,
@@ -39,7 +41,7 @@ from .syntax import (
     Top,
     Var,
 )
-from .types import env_join, type_expr
+from .types import env_join
 
 STR_N = StrType(POLY_N)
 STR_1 = StrType(POLY_ONE)
@@ -257,7 +259,7 @@ def gen_exact_formula(
 
 
 # ---------------------------------------------------------------------------
-# Proof-rule instances for the soundness fuzzer
+# Proof-rule conclusions for the soundness fuzzer
 
 
 def _disjoint_envs(rng: random.Random, k1: int, k2: int):
@@ -268,30 +270,19 @@ def _disjoint_envs(rng: random.Random, k1: int, k2: int):
 
 
 def gen_scoped_assign(rng: random.Random, ns, symbols: SymbolTable, exact: bool):
-    """A random SRAssn/SDAssn conclusion together with its leaf proof node."""
+    """A random SRAssn/SDAssn conclusion; its post is T, since the rule
+    itself gives the post (hoare.scoped_post)."""
     xi, theta = _disjoint_envs(rng, rng.randint(1, 2), rng.randint(1, 2))
     delta = env_join(xi, theta)
     r = rng.choice(theta.names())
-    want_t = theta.lookup(r)
-    e = gen_expr(rng, xi, want_t, symbols, det=exact, depth=1)
-    try:
-        type_expr(xi, e, symbols)
-    except Exception:
-        return None
+    e = gen_expr(rng, xi, theta.lookup(r), symbols, det=exact, depth=1)
     phi = gen_simple_formula(rng, xi, symbols)
-    psi = Formula(Top(), theta)
-    kind = ATOM_ESPL if exact else ATOM_EQ
-    xi_r = env_join(xi, Env.make({r: want_t}))
-    post_left = Formula(And(phi, Formula(Atom(kind, (Var(r), e)), xi_r)), xi_r)
-    post = Formula(Star(post_left, Formula(psi.body, theta.remove(r))), delta)
-    pre = Formula(Star(phi, psi), delta)
-    triple = HoareTriple(pre, delta, Assign(r, e), post)
-    rule = "SDAssn" if exact else "SRAssn"
-    return triple, ProofTree(rule, triple)
+    pre = Formula(Star(phi, Formula(Top(), theta)), delta)
+    return HoareTriple(pre, delta, Assign(r, e), Formula(Top(), delta))
 
 
 def gen_composite(rng: random.Random, ns, symbols: SymbolTable, star_shape: bool):
-    """A random Frame/Const conclusion plus the child triple it extends."""
+    """A random Frame (star_shape) or Const conclusion."""
     xi, theta = _disjoint_envs(rng, rng.randint(1, 2), rng.randint(1, 2))
     delta = env_join(xi, theta)
     prog = gen_program(rng, xi, symbols, size=2)
@@ -301,12 +292,11 @@ def gen_composite(rng: random.Random, ns, symbols: SymbolTable, star_shape: bool
     shape = Star if star_shape else And
     pre = Formula(shape(phi, context), delta)
     post = Formula(shape(psi, context), delta)
-    child = HoareTriple(phi, xi, prog, psi)
-    return HoareTriple(pre, delta, prog, post), child
+    return HoareTriple(pre, delta, prog, post)
 
 
 def gen_rcond(rng: random.Random, ns, symbols: SymbolTable):
-    """A random RCond conclusion plus the two branch triples."""
+    """A random RCond conclusion."""
     guard = rng.choice(_NAME_POOL)
     extra = gen_env(
         rng, 1, 2, names=[nm for nm in gen_names(rng, 3) if nm != guard][:2]
@@ -315,12 +305,4 @@ def gen_rcond(rng: random.Random, ns, symbols: SymbolTable):
     then_p = gen_program(rng, env, symbols, size=2)
     else_p = gen_program(rng, env, symbols, size=2)
     post = gen_exact_formula(rng, env, symbols)
-    prog = If(guard, then_p, else_p)
-    triple = HoareTriple(Formula(Top(), env), env, prog, post)
-    then_triple = HoareTriple(
-        Formula(Atom(ATOM_ESPL, (Var(guard), Lit("1"))), env), env, then_p, post
-    )
-    else_triple = HoareTriple(
-        Formula(Atom(ATOM_ESPL, (Var(guard), Lit("0"))), env), env, else_p, post
-    )
-    return triple, then_triple, else_triple
+    return HoareTriple(Formula(Top(), env), env, If(guard, then_p, else_p), post)

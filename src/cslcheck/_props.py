@@ -261,44 +261,34 @@ def suite_axioms(rng, cases, ns, result):
             for s in _gen.gen_stores(rng, env, ns, 2):
                 if not entailment_holds_on(s, lhs, rhs, symbols=symbols):
                     _note(result, f"{name} fails on a store")
-    # split: uniform source, derived head/tail
-    lhs, rhs = map(parse_formula, SCHEMA_TEMPLATES["Ax_SPL"][:2])
-    env = lhs.annotation
-    family = {}
-    for nn in ns:
-        pts = {}
-        for v in all_values(env.lookup("r"), nn):
-            m = memory(env, nn, {"r": v, "b": v[0], "s": v[1:]})
-            pts[m] = Fraction(1, 2 ** (nn + 1))
-        family[nn] = FinDist(pts)
-    s = Store(env, family)
-    if not (
-        sat_formula(s, lhs, symbols=symbols)
-        and sat_formula(s, rhs, symbols=symbols)
-    ):
-        _note(result, "split axiom fails on the derived uniform store")
-    for rnd_store in _gen.gen_stores(rng, env, ns, 3):
-        if not entailment_holds_on(rnd_store, lhs, rhs, symbols=symbols):
-            _note(result, "split axiom fails on a random store")
+    # split: uniform source, derived head/tail;
     # merge: independent uniform parts, derived concatenation
-    lhs, rhs = map(parse_formula, SCHEMA_TEMPLATES["Ax_MRG"][:2])
-    env = lhs.annotation
-    family = {}
-    for nn in ns:
-        pts = {}
-        for v in all_values(env.lookup("r"), nn):
-            for bit in "01":
-                m = memory(env, nn, {"r": v, "b": bit, "s": v + bit})
-                pts[m] = Fraction(1, 2 ** (nn + 1))
-        family[nn] = FinDist(pts)
-    s = Store(env, family)
-    if not (
-        sat_formula(s, lhs, symbols=symbols) and sat_formula(s, rhs, symbols=symbols)
-    ):
-        _note(result, "merge axiom fails on the derived uniform store")
-    for rnd_store in _gen.gen_stores(rng, env, ns, 3):
-        if not entailment_holds_on(rnd_store, lhs, rhs, symbols=symbols):
-            _note(result, "merge axiom fails on a random store")
+    concrete = (
+        ("Ax_SPL", "split", lambda v: [{"r": v, "b": v[0], "s": v[1:]}]),
+        ("Ax_MRG", "merge", lambda v: [{"r": v, "b": b, "s": v + b} for b in "01"]),
+    )
+    for name, word, points in concrete:
+        lhs, rhs = map(parse_formula, SCHEMA_TEMPLATES[name][:2])
+        env = lhs.annotation
+        family = {}
+        for nn in ns:
+            pr = Fraction(1, 2 ** (nn + 1))
+            family[nn] = FinDist(
+                {
+                    memory(env, nn, values): pr
+                    for v in all_values(env.lookup("r"), nn)
+                    for values in points(v)
+                }
+            )
+        s = Store(env, family)
+        if not (
+            sat_formula(s, lhs, symbols=symbols)
+            and sat_formula(s, rhs, symbols=symbols)
+        ):
+            _note(result, f"{word} axiom fails on the derived uniform store")
+        for rnd_store in _gen.gen_stores(rng, env, ns, 3):
+            if not entailment_holds_on(rnd_store, lhs, rhs, symbols=symbols):
+                _note(result, f"{word} axiom fails on a random store")
     # pseudorandom-step axiom under length-preserving bijections
     decls = parse_decls("decl g : Str[n] -> Str[n] det;")
     lhs = parse_formula("(U(x)){x: Str[n]}")

@@ -4,14 +4,18 @@ evaluation, and the property-suite runner.
 Exit codes follow one contract everywhere: 0 success / property holds,
 1 checked-and-rejected (proof error, false formula, failing suite),
 2 usage, parse, or configuration errors, and input that nests or chains
-too deeply to process. The subcommands raise on bad input and `main` alone
-turns that into exit 2.
+too deeply to process, 3 an internal error (an exception that is not an
+input error: a bug in cslcheck, never a verdict). The subcommands raise on
+bad input and `main` alone turns that into exit 2, and any other exception
+into exit 3 with one `internal error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import traceback
 from typing import Optional
 
 from ._props import ALL_SUITES
@@ -40,7 +44,7 @@ from .syntax import (
 )
 from .types import TypeCheckError, type_program, wf_formula
 
-OK, REJECTED, USAGE = 0, 1, 2
+OK, REJECTED, USAGE, INTERNAL = 0, 1, 2, 3
 
 # What a bad file, flag or input raises; main reports each as one error line.
 INPUT_ERRORS = (
@@ -262,6 +266,11 @@ def main(argv=None) -> int:
         # passes over Seq, And and Star chains, and json.loads, recurse per level
         print("error: the input nests or chains too deeply", file=sys.stderr)
         return USAGE
+    except Exception as exc:  # SystemExit and KeyboardInterrupt pass through
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        place = f"{os.path.basename(where.filename)}:{where.lineno}"
+        print(f"internal error: {exc!r} at {place}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

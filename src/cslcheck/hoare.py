@@ -4,13 +4,19 @@ check_triple walks a proof tree top-down and checks each node against the
 shape of its named rule. Failures carry the path of the shallowest failing
 node (root, root.children[1], ...) so scripts can point at the offending
 subproof.
+
+Each rule's post or premises are built once: scoped_post (SRAssn/SDAssn),
+rcond_premises (RCond), composite_premise (Frame/Const). check_triple holds
+nodes to them, and fuzz_rule_soundness draws each instance's post or
+premises through them, so the fuzzer tests the rules the checker enforces.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from . import _gen
@@ -29,7 +35,6 @@ from .syntax import (
     If,
     Lit,
     ProofTree,
-    RULE_NAMES,
     Seq,
     Skip,
     Star,
@@ -88,7 +93,8 @@ def _check_node(node: ProofTree, path: str, symbols, registry, checked) -> None:
         raise ProofError(path, message)
 
     t = node.conclusion
-    if node.rule not in RULE_NAMES:
+    checker = _RULE_CHECKS.get(node.rule)
+    if checker is None:
         fail(f"unknown rule {node.rule!r}")
     try:
         type_program(t.env, t.program, symbols)
@@ -101,7 +107,6 @@ def _check_node(node: ProofTree, path: str, symbols, registry, checked) -> None:
     if t.post.annotation != t.env:
         fail("postcondition annotation differs from the triple environment")
 
-    checker = _RULE_CHECKS[node.rule]
     checker(node, t, fail, symbols, registry, checked)
     for i, child in enumerate(node.children):
         _check_node(child, f"{path}.children[{i}]", symbols, registry, checked)
@@ -153,16 +158,9 @@ def _check_plain_assign(node, t, fail, symbols, registry, checked, atom_kind):
         fail(".= needs a deterministic expression")
 
 
-def _check_assn(node, t, fail, symbols, registry, checked):
-    _check_plain_assign(node, t, fail, symbols, registry, checked, ATOM_EQ)
-
-
-def _check_dassn(node, t, fail, symbols, registry, checked):
-    _check_plain_assign(node, t, fail, symbols, registry, checked, ATOM_ESPL)
-
-
-def _check_scoped_assign(node, t, fail, symbols, registry, checked, atom_kind):
-    _need_children(node, 0, fail)
+def scoped_post(t: HoareTriple, atom_kind: str, symbols, fail) -> Formula:
+    """The postcondition SRAssn (atom_kind ==) or SDAssn (.=) gives t's
+    assignment from t's precondition (phi * psi)."""
     stmt = _assign_of(t, fail)
     if not isinstance(t.pre.body, Star):
         fail("the precondition must be a separating conjunction")
@@ -180,40 +178,41 @@ def _check_scoped_assign(node, t, fail, symbols, registry, checked, atom_kind):
     if atom_kind == ATOM_ESPL and not is_det_expr(stmt.rhs, symbols):
         fail(".= needs a deterministic expression")
     xi_r = env_join(xi, Env.make({r: val_type}))
-    want_left = Formula(
-        And(phi, Formula(Atom(atom_kind, (Var(r), stmt.rhs)), xi_r)), xi_r
-    )
-    want = Formula(Star(want_left, Formula(psi.body, theta.remove(r))), t.env)
+    left = Formula(And(phi, Formula(Atom(atom_kind, (Var(r), stmt.rhs)), xi_r)), xi_r)
+    return Formula(Star(left, Formula(psi.body, theta.remove(r))), t.env)
+
+
+def _check_scoped_assign(node, t, fail, symbols, registry, checked, atom_kind):
+    _need_children(node, 0, fail)
+    want = scoped_post(t, atom_kind, symbols, fail)
     if t.post != want:
         fail(f"the postcondition must be {formula_to_text(want)}")
 
 
-def _check_srassn(node, t, fail, symbols, registry, checked):
-    _check_scoped_assign(node, t, fail, symbols, registry, checked, ATOM_EQ)
-
-
-def _check_sdassn(node, t, fail, symbols, registry, checked):
-    _check_scoped_assign(node, t, fail, symbols, registry, checked, ATOM_ESPL)
-
-
-def _check_rcond(node, t, fail, symbols, registry, checked):
-    _need_children(node, 2, fail)
+def rcond_premises(t: HoareTriple, fail) -> tuple[HoareTriple, HoareTriple]:
+    """The branch triples RCond needs for t: each branch runs from its guard
+    value to t's postcondition."""
     if not isinstance(t.program, If):
         fail("RCond applies to a conditional")
     if not _is_top(t.pre):
         fail("the precondition must be T")
     if not classify_exact(t.post):
         fail("the postcondition must be exact (no ~~ or U)")
-    then_pre = Formula(Atom(ATOM_ESPL, (Var(t.program.guard), Lit("1"))), t.env)
-    else_pre = Formula(Atom(ATOM_ESPL, (Var(t.program.guard), Lit("0"))), t.env)
+
+    def premise(branch, bit):
+        pre = Formula(Atom(ATOM_ESPL, (Var(t.program.guard), Lit(bit))), t.env)
+        return HoareTriple(pre, t.env, branch, t.post)
+
+    return premise(t.program.then_branch, "1"), premise(t.program.else_branch, "0")
+
+
+def _check_rcond(node, t, fail, symbols, registry, checked):
+    _need_children(node, 2, fail)
+    want_then, want_else = rcond_premises(t, fail)
     then_child, else_child = node.children
-    if then_child.conclusion != HoareTriple(
-        then_pre, t.env, t.program.then_branch, t.post
-    ):
+    if then_child.conclusion != want_then:
         fail("the first subproof must run the then branch from guard=1 to post")
-    if else_child.conclusion != HoareTriple(
-        else_pre, t.env, t.program.else_branch, t.post
-    ):
+    if else_child.conclusion != want_else:
         fail("the second subproof must run the else branch from guard=0 to post")
 
 
@@ -238,49 +237,48 @@ def _check_weak(node, t, fail, symbols, registry, checked):
         fail("the post certificate must derive post from the subproof postcondition")
 
 
-def _check_composite(node, t, fail, symbols, registry, checked, body_type, name):
-    _need_children(node, 1, fail)
-    child = node.children[0].conclusion
-    if child.program != t.program:
-        fail(f"{name} keeps the program")
+def composite_premise(t: HoareTriple, rule: str, fail) -> HoareTriple:
+    """The subproof triple a Frame or Const conclusion t extends: t's program
+    run from and to the left components of t's pre and post."""
+    body_type = Star if rule == "Frame" else And
     if not isinstance(t.pre.body, body_type) or not isinstance(t.post.body, body_type):
-        fail(f"{name} conclusions combine the subproof assertion with a context")
+        fail(f"{rule} conclusions combine the subproof assertion with a context")
     phi, xi_pre = t.pre.body.left, t.pre.body.right
     psi, xi_post = t.post.body.left, t.post.body.right
     if xi_pre != xi_post:
         fail("the context formula must be identical in pre and post")
-    if child.pre != phi or child.post != psi:
-        fail("the subproof must establish the left components")
-    if child.env != phi.annotation:
-        fail("the subproof environment must be the active annotation")
-    if child.pre.annotation != child.env or child.post.annotation != child.env:
+    if psi.annotation != phi.annotation:
         fail("the subproof assertions must live on its own environment")
-    return xi_pre
+    if body_type is And:
+        clash = sorted(set(xi_pre.annotation.names()) & mv(t.program))
+        if clash:
+            fail(f"the context mentions variables the program writes: {clash}")
+    return HoareTriple(phi, phi.annotation, t.program, psi)
 
 
-def _check_const(node, t, fail, symbols, registry, checked):
-    xi = _check_composite(node, t, fail, symbols, registry, checked, And, "Const")
-    touched = mv(t.program)
-    clash = sorted(set(xi.annotation.names()) & touched)
-    if clash:
-        fail(f"the context mentions variables the program writes: {clash}")
-
-
-def _check_frame(node, t, fail, symbols, registry, checked):
-    _check_composite(node, t, fail, symbols, registry, checked, Star, "Frame")
+def _check_composite(node, t, fail, symbols, registry, checked):
+    _need_children(node, 1, fail)
+    want = composite_premise(t, node.rule, fail)
+    child = node.children[0].conclusion
+    if child.program != want.program:
+        fail(f"{node.rule} keeps the program")
+    if child.pre != want.pre or child.post != want.post:
+        fail("the subproof must establish the left components")
+    if child.env != want.env:
+        fail("the subproof environment must be the active annotation")
 
 
 _RULE_CHECKS = {
     "Skip": _check_skip,
     "Seq": _check_seq,
-    "Assn": _check_assn,
-    "DAssn": _check_dassn,
-    "SRAssn": _check_srassn,
-    "SDAssn": _check_sdassn,
+    "Assn": partial(_check_plain_assign, atom_kind=ATOM_EQ),
+    "DAssn": partial(_check_plain_assign, atom_kind=ATOM_ESPL),
+    "SRAssn": partial(_check_scoped_assign, atom_kind=ATOM_EQ),
+    "SDAssn": partial(_check_scoped_assign, atom_kind=ATOM_ESPL),
     "RCond": _check_rcond,
     "Weak": _check_weak,
-    "Const": _check_const,
-    "Frame": _check_frame,
+    "Const": _check_composite,
+    "Frame": _check_composite,
 }
 
 
@@ -356,27 +354,32 @@ def fuzz_rule_soundness(
     """Generate random instances of one proof rule and hunt for stores where
     the premises hold but the conclusion fails.
 
-    Each instance is a conclusion triple and a test of the rule's premises
-    on a store; validate_triple checks the conclusion on the stores that
-    pass it.
+    Each instance is a conclusion triple drawn by _gen and a test of the
+    premises that the rule's own definition (scoped_post, rcond_premises,
+    composite_premise) gives it; validate_triple checks the conclusion on
+    the stores that pass the test.
     """
     rng = random.Random(seed)
     symbols = SymbolTable()
     report = FuzzReport(rule, cases)
     makers = {
-        "Frame": lambda *a: _fuzz_composite(*a, star_shape=True),
-        "Const": lambda *a: _fuzz_composite(*a, star_shape=False),
+        "Frame": partial(_fuzz_composite, "Frame"),
+        "Const": partial(_fuzz_composite, "Const"),
         "RCond": _fuzz_rcond_case,
-        "SRAssn": _fuzz_scoped_case(ATOM_EQ),
-        "SDAssn": _fuzz_scoped_case(ATOM_ESPL),
+        "SRAssn": partial(_fuzz_scoped_case, ATOM_EQ),
+        "SDAssn": partial(_fuzz_scoped_case, ATOM_ESPL),
     }
     if rule not in makers:
         raise ValueError(f"no fuzz generator for rule {rule!r}")
+
+    def fail(message: str):
+        raise ProofError(f"{rule} instance", message)
+
     for _ in range(cases):
-        inst = makers[rule](rng, ns, epsilon, symbols)
-        if inst is None:
-            continue
-        triple, premises_hold = inst
+        try:
+            triple, premises_hold = makers[rule](rng, ns, epsilon, symbols, fail)
+        except ProofError:
+            continue  # the rule does not apply to this draw
         stores = _gen.gen_stores(rng, triple.env, ns, count=3)
         found = validate_triple(
             triple, [s for s in stores if premises_hold(s)], epsilon, symbols
@@ -401,37 +404,24 @@ def _holds_on(triple, store, epsilon, symbols) -> bool:
     return found.hits == 1 and found.ok
 
 
-def _fuzz_scoped_case(atom_kind):
-    def case(rng, ns, epsilon, symbols):
-        inst = _gen.gen_scoped_assign(rng, ns, symbols, exact=atom_kind == ATOM_ESPL)
-        if inst is None:
-            return None
-        triple, node = inst
-        try:
-            check_triple(node, symbols)
-        except ProofError:
-            return None
-        return triple, lambda store: True  # an axiom: no premises
-
-    return case
+def _fuzz_scoped_case(atom_kind, rng, ns, epsilon, symbols, fail):
+    t = _gen.gen_scoped_assign(rng, ns, symbols, exact=atom_kind == ATOM_ESPL)
+    post = scoped_post(t, atom_kind, symbols, fail)
+    return replace(t, post=post), lambda store: True  # an axiom: no premises
 
 
-def _fuzz_composite(rng, ns, epsilon, symbols, star_shape):
-    inst = _gen.gen_composite(rng, ns, symbols, star_shape=star_shape)
-    if inst is None:
-        return None
-    triple, child = inst
+def _fuzz_composite(rule, rng, ns, epsilon, symbols, fail):
+    triple = _gen.gen_composite(rng, ns, symbols, star_shape=rule == "Frame")
+    child = composite_premise(triple, rule, fail)
     # premise: the child triple holds on the store's marginal
     return triple, lambda store: _holds_on(
         child, project(store, child.env), epsilon, symbols
     )
 
 
-def _fuzz_rcond_case(rng, ns, epsilon, symbols):
-    inst = _gen.gen_rcond(rng, ns, symbols)
-    if inst is None:
-        return None
-    triple, then_triple, else_triple = inst
+def _fuzz_rcond_case(rng, ns, epsilon, symbols, fail):
+    triple = _gen.gen_rcond(rng, ns, symbols)
+    then_triple, else_triple = rcond_premises(triple, fail)
     guard = triple.program.guard
 
     def premises_hold(store) -> bool:

@@ -22,6 +22,7 @@ hypothesis. The remaining schemas have hand-written matchers.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -647,8 +648,6 @@ def _match_commassoc(lhs, rhs, symbols, schema):
         unit = mk_top(EMPTY_ENV)
         left_leaves = [f for f in left_leaves if f != unit]
         right_leaves = [f for f in right_leaves if f != unit]
-    from collections import Counter
-
     _want(
         Counter(left_leaves) == Counter(right_leaves),
         schema,

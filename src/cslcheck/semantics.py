@@ -31,7 +31,6 @@ from .dist import (
     value_len,
 )
 from .syntax import (
-    App,
     Assign,
     Env,
     Expr,

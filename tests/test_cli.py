@@ -536,6 +536,31 @@ def test_properties_inject_failure(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_a_crash_is_an_internal_error_not_a_rejection(tmp_path, monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("deliberate crash\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_check", crash)
+    path = write(tmp_path, "good.proof", GOOD_PROOF)
+    assert main(["check", path]) == cli.INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("internal error: ")
+    assert "RuntimeError('deliberate crash" in captured.err
+    assert "test_cli.py:" in captured.err  # where it was raised
+    assert "Traceback" not in captured.err
+
+
+def test_interrupts_pass_through_main(monkeypatch):
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_check", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["check", "x.proof"])
+
+
 def test_properties_n_set(capsys):
     assert main(["properties", "--cases", "1", "--n-set", "1"]) == 0
     capsys.readouterr()

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cslcheck import types
+from cslcheck import hoare, types
 from cslcheck.dist import uniform_store, zero_store
 from cslcheck.hoare import (
     ProofError,
@@ -14,6 +14,7 @@ from cslcheck.hoare import (
     validate_triple,
 )
 from cslcheck.syntax import (
+    RULE_NAMES,
     HoareTriple,
     SymbolTable,
     parse_env,
@@ -382,9 +383,24 @@ def test_fuzz_rules_find_no_violations(rule):
     assert report.hits > 0
 
 
+def test_the_fuzzer_tests_the_rule_the_checker_enforces(monkeypatch):
+    real = hoare.composite_premise
+
+    def unsound(t, rule, fail):  # the subproof need not reach the post
+        premise = real(t, rule, fail)
+        return HoareTriple(premise.pre, premise.env, premise.program, premise.pre)
+
+    monkeypatch.setattr(hoare, "composite_premise", unsound)
+    assert not fuzz_rule_soundness("Const", cases=40, seed=1, ns=(1, 2)).ok
+
+
 def test_fuzz_unknown_rule():
     with pytest.raises(ValueError, match="fuzz generator"):
         fuzz_rule_soundness("Skip", cases=1)
+
+
+def test_every_rule_name_has_a_checker():
+    assert set(hoare._RULE_CHECKS) == set(RULE_NAMES)
 
 
 # Each formula object is checked for well-formedness once per check

@@ -10,6 +10,10 @@ and eval_det had before the compiled kernel, the per-point Fraction
 versions of the distribution operations that integer weights replaced, and
 the recursive sat_bi that the witness search replaced, and compare old and
 new on generated programs, expressions, distributions and formulas.
+
+The final section restates how the rule generators once built the SRAssn
+and SDAssn post, the RCond branch triples and the Frame/Const subproof
+triple, and compares that with the checker's rule functions.
 """
 
 import random
@@ -62,7 +66,21 @@ from cslcheck.syntax import (
     program_to_text,
 )
 from cslcheck.logic import _splits, sat_atom, sat_bi, sat_formula
-from cslcheck.syntax import And, Atom, Bot, Formula, SymbolTable, Top, parse_formula
+from cslcheck.hoare import composite_premise, rcond_premises, scoped_post
+from cslcheck.syntax import (
+    ATOM_EQ,
+    ATOM_ESPL,
+    And,
+    Atom,
+    Bot,
+    Env,
+    Formula,
+    HoareTriple,
+    Star,
+    SymbolTable,
+    Top,
+    parse_formula,
+)
 from cslcheck.types import TypeCheckError, env_join
 
 import pytest
@@ -612,3 +630,60 @@ def test_witness_search_agrees_with_the_recursive_plain_evaluator():
             assert sat_bi(s, f, epsilon, symbols) == want, (case, epsilon)
             verdicts[want] += 1
     assert min(verdicts.values()) >= 100, verdicts
+
+
+# ---------------------------------------------------------------------------
+# The rule instances as the fuzz generators built them before the checker's
+# rule functions (hoare.scoped_post, rcond_premises, composite_premise)
+# became the one definition. Each builder reads only what the generator
+# drew: the assigned variable's declared type, the guard name, and the
+# environment left once the context's variables are removed.
+
+
+def ref_scoped_post(t, kind):
+    phi, psi = t.pre.body.left, t.pre.body.right
+    r, e = t.program.target, t.program.rhs
+    xi_r = env_join(phi.annotation, Env.make({r: psi.annotation.lookup(r)}))
+    left = Formula(And(phi, Formula(Atom(kind, (Var(r), e)), xi_r)), xi_r)
+    return Formula(Star(left, Formula(psi.body, psi.annotation.remove(r))), t.env)
+
+
+def ref_rcond_premises(t):
+    guard, env = t.program.guard, t.env
+    then_pre = Formula(Atom(ATOM_ESPL, (Var(guard), Lit("1"))), env)
+    else_pre = Formula(Atom(ATOM_ESPL, (Var(guard), Lit("0"))), env)
+    return (
+        HoareTriple(then_pre, env, t.program.then_branch, t.post),
+        HoareTriple(else_pre, env, t.program.else_branch, t.post),
+    )
+
+
+def ref_composite_premise(t):
+    context = t.pre.body.right
+    xi = t.env.restrict(
+        [nm for nm in t.env.names() if nm not in context.annotation.names()]
+    )
+    return HoareTriple(t.pre.body.left, xi, t.program, t.post.body.left)
+
+
+def _not_an_instance(message):
+    raise AssertionError(f"a generated conclusion fails its rule: {message}")
+
+
+@pytest.mark.parametrize("rule", ["SRAssn", "SDAssn", "RCond", "Frame", "Const"])
+def test_rule_functions_agree_with_independent_builders(rule):
+    rng = random.Random(f"rules:{rule}")
+    symbols = SymbolTable()
+    for _ in range(200):
+        if rule in ("SRAssn", "SDAssn"):
+            kind = ATOM_ESPL if rule == "SDAssn" else ATOM_EQ
+            t = _gen.gen_scoped_assign(rng, (1, 2), symbols, exact=rule == "SDAssn")
+            got = scoped_post(t, kind, symbols, _not_an_instance)
+            assert got == ref_scoped_post(t, kind)
+        elif rule == "RCond":
+            t = _gen.gen_rcond(rng, (1, 2), symbols)
+            assert rcond_premises(t, _not_an_instance) == ref_rcond_premises(t)
+        else:
+            t = _gen.gen_composite(rng, (1, 2), symbols, star_shape=rule == "Frame")
+            got = composite_premise(t, rule, _not_an_instance)
+            assert got == ref_composite_premise(t)

@@ -10,6 +10,7 @@ from cslcheck import _gen
 from cslcheck.dist import FinDist, Store, project, stat_dist, tensor
 from cslcheck.semantics import run, run_kozen
 from cslcheck.syntax import (
+    ProofTree,
     SizePoly,
     SymbolTable,
     env_to_text,
@@ -160,10 +161,8 @@ def test_formula_text_round_trip(f):
 def test_proof_text_round_trip(seed):
     rng = random.Random(seed)
     sym = SymbolTable()
-    inst = _gen.gen_scoped_assign(rng, (1,), sym, exact=rng.random() < 0.5)
-    if inst is None:
-        return
-    _, tree = inst
+    t = _gen.gen_scoped_assign(rng, (1,), sym, exact=rng.random() < 0.5)
+    tree = ProofTree("SRAssn", t)
     assert parse_proof(proof_to_text(tree)) == tree
 
 

@@ -22,9 +22,12 @@ Surface syntax summary:
 Proof scripts and entailment certificates are JSON documents whose leaves
 use the grammars above; see parse_proof and parse_cert. Within one script,
 each distinct formula, program and environment text is parsed once, and so
-is each distinct annotation inside them: the tokenizer reads an annotation
-on one line as one token, so equal annotations share one Env object and
-equal texts share one tree.
+is each distinct annotation, binding and annotated group inside them. The
+tokenizer reads an annotation on one line as one env token, so equal
+annotations share one Env object. It also reads a group "(...){...}" that
+the script has already parsed as one group token, whose Formula the parser
+takes from the script's memo, so equal groups share one Formula object
+wherever they occur and each is read once.
 """
 
 from __future__ import annotations
@@ -165,6 +168,11 @@ class Env:
 
     bindings: tuple[tuple[str, Type], ...]
     _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # name -> type, made by the first lookup, so that lookup takes constant
+    # time and an environment that is never looked up holds no dict
+    _types: Optional[dict[str, Type]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         names = [name for name, _ in self.bindings]
@@ -180,10 +188,11 @@ class Env:
         return Env(tuple(sorted(items, key=lambda kv: kv[0])))
 
     def lookup(self, name: str) -> Optional[Type]:
-        for k, t in self.bindings:
-            if k == name:
-                return t
-        return None
+        types = self._types
+        if types is None:
+            types = dict(self.bindings)
+            object.__setattr__(self, "_types", types)
+        return types.get(name)
 
     def names(self) -> tuple[str, ...]:
         return self._names
@@ -550,6 +559,14 @@ class ProofTree:
 # are those the other alternatives would have given in place, and an error
 # in it is reported where it was when "{" was a token of its own. Any other
 # "{" (unclosed, or with a line break, comment or brace inside) is punct.
+#
+# Given a script's memo, tokenize also reads a group token: from a "(" that
+# can only open a formula group (one not after a name or "]", where it
+# opens arguments) through its matching ")" and the env token right after
+# it, when that text is a group the script has already parsed (see
+# _Parser.record). The token stands at the "(" and its text is the group's.
+# The parser takes the group's Formula from the memo, and anywhere else it
+# fails on it as it failed on that "(" (see _shown).
 _TOKEN = re.compile(
     r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
     r"|(?P<env>\{[A-Za-z0-9_ \t\r()\[\],;:*+^]*\})"
@@ -557,17 +574,45 @@ _TOKEN = re.compile(
     r"|(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
 )
 
+# What _group_ends pairs: "(", and ")" with the env token right after it.
+_GROUP_SCAN = re.compile(r"\(|\)(?:\{[A-Za-z0-9_ \t\r()\[\],;:*+^]*\})?")
+
 
 class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "punct" | "env" | "eof"
+    kind: str  # "ident" | "int" | "punct" | "env" | "group" | "eof"
     text: str
     line: int
     col: int
 
 
-def tokenize(text: str) -> list[Token]:
+def _group_ends(text: str) -> dict[int, int]:
+    """Where each group of text may end: for each "(" whose matching ")" is
+    followed at once by an env token, the offset just past that token.
+
+    A parenthesis in a comment or in a malformed annotation can pair the
+    wrong ones. That costs no more than a missed group token, as tokenize
+    takes a span for a group only when its text is a group already parsed.
+    """
+    ends: dict[int, int] = {}
+    opened: list[int] = []
+    for m in _GROUP_SCAN.finditer(text):
+        start, end = m.span()
+        if text[start] == "(":
+            opened.append(start)
+        elif opened:
+            open_at = opened.pop()
+            if end - start > 1:
+                ends[open_at] = end
+    return ends
+
+
+def tokenize(text: str, memo: Optional[dict] = None) -> list[Token]:
+    """The tokens of text; memo, a script's memo (see _parsed), lets a group
+    the script has already parsed be one group token. A text with its own
+    decl preamble has its own symbol table, so it gets no group tokens."""
     tokens = []
     match = _TOKEN.match
+    ends = None if memo else {}  # found at the first "(" that may open a group
     i, line, line_start, n = 0, 1, 0, len(text)
     while i < n:
         m = match(text, i)
@@ -576,11 +621,28 @@ def tokenize(text: str) -> list[Token]:
                 f"unexpected character {text[i]!r}", line, i - line_start + 1
             )
         kind = m.lastgroup
-        i = m.end()
+        start, i = i, m.end()
         if kind == "newline":
             line, line_start = line + 1, i
         elif kind is not None:
-            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
+            tok = m.group()
+            # after a name or "]" a "(" opens arguments, elsewhere a group
+            if tok == "(" and not (
+                tokens and (tokens[-1].kind == "ident" or tokens[-1].text == "]")
+            ):
+                if ends is None:
+                    own_decls = tokens and tokens[0][:2] == ("ident", "decl")
+                    ends = {} if own_decls else _group_ends(text)
+                end = ends.get(start)
+                if end is not None and (group := text[start:end]) in memo:
+                    tokens.append(Token("group", group, line, start - line_start + 1))
+                    i = end
+                    breaks = text.count("\n", start, end)
+                    if breaks:
+                        line += breaks
+                        line_start = text.rfind("\n", start, end) + 1
+                    continue
+            tokens.append(Token(kind, tok, line, start - line_start + 1))
     # a comment that runs to the end of the text leaves eof at its "#"
     end = text.find("#", line_start)
     tokens.append(Token("eof", "", line, (n if end < 0 else end) - line_start + 1))
@@ -588,8 +650,11 @@ def tokenize(text: str) -> list[Token]:
 
 
 def _shown(tok: Token) -> str:
-    """How an error names a token: an env token by its opening brace."""
-    return "{" if tok.kind == "env" else tok.text
+    """How an error names a token: an env token by its opening brace, a group
+    token by its opening parenthesis."""
+    if tok.kind == "env":
+        return "{"
+    return "(" if tok.kind == "group" else tok.text
 
 
 # Parentheses, function arguments, begin and if may nest this deep. The
@@ -602,22 +667,29 @@ MAX_DEPTH = 100
 class _Parser:
     """Recursive descent over a token list.
 
-    envs maps the text of each env token read so far to its Env, so equal
+    memo maps the text of each env token read so far to its Env, and each
+    binding text in one to its binding (see _env_bindings), so equal
     annotations are parsed once and share one object; parse_formula and
-    parse_env take it from their caller to share it across texts.
+    parse_env take it from their caller to share it across texts. Given the
+    text the tokens came from, the parser also enters in memo each annotated
+    group it reads (see record), which tokenize then reads as one token.
     """
 
     def __init__(
         self,
         tokens: list[Token],
         symbols: Optional[SymbolTable] = None,
-        envs: Optional[dict] = None,
+        memo: Optional[dict] = None,
+        text: Optional[str] = None,
     ):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.deepest = 0  # the greatest depth reached in the current group
         self.symbols = symbols.copy() if symbols else SymbolTable()
-        self.envs = {} if envs is None else envs
+        self.memo = {} if memo is None else memo
+        self.text = text
+        self.line_starts: Optional[list[int]] = None
 
     # -- token plumbing
 
@@ -669,6 +741,7 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             self.fail(f"nesting deeper than {MAX_DEPTH} levels")
+        self.deepest = max(self.deepest, self.depth)
 
     # -- polynomials, types, environments
 
@@ -713,9 +786,10 @@ class _Parser:
             self.expect("{")
             return self.make_env(self.bindings())
         self.next()
-        found = self.envs.get(tok.text)
+        found = self.memo.get(tok.text)
         if found is None:
-            found = self.envs[tok.text] = self.make_env(_env_bindings(tok))
+            bindings = _env_bindings(tok, self.memo)
+            found = self.memo[tok.text] = self.make_env(bindings)
         return found
 
     def bindings(self) -> list[tuple[str, Type]]:
@@ -879,7 +953,18 @@ class _Parser:
         return node
 
     def raw_primary(self) -> "_RawNode":
+        tok = self.peek()
+        if tok.kind == "group":
+            formula, depth, free_vars = self.memo[tok.text]
+            if self.depth + depth <= MAX_DEPTH:
+                self.next()
+                self.deepest = max(self.deepest, self.depth + depth)
+                ann = formula.annotation
+                return _RawNode("group", ann=ann, free_vars=free_vars, resolved=formula)
+            # read it token by token, so that the nesting error is where it was
+            self.tokens[self.pos : self.pos + 1] = _group_tokens(tok)
         if self.eat("("):
+            outer, self.deepest = self.deepest, self.depth
             self.enter()
             inner = self.raw_star()
             self.expect(")")
@@ -887,7 +972,10 @@ class _Parser:
             if self.at_env():
                 if inner.ann is not None:
                     self.fail("formula is annotated twice")
+                ann_tok = self.peek()
                 inner.ann = self.env()
+                self.record(tok, ann_tok, inner, self.deepest - self.depth)
+            self.deepest = max(outer, self.deepest)
             return inner
         if self.eat("T"):
             return _RawNode("top", ann=self.opt_ann())
@@ -915,32 +1003,87 @@ class _Parser:
             return self.env()
         return None
 
+    def record(self, open_tok: Token, ann_tok: Token, node: "_RawNode", depth: int):
+        """Enter the group from open_tok through its annotation ann_tok in
+        memo, as its Formula, the depth it nests to and its free variables.
 
-def _env_bindings(tok: Token) -> list[tuple[str, Type]]:
+        Only a group written "(...){...}" with its annotation on one line
+        right after the ")" is entered, as tokenize reads no other. Its
+        explicit annotation wins over any inherited one and is passed down
+        to every part of it, so it resolves, and alike wherever it stands.
+        A group already entered keeps its Formula, so equal groups are one
+        object.
+        """
+        if self.text is None or ann_tok.kind != "env":
+            return
+        end = self._offset(ann_tok)
+        if self.text[end - 1] != ")":
+            return
+        key = self.text[self._offset(open_tok) : end + len(ann_tok.text)]
+        found = self.memo.get(key)
+        if found is None:
+            formula = _resolve_formula(node, None, self)
+            found = self.memo[key] = (formula, depth, node.free_vars)
+        node.resolved = found[0]
+
+    def _offset(self, tok: Token) -> int:
+        """Where tok starts in self.text."""
+        if self.line_starts is None:
+            self.line_starts = [0]
+            self.line_starts += (m.end() for m in re.finditer("\n", self.text))
+        return self.line_starts[tok.line - 1] + tok.col - 1
+
+
+def _group_tokens(tok: Token) -> list[Token]:
+    """The tokens of a group token's text, each where it is in the text."""
+    out = []
+    for kind, text, line, col in tokenize(tok.text)[:-1]:
+        if line == 1:
+            col += tok.col - 1
+        out.append(Token(kind, text, tok.line + line - 1, col))
+    return out
+
+
+def _env_bindings(tok: Token, memo: dict) -> list[tuple[str, Type]]:
     """The bindings of an env token, read by _Parser.bindings from the tokens
-    of its text, with any error placed where it is in the env token."""
+    of its text, with any error placed where it is in the env token.
+
+    Only commas separate bindings, so each text between commas of an env
+    token that was read is one binding, which memo keeps under that text.
+    An env token whose every such text is in memo is not read again.
+    """
+    parts = tok.text[1:-1].split(",")
+    known = [memo.get(part) for part in parts]
+    if None not in known:
+        return known
     try:
         tokens = tokenize(tok.text[1:-1])  # braces cut off, so no env token
         # the eof token stands where the closing brace does
         tokens[-1] = Token("punct", "}", 1, tokens[-1].col)
-        return _Parser(tokens).bindings()
+        bindings = _Parser(tokens).bindings()
     except ParseError as exc:
         raise ParseError(exc.message, tok.line, tok.col + exc.col) from None
+    memo.update(zip(parts, bindings))  # none for "{}"
+    return bindings
 
 
 @dataclass
 class _RawNode:
     """Parse-tree node for formulas before annotation resolution; its free
-    variables are worked out once, when the node is built."""
+    variables are worked out once, when the node is built. A group read
+    once per script (see _Parser.record) carries its Formula as resolved."""
 
-    kind: str  # "top" | "bot" | "atom" | "and" | "star"
+    kind: str  # "top" | "bot" | "atom" | "and" | "star" | "group"
     left: Optional["_RawNode"] = None
     right: Optional["_RawNode"] = None
     atom: Optional[Atom] = None
     ann: Optional[Env] = None
-    free_vars: frozenset[str] = field(init=False)
+    free_vars: Optional[frozenset[str]] = None
+    resolved: Optional[Formula] = None
 
     def __post_init__(self):
+        if self.free_vars is not None:
+            return
         if self.atom is not None:
             self.free_vars = frozenset().union(*map(fv, self.atom.args))
         elif self.left is not None:
@@ -972,6 +1115,8 @@ def _resolve_formula(
     *, which must be disjoint). An un-annotated compound with annotated
     children takes the union (for /\\) or disjoint join (for *) of theirs.
     """
+    if node.resolved is not None:
+        return node.resolved
     ann = node.ann if node.ann is not None else inherited
     if node.kind in ("top", "bot"):
         if ann is None:
@@ -1018,21 +1163,24 @@ def parse_program_with_decls(
 
 
 def parse_formula(
-    text: str, symbols: Optional[SymbolTable] = None, envs: Optional[dict] = None
+    text: str, symbols: Optional[SymbolTable] = None, memo: Optional[dict] = None
 ) -> Formula:
     """Parse an annotated formula, allowing an optional decl preamble.
 
-    envs, when given, maps annotation texts to the Env objects parsed from
-    them so far and gains this text's; see _Parser.
+    memo, when given, maps the annotation texts and annotated group texts
+    parsed so far under symbols to their Env objects and group entries, and
+    gains this text's; see _Parser and tokenize.
     """
-    return parse_formula_with_decls(text, symbols, envs)[1]
+    return parse_formula_with_decls(text, symbols, memo)[1]
 
 
 def parse_formula_with_decls(
-    text: str, symbols: Optional[SymbolTable] = None, envs: Optional[dict] = None
+    text: str, symbols: Optional[SymbolTable] = None, memo: Optional[dict] = None
 ) -> tuple[SymbolTable, Formula]:
-    p = _Parser(tokenize(text), symbols, envs)
+    p = _Parser(tokenize(text, memo), symbols, memo, text)
     p.decls()
+    if p.pos:
+        p.text = None  # its own symbol table: its groups are not the script's
     f = p.formula()
     p.expect("")
     return p.symbols, f
@@ -1052,9 +1200,9 @@ def parse_type(text: str) -> Type:
     return t
 
 
-def parse_env(text: str, envs: Optional[dict] = None) -> Env:
-    """Parse an environment; envs as for parse_formula."""
-    p = _Parser(tokenize(text), envs=envs)
+def parse_env(text: str, memo: Optional[dict] = None) -> Env:
+    """Parse an environment; memo as for parse_formula."""
+    p = _Parser(tokenize(text), memo=memo)
     env = p.env()
     p.expect("")
     return env
@@ -1109,7 +1257,11 @@ def _parsed(memo: dict, obj: dict, key: str, where: str, parse: Callable, *args)
 
     memo lives for one parse_proof_with_decls or parse_cert call, where the
     symbol table is fixed, so the text alone is a sound key. It also serves
-    parse_formula and parse_env as their envs, under annotation-text keys.
+    parse_formula and parse_env as their memo. Under annotation-text keys
+    "{...}" it holds Env objects, under the text of each binding between the
+    commas of an annotation its binding (see _env_bindings), and under
+    group-text keys "(...){...}" the Formula, nesting depth and free
+    variables of each annotated group read so far (see _Parser.record).
     """
     text = _json_str(obj, key, where)
     found = memo.get((parse, text))

@@ -247,19 +247,35 @@ def env_union(a: Env, b: Env) -> Env:
 
 
 def wf_formula(
-    f: Formula, symbols: Optional[SymbolTable] = None, path: str = "formula"
+    f: Formula,
+    symbols: Optional[SymbolTable] = None,
+    path: str = "formula",
+    checked: Optional[dict] = None,
 ) -> None:
-    """Check well-formedness of an annotated formula."""
+    """Check well-formedness of an annotated formula.
+
+    checked, when given, maps id(g) to each formula object g that passed
+    under symbols, and holds it so that its id is not reused. A sub-formula
+    of f that is in it is not checked again, and f and each sub-formula that
+    passes are entered. Only a success is entered, so an ill-formed formula
+    fails at its first ill-formed part, with the same path, wherever it is
+    checked.
+    """
     symbols = symbols or SymbolTable()
     b = f.body
-    if isinstance(b, (Top, Bot)):
-        return
     if isinstance(b, Atom):
         _wf_atom(f.annotation, b, symbols, path)
-        return
+    elif isinstance(b, (And, Star)):
+        _wf_compound(f, b, symbols, path, checked)
+    if checked is not None:
+        checked[id(f)] = f
+
+
+def _wf_compound(f: Formula, b, symbols: SymbolTable, path: str, checked) -> None:
     left, right = b.left, b.right
-    wf_formula(left, symbols, f"{path}.left")
-    wf_formula(right, symbols, f"{path}.right")
+    for side, child in (("left", left), ("right", right)):
+        if checked is None or id(child) not in checked:
+            wf_formula(child, symbols, f"{path}.{side}", checked)
     if isinstance(b, And):
         for side, child in (("left", left), ("right", right)):
             if not env_ext(child.annotation, f.annotation):
@@ -283,14 +299,12 @@ def wf_formula(
 def wf_formula_once(f: Formula, symbols: SymbolTable, checked: dict) -> None:
     """wf_formula(f, symbols), unless this very object already passed it.
 
-    checked maps id(f) to each formula that passed under symbols, and holds
-    it so that its id is not reused; the caller keeps it for one check. Only
-    a success is recorded, so an ill-formed formula fails where it is first
-    checked, and again wherever it is checked after that.
+    checked is as for wf_formula; the caller keeps it for the formulas of
+    one check, so each distinct formula object of the check, sub-formulas
+    included, is checked once, where it first occurs.
     """
     if id(f) not in checked:
-        wf_formula(f, symbols)
-        checked[id(f)] = f
+        wf_formula(f, symbols, checked=checked)
 
 
 def _wf_atom(ann: Env, a: Atom, symbols: SymbolTable, path: str) -> None:

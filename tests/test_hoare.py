@@ -15,7 +15,9 @@ from cslcheck.hoare import (
 )
 from cslcheck.syntax import (
     RULE_NAMES,
+    And,
     HoareTriple,
+    Star,
     SymbolTable,
     parse_env,
     parse_formula,
@@ -394,6 +396,21 @@ def test_the_fuzzer_tests_the_rule_the_checker_enforces(monkeypatch):
     assert not fuzz_rule_soundness("Const", cases=40, seed=1, ns=(1, 2)).ok
 
 
+def test_the_fuzzer_finds_rcond_with_its_branches_swapped(monkeypatch):
+    real = hoare.rcond_premises
+
+    def swapped(t, fail):  # the else branch runs under guard=1, then under 0
+        then_triple, else_triple = real(t, fail)
+        return (
+            HoareTriple(then_triple.pre, t.env, else_triple.program, t.post),
+            HoareTriple(else_triple.pre, t.env, then_triple.program, t.post),
+        )
+
+    monkeypatch.setattr(hoare, "rcond_premises", swapped)
+    for seed in (0, 1, 2):
+        assert not fuzz_rule_soundness("RCond", 100, seed, (1, 2)).ok, seed
+
+
 def test_fuzz_unknown_rule():
     with pytest.raises(ValueError, match="fuzz generator"):
         fuzz_rule_soundness("Skip", cases=1)
@@ -416,38 +433,43 @@ def _build_exp(h):
 
 
 def test_each_formula_object_is_checked_once(monkeypatch):
+    # every distinct formula object, sub-formulas included, is checked once:
+    # equal groups of a script are one object, so most occurrences are skips
     symbols, tree = parse_proof_with_decls(_build_exp(4))
-    top_level = []
-    depth = [0]
+    checks = []
     wf_formula = types.wf_formula
 
-    def counting(f, *args):
-        if depth[0] == 0:
-            top_level.append(f)
-        depth[0] += 1
-        try:
-            return wf_formula(f, *args)
-        finally:
-            depth[0] -= 1
+    def counting(f, *args, **kwargs):
+        checks.append(f)
+        return wf_formula(f, *args, **kwargs)
 
     monkeypatch.setattr(types, "wf_formula", counting)
     check_triple(tree, symbols)
 
     formulas = {}
+    occurrences = [0]
+
+    def formula(f):
+        occurrences[0] += 1
+        formulas[id(f)] = f
+        if isinstance(f.body, (And, Star)):
+            formula(f.body.left)
+            formula(f.body.right)
 
     def collect(t):
-        for f in (t.conclusion.pre, t.conclusion.post):
-            formulas[id(f)] = f
+        formula(t.conclusion.pre)
+        formula(t.conclusion.post)
         for cert in (t.pre_cert, t.post_cert):
             for step in cert.steps if cert else ():
-                formulas[id(step.lhs)] = step.lhs
-                formulas[id(step.rhs)] = step.rhs
+                formula(step.lhs)
+                formula(step.rhs)
         for child in t.children:
             collect(child)
 
     collect(tree)
-    assert len(top_level) == len({id(f) for f in top_level}) == len(formulas)
-    assert {id(f) for f in top_level} == set(formulas)
+    assert len(checks) == len({id(f) for f in checks}) == len(formulas)
+    assert {id(f) for f in checks} == set(formulas)
+    assert occurrences[0] > 5 * len(formulas)
 
 
 def test_ill_formed_formula_fails_in_the_certificate_it_first_appears_in():

@@ -784,3 +784,176 @@ def test_equal_annotation_texts_share_one_env():
         by_text.setdefault(env_to_text(env), set()).add(id(env))
     assert len(envs) > 10 * len(by_text)
     assert all(len(ids) == 1 for ids in by_text.values())
+
+
+def test_an_annotation_of_known_bindings_is_not_read_again(monkeypatch):
+    memo = {}
+    first = parse_env("{k: Str[n], m: Bool}", memo)
+    read = []
+    real = syntax.tokenize
+
+    def tokenize_spy(text, *args):
+        read.append(text)
+        return real(text, *args)
+
+    monkeypatch.setattr(syntax, "tokenize", tokenize_spy)
+    again = parse_env("{ m: Bool,k: Str[n]}", memo)
+    assert read == ["{ m: Bool,k: Str[n]}"]  # its bindings are not read
+    assert again == first
+    assert again.lookup("k") is first.lookup("k")
+    assert parse_env("{}", memo) == EMPTY_ENV
+    for bad in ("{ m: Bool,k: Str[n}", "{k: Str[n],k: Str[n]}", "{ m: Bool,}"):
+        assert parse_error(lambda t: parse_env(t, memo), bad) == parse_error(
+            parse_env, bad
+        )
+
+
+# Each annotated group is one token, read once per script
+
+
+def _build_corpus():
+    tool = ROOT / "tools" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", tool)
+    build_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_corpus)
+    return build_corpus
+
+
+def _formula_texts(node):
+    """The formula texts of a proof script node and its subtree, in order."""
+    for key in ("pre", "post", "mid"):
+        if key in node:
+            yield node[key]
+    for key in ("pre_cert", "post_cert"):
+        for step in node[key]["steps"] if key in node else ():
+            yield step["lhs"]
+            yield step["rhs"]
+    for child in node.get("children", ()):
+        yield from _formula_texts(child)
+
+
+def _sub_formulas(f):
+    yield f
+    if isinstance(f.body, (And, Star)):
+        yield from _sub_formulas(f.body.left)
+        yield from _sub_formulas(f.body.right)
+
+
+@pytest.mark.parametrize("h", range(9))
+def test_a_shared_memo_parses_as_a_fresh_one_and_shares_each_group(h):
+    decls, tree = _build_corpus().build_exp(h)
+    doc = json.loads(proof_to_text(tree, decls))
+    symbols = parse_decls(decls[0])
+    memo = {}
+    texts = list(dict.fromkeys(_formula_texts(doc["root"])))
+    shared = [parse_formula(text, symbols, memo) for text in texts]
+    assert shared == [parse_formula(text, symbols, {}) for text in texts]
+    assert any(t.kind == "group" for t in tokenize(texts[-1], memo))
+
+    # the texts are printed with every group annotated, so the text of each
+    # sub-formula is a group text, and equal ones must be one object
+    by_text = {}
+    printed = {}
+    for f in shared:
+        for sub in _sub_formulas(f):
+            if id(sub) not in printed:
+                printed[id(sub)] = formula_to_text(sub)
+            by_text.setdefault(printed[id(sub)], set()).add(id(sub))
+    assert all(len(ids) == 1 for ids in by_text.values())
+    assert set(by_text) == {key for key in memo if key.startswith("(")}
+
+
+G_EXP = "(U(g(k))){k: Str[n], r1: Str[n+1]}"
+G_AND = (
+    "((U(r0)){r0: Str[n+1]} /\\ (b0 .= head(r0)){b0: Bool, r0: Str[n+1]})"
+    "{b0: Bool, r0: Str[n+1]}"
+)
+G_TWO_LINES = "(U(\nk)){k: Str[n]}"
+G_OWN_DECL = "decl h : Str[n] -> Str[n] det; (k == h(k)){k: Str[n]}"
+
+# (text parsed after G_EXP, G_AND, G_TWO_LINES and G_OWN_DECL through one
+# memo, its (message, line, col)); the figures are those of parsing it alone
+# before groups became tokens
+GROUP_ERRORS = [
+    ("(U(" + G_EXP + ")){k: Str[n]}", ("expected an expression, got '('", 1, 4)),
+    ("(g(" + G_EXP + ") == k){k: Str[n]}", ("expected an expression, got '('", 1, 4)),
+    ("(k == " + G_EXP + "){k: Str[n]}", ("expected an expression, got '('", 1, 7)),
+    # after a name, "(" opens arguments even when a known group follows
+    ("(k == g" + G_EXP + "){k: Str[n]}", ("unknown function symbol U", 1, 9)),
+    ("(U" + G_EXP + "){k: Str[n]}", ("unknown function symbol U", 1, 4)),
+    ("(T){} * " + G_TWO_LINES + " )", ("expected '', got ')'", 2, 16)),
+    ("(T){}\n * " + G_TWO_LINES + " * $", ("unexpected character '$'", 3, 18)),
+    ("(" * 98 + G_AND + ")" * 98, ("nesting deeper than 100 levels", 1, 137)),
+    (
+        "((k == h(k)){k: Str[n]} * (T){}){k: Str[n]}",
+        ("unknown function symbol h", 1, 8),
+    ),
+    (
+        "decl g : Str[n] -> Str[n+2] det; " + G_EXP,
+        ("conflicting declarations for symbol g", 1, 6),
+    ),
+]
+
+
+@pytest.mark.parametrize("text, error", GROUP_ERRORS)
+def test_errors_next_to_shared_groups_are_where_they_were(text, error):
+    symbols = parse_decls("decl g : Str[n] -> Str[n+1] det;")
+    memo = {}
+    for known in (G_EXP, G_AND, G_TWO_LINES, G_OWN_DECL):
+        parse_formula(known, symbols, memo)
+    # a group read under a text's own decl preamble is not the script's
+    assert G_OWN_DECL[G_OWN_DECL.index("(") :] not in memo
+    assert parse_error(lambda t: parse_formula(t, symbols, memo), text) == error
+    assert parse_error(lambda t: parse_formula(t, symbols), text) == error
+
+
+def test_equal_groups_of_one_text_are_one_object():
+    f = parse_formula("((U(x)){x: Bool} /\\ (U(x)){x: Bool}){x: Bool}")
+    assert f.body.left is f.body.right
+
+
+def test_a_text_with_its_own_decls_gets_no_group_tokens():
+    symbols = parse_decls("decl g : Str[n] -> Str[n+1] det;")
+    memo = {}
+    parse_formula(G_EXP, symbols, memo)
+    assert [t.kind for t in tokenize(G_EXP, memo)] == ["group", "eof"]
+    text = "decl g : Str[n] -> Str[n+1] det; " + G_EXP
+    assert tokenize(text, memo) == tokenize(text)
+    assert parse_formula(text, symbols, memo) == parse_formula(G_EXP, symbols)
+
+
+def test_a_group_at_the_depth_limit_is_read_as_one_token():
+    symbols = parse_decls("decl g : Str[n] -> Str[n+1] det;")
+    memo = {}
+    parse_formula(G_AND, symbols, memo)
+    text = "(" * 97 + G_AND + ")" * 97  # G_AND nests three levels
+    assert [t.kind for t in tokenize(text, memo)].count("group") == 1
+    assert parse_formula(text, symbols, memo) == parse_formula(text, symbols)
+
+
+def expand_groups(tokens):
+    """tokens, with each group token replaced by the tokens of its text, each
+    at its own line and column."""
+    out = []
+    for t in tokens:
+        if t.kind != "group":
+            out.append(tuple(t))
+            continue
+        for kind, inner, line, col in tokenize(t.text)[:-1]:
+            if line == 1:
+                col += t.col - 1
+            out.append((kind, inner, t.line + line - 1, col))
+    return out
+
+
+_GROUPS = ["(T){}", "(U(x)){x: Bool}", "((T){} * (U(\nx)){x: Bool}){x: Bool}"]
+_GROUP_MEMO = {}
+for _group in _GROUPS:
+    parse_formula(_group, None, _GROUP_MEMO)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES + _GROUPS), max_size=30).map("".join))
+def test_group_tokens_expand_to_the_tokens_of_their_text(text):
+    got = tokens_or_error(lambda t: expand_groups(tokenize(t, _GROUP_MEMO)), text)
+    assert got == tokens_or_error(tokenize, text)

@@ -147,13 +147,11 @@ def cmd_run(args) -> int:
     if args.json:
         _emit(store_to_text(out), args.out)
         return OK
+    cells = " ".join(f"{name.replace('%', '%%')}=%s" for name in out.env.names())
     lines = []
     for n in out.tested_ns():
         lines.append(f"n={n}")
-        d = out.at(n)
-        for m in d.support():
-            cells = " ".join(f"{name}={v}" for name, v in zip(out.env.names(), m))
-            lines.append(f"  {cells}  {d.prob(m)}")
+        lines += [f"  {cells % m}  {pr}" for m, pr in out.at(n).prob_texts()]
     _emit("\n".join(lines) + "\n", args.out)
     return OK
 

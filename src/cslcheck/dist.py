@@ -7,11 +7,15 @@ tolerance. A memory is the tuple of its values in the order of its
 environment. FinDist knows nothing of environments: the Store that holds a
 memory distribution, or the caller that passes env, names the values, so
 project, tensor and condition take theirs from there. memory() is the one
-checked way to build a memory from names, and parse_store reads through the
-same reader. Fractions appear only at the boundary: the public constructor,
-scale, prob, items, total, the result of stat_dist and the store file
-format. mix is the one integer bind: FinDist.bind, add and the program
-kernel all go through it.
+checked way to build a memory from names. parse_store reads a family's
+entries in C-level passes and checks each distinct value of each variable
+once against its width and the 01 alphabet; only when a check fails does
+it go through the entries one by one with memory()'s reader, to word the
+first error. store_to_text formats the fixed entry layout directly, with
+one probability text per distinct weight. Fractions appear only at the
+boundary: the public constructor, scale, prob, items, prob_texts, total,
+the result of stat_dist and the store file format. mix is the one integer
+bind: FinDist.bind, add and the program kernel all go through it.
 
 Sub-unit total mass is permitted (the program semantics is linear and gets
 exercised on sub-distributions); stores and serialization require full
@@ -154,6 +158,13 @@ class FinDist:
 
     def items(self) -> list:
         return [(p, self.prob(p)) for p in self.support()]
+
+    def prob_texts(self) -> list:
+        """The points in canonical order, each with str() of its probability,
+        made once per distinct weight."""
+        weights, den = self._weights, self._den
+        texts = {w: str(Fraction(w, den)) for w in set(weights.values())}
+        return [(p, texts[weights[p]]) for p in sorted(weights)]
 
     def support(self) -> list:
         """The points in canonical order."""
@@ -353,17 +364,35 @@ def tensor(a: Store, b: Store) -> Store:
 # {"env": {name: type}, "family": {n: [{"values": {name: bits}, "prob": p}]}}
 
 
+def _object_text(members: list[str], indent: str) -> str:
+    """A JSON object laid out as json.dumps(..., indent=2) lays it out, from
+    its member lines, each already indented one level deeper than indent."""
+    return "{\n" + ",\n".join(members) + "\n" + indent + "}" if members else "{}"
+
+
 def store_to_text(s: Store) -> str:
-    names = s.env.names()
-    family = {
-        str(n): [
-            {"values": dict(zip(names, m)), "prob": str(d.prob(m))}
-            for m in d.support()
-        ]
+    """The store file of s, byte for byte as json.dumps(doc, indent=2) + "\n"
+    writes it. Each name and type is escaped once per store, and one entry
+    is one % format of its values and its probability text; values are
+    bitstrings and need no escaping."""
+    env = [f"    {json.dumps(k)}: {json.dumps(type_to_text(t))}" for k, t in s.env.items()]
+    values = [f'          {json.dumps(k).replace("%", "%%")}: "%s"' for k in s.env.names()]
+    entry = (
+        '      {\n        "values": '
+        + _object_text(values, "        ")
+        + ',\n        "prob": "%s"\n      }'
+    )
+    family = [
+        f'    "{n}": [\n'
+        + ",\n".join([entry % (m + (pr,)) for m, pr in d.prob_texts()])
+        + "\n    ]"
         for n, d in sorted(s.family.items())
-    }
-    env = {name: type_to_text(t) for name, t in s.env.items()}
-    return json.dumps({"env": env, "family": family}, indent=2) + "\n"
+    ]
+    top = [
+        f'  "env": {_object_text(env, "  ")}',
+        f'  "family": {_object_text(family, "  ")}',
+    ]
+    return _object_text(top, "") + "\n"
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
@@ -407,6 +436,66 @@ def _checked_dist(points: list) -> FinDist:
     return FinDist.from_ints(weights, den)
 
 
+def _read_entries(entries: list, env: Env, n: int, rationals: dict):
+    """The (memory, (p, q)) points of one family's entries, or None when an
+    entry fails a check or has a prob that is not a string.
+
+    Each pass over the entries is C-level: fetch the values objects, their
+    sizes and the probs, and the set of each variable's values. Each
+    distinct value of a variable is then checked once against its width and
+    the 01 alphabet, and each distinct prob text is decoded once into
+    rationals."""
+    names = env.names()
+    try:
+        rows = list(map(itemgetter("values"), entries))
+        sizes = set(map(dict.__len__, rows))
+        probs = list(map(itemgetter("prob"), entries))
+        seen = [set(map(itemgetter(name), rows)) for name in names]
+        texts = set(probs)
+    except (TypeError, KeyError):  # a non-object, a missing key, a list value
+        return None
+    if not (sizes <= {len(names)} and set(map(type, texts)) <= {str}):
+        return None
+    for (_, t), values in zip(env.items(), seen):
+        width = value_len(t, n)
+        for v in values:
+            if not isinstance(v, str) or v.strip("01") or len(v) != width:
+                return None
+    for raw in texts - rationals.keys():
+        try:
+            pr = exact_rational(raw, "prob")
+        except ValueError:
+            return None
+        rationals[raw] = (pr.numerator, pr.denominator)
+    columns = [map(itemgetter(name), rows) for name in names]
+    memories = zip(*columns) if names else [()] * len(rows)
+    return list(zip(memories, map(rationals.__getitem__, probs)))
+
+
+def _read_each_entry(entries: list, read: Callable, n_text: str, rationals: dict):
+    """_read_entries entry by entry, with each check worded for its entry:
+    it raises the first error of the family, and reads an int prob."""
+    points = []
+    for i, entry in enumerate(entries):
+        where = f"store family {n_text!r} entry {i}"
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("values"), dict)
+            and "prob" in entry
+        ):
+            raise ValueError(f"{where}: needs a 'values' object and a 'prob'")
+        try:
+            m = read(entry["values"])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        raw = entry["prob"]
+        if not isinstance(raw, str) or raw not in rationals:
+            pr = exact_rational(raw, f"{where}: prob")
+            rationals[raw] = (pr.numerator, pr.denominator)
+        points.append((m, rationals[raw]))
+    return points
+
+
 def parse_store(text: str) -> Store:
     """Decode a store file; a document of any other shape raises ValueError.
 
@@ -437,24 +526,8 @@ def parse_store(text: str) -> Store:
         if not isinstance(entries, list):
             raise ValueError(f"store family {n_text!r} must be a list of entries")
         n = int(n_text)
-        read = _memory_reader(env, n)
-        points = []
-        for i, entry in enumerate(entries):
-            where = f"store family {n_text!r} entry {i}"
-            if not (
-                isinstance(entry, dict)
-                and isinstance(entry.get("values"), dict)
-                and "prob" in entry
-            ):
-                raise ValueError(f"{where}: needs a 'values' object and a 'prob'")
-            try:
-                m = read(entry["values"])
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            raw = entry["prob"]
-            if not isinstance(raw, str) or raw not in rationals:
-                pr = exact_rational(raw, f"{where}: prob")
-                rationals[raw] = (pr.numerator, pr.denominator)
-            points.append((m, rationals[raw]))
+        points = _read_entries(entries, env, n, rationals)
+        if points is None:
+            points = _read_each_entry(entries, _memory_reader(env, n), n_text, rationals)
         family[n] = _checked_dist(points)
     return Store(env, family)

@@ -1229,11 +1229,13 @@ def parse_decls(text: str, symbols: Optional[SymbolTable] = None) -> SymbolTable
 def unique_keys(pairs: list) -> dict:
     """object_pairs_hook for json.loads that refuses a repeated key, which
     json.loads would otherwise read as its last copy."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"JSON object repeats the key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"JSON object repeats the key {key!r}")
+            seen.add(key)
     return obj
 
 

@@ -11,15 +11,20 @@ versions of the distribution operations that integer weights replaced, and
 the recursive sat_bi that the witness search replaced, and compare old and
 new on generated programs, expressions, distributions and formulas.
 
-The final section restates how the rule generators once built the SRAssn
+The next section restates how the rule generators once built the SRAssn
 and SDAssn post, the RCond branch triples and the Frame/Const subproof
 triple, and compares that with the checker's rule functions.
+
+The final section keeps the store reader and writer as they were before
+they worked in C-level passes, and compares old and new on generated stores
+and on one-field mutations of store documents.
 """
 
+import json
 import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from cslcheck import _gen
 from cslcheck.dist import (
@@ -29,9 +34,12 @@ from cslcheck.dist import (
     all_memories,
     condition,
     convex,
+    exact_rational,
     memory,
+    parse_store,
     project,
     stat_dist,
+    store_to_text,
     tensor,
     uniform_memories,
     uniform_values,
@@ -62,8 +70,10 @@ from cslcheck.syntax import (
     parse_env,
     parse_expr,
     parse_program,
+    parse_type,
     poly_eval,
     program_to_text,
+    type_to_text,
 )
 from cslcheck.logic import _splits, sat_atom, sat_bi, sat_formula
 from cslcheck.hoare import composite_premise, rcond_premises, scoped_post
@@ -687,3 +697,335 @@ def test_rule_functions_agree_with_independent_builders(rule):
             t = _gen.gen_composite(rng, (1, 2), symbols, star_shape=rule == "Frame")
             got = composite_premise(t, rule, _not_an_instance)
             assert got == ref_composite_premise(t)
+
+
+# ---------------------------------------------------------------------------
+# The store file format as store_to_text wrote it, through json.dumps with
+# indent=2 (CPython's pure-Python encoder), and as parse_store read it, entry
+# by entry and field by field, with the object_pairs_hook that refused a
+# repeated key one key at a time.
+
+
+def ref_unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def ref_store_to_text(s):
+    names = s.env.names()
+    family = {
+        str(n): [
+            {"values": dict(zip(names, m)), "prob": str(d.prob(m))}
+            for m in d.support()
+        ]
+        for n, d in sorted(s.family.items())
+    }
+    env = {name: type_to_text(t) for name, t in s.env.items()}
+    return json.dumps({"env": env, "family": family}, indent=2) + "\n"
+
+
+def ref_checked_dist(points):
+    den = lcm(*{q for _, (_, q) in points})
+    weights = {}
+    for m, (p, q) in points:
+        weights[m] = weights.get(m, 0) + p * (den // q)
+    for m, w in weights.items():
+        if w < 0:
+            raise ValueError(f"negative probability {Fraction(w, den)} at {m!r}")
+    weights = {m: w for m, w in weights.items() if w}
+    if sum(weights.values()) > den:
+        raise ValueError(
+            f"probabilities sum to {Fraction(sum(weights.values()), den)} > 1"
+        )
+    return FinDist.from_ints(weights, den)
+
+
+def ref_parse_store(text):
+    doc = json.loads(text, object_pairs_hook=ref_unique_keys)
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("env"), dict)
+        and isinstance(doc.get("family"), dict)
+        and all(isinstance(t, str) for t in doc["env"].values())
+    ):
+        raise ValueError(
+            "store needs an 'env' object of type strings and a 'family' object"
+        )
+    if not doc["family"]:
+        raise ValueError("store family must hold at least one n")
+    env = Env.make({name: parse_type(t) for name, t in doc["env"].items()})
+    family = {}
+    rationals = {}
+    for n_text, entries in doc["family"].items():
+        if not re.fullmatch(r"[1-9][0-9]*", n_text):
+            raise ValueError(
+                f"store family key {n_text!r} must be an integer >= 1 "
+                'written without leading zeros, like "3"'
+            )
+        if not isinstance(entries, list):
+            raise ValueError(f"store family {n_text!r} must be a list of entries")
+        n = int(n_text)
+        points = []
+        for i, entry in enumerate(entries):
+            where = f"store family {n_text!r} entry {i}"
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("values"), dict)
+                and "prob" in entry
+            ):
+                raise ValueError(f"{where}: needs a 'values' object and a 'prob'")
+            try:
+                m = memory(env, n, entry["values"])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            raw = entry["prob"]
+            if not isinstance(raw, str) or raw not in rationals:
+                pr = exact_rational(raw, f"{where}: prob")
+                rationals[raw] = (pr.numerator, pr.denominator)
+            points.append((m, rationals[raw]))
+        family[n] = ref_checked_dist(points)
+    return Store(env, family)
+
+
+_STORE_TYPES = [parse_type(t) for t in ("Bool", "Str[n]", "Str[1]", "Str[2n]")]
+
+
+def _random_store(rng, max_vars=4, ns=(1, 2, 3)):
+    """A store over 0..max_vars variables whose weights have random
+    denominators, most of them not powers of two."""
+    pool = ["a", "b", "c", "k", "m", "x%s", "é", 'q"']  # % and " need escaping
+    names = rng.sample(pool, rng.randint(0, max_vars))
+    env = Env.make({name: rng.choice(_STORE_TYPES) for name in names})
+    family = {}
+    for n in rng.sample(ns, rng.randint(1, len(ns))):
+        mems = all_memories(env, n)
+        if len(mems) <= 16 and rng.random() < 0.3:
+            family[n] = uniform_memories(env, n)
+            continue
+        pts = rng.sample(mems, rng.randint(1, min(6, len(mems))))
+        raw = [Fraction(rng.randint(1, 9), rng.choice((1, 3, 5, 7, 8))) for _ in pts]
+        family[n] = FinDist({m: w / sum(raw) for m, w in zip(pts, raw)})
+    return Store(env, family)
+
+
+def test_store_writer_agrees_with_json_dumps():
+    rng = random.Random(14)
+    arities = set()
+    for case in range(400):
+        s = _random_store(rng)
+        text = store_to_text(s)
+        assert text == ref_store_to_text(s), case
+        assert parse_store(text) == s, case
+        arities.add(len(s.env))
+    assert arities == {0, 1, 2, 3, 4}
+
+
+class Pairs(list):
+    """A JSON object written as its (key, value) pairs, so a key can repeat."""
+
+
+class Raw(str):
+    """JSON text written as it is, like the number 1e-3."""
+
+
+def _dump(obj):
+    if isinstance(obj, Raw):
+        return str(obj)
+    if isinstance(obj, dict):
+        obj = Pairs(obj.items())
+    if isinstance(obj, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in obj) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(_dump, obj)) + "]"
+    return json.dumps(obj)
+
+
+_NOT_AN_OBJECT = ([], ["values"], "x", 3, None, True)
+_NOT_A_STRING = (1, 0, None, True, [], ["0"], {"a": "0"}, 0.5)
+_BAD_PROBS = (
+    0, 1, 2, -1, 0.5, 1.0, Raw("1e-3"), Raw("-0.0"), True, False, None, [], {},
+    "1e-3", "abc", "1/0", "-1/4", " 1/4", "1/4 ", "0.5.5", "", "2/2",
+)
+_BAD_N_KEYS = ("0", "01", "x", "-1", " 1", "1.0", "", "+1")
+
+
+def _entry_at(rng, doc):
+    """A random (entries list, index) of doc, or None if every family is empty."""
+    lists = [e for e in doc["family"].values() if isinstance(e, list) and e]
+    if not lists:
+        return None
+    entries = rng.choice(lists)
+    return entries, rng.randrange(len(entries))
+
+
+def _values_at(rng, doc):
+    hit = _entry_at(rng, doc)
+    if hit is None or not isinstance(hit[0][hit[1]], dict):
+        return None
+    values = hit[0][hit[1]].get("values")
+    return values if isinstance(values, dict) else None
+
+
+def _mutate(rng, doc):
+    """Change one field of doc in place; returns the name of the change."""
+    kind = rng.choice((
+        "entry", "no values", "no prob", "values", "missing value", "extra value",
+        "non-string value", "wide value", "narrow value", "bad bit", "prob",
+        "split point", "twice", "negative", "cancelled", "more mass", "less mass",
+        "n key", "family shape", "int prob", "zero entry",
+    ))
+    hit = _entry_at(rng, doc)
+    if hit is None:
+        return "none"
+    entries, i = hit
+    entry = entries[i]
+    values = _values_at(rng, doc)
+    if kind == "entry":
+        entries[i] = rng.choice(_NOT_AN_OBJECT)
+    elif kind in ("no values", "no prob") and isinstance(entry, dict):
+        entry.pop("values" if kind == "no values" else "prob", None)
+    elif kind == "values" and isinstance(entry, dict):
+        entry["values"] = rng.choice(_NOT_AN_OBJECT[:-1] + ("01",))
+    elif kind == "extra value" and values is not None:
+        values[rng.choice(("zz", "a", "k"))] = "0"
+    elif kind == "prob" and isinstance(entry, dict):
+        entry["prob"] = rng.choice(_BAD_PROBS)
+    elif kind == "int prob" and isinstance(entry, dict):
+        entry["prob"] = rng.choice((0, 1))
+        other = rng.choice(entries)
+        if other is not entry and isinstance(other, dict):  # equal as keys to 0 or 1
+            other["prob"] = rng.choice((0, 1, True, False, 0.0, 1.0))
+    elif kind == "zero entry" and isinstance(entry, dict):
+        zero = dict(entry, prob=rng.choice(("0", "0/3")))
+        entries.insert(rng.randint(0, len(entries)), zero)
+    elif kind in ("split point", "twice", "cancelled") and isinstance(entry, dict):
+        first, second = dict(entry), dict(entry)
+        if kind == "split point" and isinstance(entry.get("prob"), str):
+            first["prob"] = second["prob"] = str(Fraction(entry["prob"]) / 2)
+        elif kind == "cancelled" and isinstance(entry.get("prob"), str):
+            first["prob"] = "-1/7"
+            second["prob"] = str(Fraction(entry["prob"]) + Fraction(1, 7))
+        entries[i:i + 1] = [first, second][:: rng.choice((1, -1))]
+    elif kind == "negative" and isinstance(entry, dict):
+        entry["prob"] = rng.choice(("-1/3", "-1", -1, "0"))
+    elif kind == "more mass" and isinstance(entry, dict):
+        entry["prob"] = rng.choice(("1", "2", "7/3"))
+    elif kind == "less mass":
+        if len(entries) > 1:
+            del entries[i]
+        elif isinstance(entry, dict):
+            entry["prob"] = "1/2"
+    elif kind == "n key":
+        keys = list(doc["family"])
+        old = rng.choice(keys)
+        new = rng.choice(_BAD_N_KEYS)
+        doc["family"] = {(new if k == old else k): v for k, v in doc["family"].items()}
+    elif kind == "family shape":
+        doc["family"][rng.choice(list(doc["family"]))] = rng.choice(({}, "x", None))
+    elif values:
+        name = rng.choice(list(values))
+        v = values[name]
+        if kind == "missing value":
+            del values[name]
+        elif kind == "non-string value":
+            values[name] = rng.choice(_NOT_A_STRING)
+        elif kind == "wide value" and isinstance(v, str):
+            values[name] = v + rng.choice("01")
+        elif kind == "narrow value" and isinstance(v, str):
+            values[name] = v[:-1]
+        elif kind == "bad bit" and isinstance(v, str) and v:
+            j = rng.randrange(len(v))
+            values[name] = v[:j] + rng.choice("2a x") + v[j + 1:]
+    return kind
+
+
+def _repeat_key(rng, doc):
+    """Mark one object of doc (the document, its env or family, an entry or
+    a values object) to be written as pairs that list one of its keys
+    twice; the last change made to doc."""
+    holders = [doc, doc["env"], doc["family"]]
+    hit = _entry_at(rng, doc)
+    if hit is not None and isinstance(hit[0][hit[1]], dict):
+        holders.append(hit[0][hit[1]])
+        if isinstance(hit[0][hit[1]].get("values"), dict):
+            holders.append(hit[0][hit[1]]["values"])
+    target = rng.choice([h for h in holders if isinstance(h, dict) and h])
+    pairs = list(target.items())
+    k, v = rng.choice(pairs)
+    pairs.insert(rng.randint(0, len(pairs)), (k, rng.choice((v, "1", "0/1"))))
+    target.clear()
+    target["__pairs__"] = pairs
+    return "repeat key"
+
+
+def _text(doc):
+    """doc as JSON text; an object marked by _repeat_key is written as its pairs."""
+    def unwrap(obj):
+        if isinstance(obj, dict):
+            if list(obj) == ["__pairs__"]:
+                return Pairs((k, unwrap(v)) for k, v in obj["__pairs__"])
+            return {k: unwrap(v) for k, v in obj.items()}
+        if isinstance(obj, Pairs):
+            return Pairs((k, unwrap(v)) for k, v in obj)
+        if isinstance(obj, list):
+            return [unwrap(v) for v in obj]
+        return obj
+
+    return _dump(unwrap(doc))
+
+
+def _read(reader, text):
+    try:
+        return "ok", reader(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+
+
+_STORE_ERRORS = (
+    "repeats the key", "needs a 'values' object and a 'prob'", "store family key",
+    "must be a list of entries", "memory missing a value", "extra variables",
+    "must be a bitstring", "must have", "prob must be an int", "prob must be an integer",
+    "is not a rational number", "negative probability", "> 1", "mass != 1",
+)
+
+
+def test_store_reader_agrees_with_the_per_entry_reader_on_mutations():
+    rng = random.Random(1414)
+    seen = dict.fromkeys(("ok",) + _STORE_ERRORS, 0)
+    for case in range(1500):
+        s = _random_store(rng, max_vars=3, ns=(1, 2))
+        doc = json.loads(ref_store_to_text(s))
+        changed = [_mutate(rng, doc) for _ in range(rng.choice((1, 1, 1, 2, 3)))]
+        if rng.random() < 0.2:
+            changed.append(_repeat_key(rng, doc))
+        text = _text(doc)
+        want = _read(ref_parse_store, text)
+        assert _read(parse_store, text) == want, (case, changed, text)
+        for outcome in seen:
+            seen[outcome] += outcome == want[0] or outcome in str(want[1])
+    assert seen["ok"] >= 150 and min(seen.values()) >= 1, seen
+
+
+def test_an_earlier_bad_prob_is_reported_before_a_later_bad_value():
+    env = {"k": "Str[n]", "m": "Bool"}
+    good = [{"values": {"k": f"{i:02b}", "m": "0"}, "prob": "1/4"} for i in range(4)]
+    for i, j in [(0, 1), (0, 3), (1, 2), (2, 3)]:
+        for bad_prob in (True, 0.25, Raw("1e-3"), "1e-3", "1/0", None):
+            for bad_value in ({"k": "012", "m": "0"}, {"k": "0"}, {"k": "00", "m": 1}):
+                entries = [dict(e) for e in good]
+                entries[i]["prob"] = bad_prob
+                entries[j]["values"] = bad_value
+                text = _dump({"env": env, "family": {"2": entries}})
+                want = _read(ref_parse_store, text)
+                assert want[1].startswith(f"store family '2' entry {i}: prob"), want
+                assert _read(parse_store, text) == want
+                entries[i]["prob"], entries[i]["values"] = "1/4", bad_value
+                entries[j]["prob"], entries[j]["values"] = bad_prob, good[j]["values"]
+                text = _dump({"env": env, "family": {"2": entries}})
+                want = _read(ref_parse_store, text)
+                assert want[1].startswith(f"store family '2' entry {i}: value"), want
+                assert _read(parse_store, text) == want

@@ -13,6 +13,7 @@ into exit 3 with one `internal error:` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -206,6 +207,9 @@ def _add_bind(p: argparse.ArgumentParser) -> None:
     )
 
 
+# built once: parse_args leaves the parser as it was, and main looks up each
+# command's function by name when it runs
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cslcheck",
@@ -217,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check a proof script")
     p.add_argument("proof", help="proof JSON path")
     p.add_argument("--schemas", help="alternate schema registry JSON")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("run", help="run a program on a store")
     p.add_argument("program", help="program source path")
@@ -232,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
     p.add_argument("--json", action="store_true", help="emit the store as JSON")
     p.add_argument("--out", help="write output to a file instead of stdout")
-    p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("eval", help="evaluate a formula on a store")
     p.add_argument("formula", help="formula source path")
@@ -243,20 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="0", help="tolerance, e.g. 1/8")
     _add_bind(p)
     p.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("properties", help="run the property suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=60)
     p.add_argument("--n-set", default="1,2", dest="n_set")
-    p.set_defaults(fn=cmd_properties)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command](args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

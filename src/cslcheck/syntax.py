@@ -23,11 +23,11 @@ Proof scripts and entailment certificates are JSON documents whose leaves
 use the grammars above; see parse_proof and parse_cert. Within one script,
 each distinct formula, program and environment text is parsed once, and so
 is each distinct annotation, binding and annotated group inside them. The
-tokenizer reads an annotation on one line as one env token, so equal
-annotations share one Env object. It also reads a group "(...){...}" that
-the script has already parsed as one group token, whose Formula the parser
-takes from the script's memo, so equal groups share one Formula object
-wherever they occur and each is read once.
+tokenizer reads each annotation as one env token, so equal annotations
+share one Env object. It also reads a group "(...){...}" that the script
+has already parsed as one group token, whose Formula the parser takes from
+the script's memo, so equal groups share one Formula object wherever they
+occur and each is read once.
 """
 
 from __future__ import annotations
@@ -552,13 +552,14 @@ class ProofTree:
 # comments match with lastgroup None. Two-character punctuation comes first
 # so that ":=" is not read as ":" followed by "=".
 #
-# "{" always opens an environment, so a whole annotation on one line is one
-# env token, which the parser reads once per distinct text (see
-# _Parser.env). Its characters are those that tokenize on their own, with
-# no brace, newline or "#", so the tokens of its text (see _env_bindings)
-# are those the other alternatives would have given in place, and an error
-# in it is reported where it was when "{" was a token of its own. Any other
-# "{" (unclosed, or with a line break, comment or brace inside) is punct.
+# "{" always opens one env token, which the parser reads once per distinct
+# text (see _Parser.env): the longest run of characters that tokenize on
+# their own, newlines and "#" comments, then the "}" that closes it, if one
+# follows. The run stops at "{", "}" and any character the tokenizer
+# rejects, and it leaves out a ":" that opens ":=". So the tokens of its
+# text (see _env_bindings) are those the other alternatives would give in
+# place, and an error in it is reported where it was when "{" was a token
+# of its own. A stray "}" is punct.
 #
 # Given a script's memo, tokenize also reads a group token: from a "(" that
 # can only open a formula group (one not after a name or "]", where it
@@ -567,15 +568,17 @@ class ProofTree:
 # _Parser.record). The token stands at the "(" and its text is the group's.
 # The parser takes the group's Formula from the memo, and anywhere else it
 # fails on it as it failed on that "(" (see _shown).
+_ENV_RUN = r"[A-Za-z0-9_ \t\r\n()\[\],;:*+^]*"
+_ENV = r"\{" + _ENV_RUN + r"(?:#[^\n]*" + _ENV_RUN + r")*(?:\}|(?<!:)|(?!=))"
 _TOKEN = re.compile(
     r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
-    r"|(?P<env>\{[A-Za-z0-9_ \t\r()\[\],;:*+^]*\})"
-    r"|(?P<punct>:=|->|==|\.=|~~|/\\|[(){}\[\],;:*+^])"
+    rf"|(?P<env>{_ENV})"
+    r"|(?P<punct>:=|->|==|\.=|~~|/\\|[()}\[\],;:*+^])"
     r"|(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
 )
 
 # What _group_ends pairs: "(", and ")" with the env token right after it.
-_GROUP_SCAN = re.compile(r"\(|\)(?:\{[A-Za-z0-9_ \t\r()\[\],;:*+^]*\})?")
+_GROUP_SCAN = re.compile(rf"\(|\)(?:{_ENV})?")
 
 
 class Token(NamedTuple):
@@ -634,15 +637,12 @@ def tokenize(text: str, memo: Optional[dict] = None) -> list[Token]:
                     own_decls = tokens and tokens[0][:2] == ("ident", "decl")
                     ends = {} if own_decls else _group_ends(text)
                 end = ends.get(start)
-                if end is not None and (group := text[start:end]) in memo:
-                    tokens.append(Token("group", group, line, start - line_start + 1))
-                    i = end
-                    breaks = text.count("\n", start, end)
-                    if breaks:
-                        line += breaks
-                        line_start = text.rfind("\n", start, end) + 1
-                    continue
+                if end is not None and text[start:end] in memo:
+                    kind, tok, i = "group", text[start:end], end
             tokens.append(Token(kind, tok, line, start - line_start + 1))
+            if "\n" in tok:  # an env or group token that spans lines
+                line += tok.count("\n")
+                line_start = start + tok.rindex("\n") + 1
     # a comment that runs to the end of the text leaves eof at its "#"
     end = text.find("#", line_start)
     tokens.append(Token("eof", "", line, (n if end < 0 else end) - line_start + 1))
@@ -714,7 +714,7 @@ class _Parser:
         return False
 
     def at_env(self) -> bool:
-        return self.peek().kind == "env" or self.at("{")
+        return self.peek().kind == "env"
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
@@ -781,15 +781,16 @@ class _Parser:
         raise ParseError(f"expected a type, got {tok.text!r}", tok.line, tok.col)
 
     def env(self) -> Env:
-        tok = self.peek()
-        if tok.kind != "env":
-            self.expect("{")
-            return self.make_env(self.bindings())
-        self.next()
+        if not self.at_env():
+            self.expect("{")  # fails: "{" only ever opens an env token
+        tok = self.next()
         found = self.memo.get(tok.text)
         if found is None:
-            bindings = _env_bindings(tok, self.memo)
-            found = self.memo[tok.text] = self.make_env(bindings)
+            bindings = _env_bindings(tok, self.peek(), self.memo)
+            try:
+                found = self.memo[tok.text] = Env.make(bindings)
+            except ValueError as exc:  # reported at the token after tok
+                self.fail(str(exc))
         return found
 
     def bindings(self) -> list[tuple[str, Type]]:
@@ -804,13 +805,6 @@ class _Parser:
                     break
         self.expect("}")
         return bindings
-
-    def make_env(self, bindings: list[tuple[str, Type]]) -> Env:
-        """Env.make, failing at the token after the annotation."""
-        try:
-            return Env.make(bindings)
-        except ValueError as exc:
-            self.fail(str(exc))
 
     # -- declarations
 
@@ -962,7 +956,7 @@ class _Parser:
                 ann = formula.annotation
                 return _RawNode("group", ann=ann, free_vars=free_vars, resolved=formula)
             # read it token by token, so that the nesting error is where it was
-            self.tokens[self.pos : self.pos + 1] = _group_tokens(tok)
+            self.tokens[self.pos : self.pos + 1] = _placed(tok, 0)[:-1]
         if self.eat("("):
             outer, self.deepest = self.deepest, self.depth
             self.enter()
@@ -1007,14 +1001,13 @@ class _Parser:
         """Enter the group from open_tok through its annotation ann_tok in
         memo, as its Formula, the depth it nests to and its free variables.
 
-        Only a group written "(...){...}" with its annotation on one line
-        right after the ")" is entered, as tokenize reads no other. Its
-        explicit annotation wins over any inherited one and is passed down
-        to every part of it, so it resolves, and alike wherever it stands.
-        A group already entered keeps its Formula, so equal groups are one
-        object.
+        Only a group written "(...){...}" with its annotation right after
+        the ")" is entered, as tokenize reads no other. Its explicit
+        annotation wins over any inherited one and is passed down to every
+        part of it, so it resolves, and alike wherever it stands. A group
+        already entered keeps its Formula, so equal groups are one object.
         """
-        if self.text is None or ann_tok.kind != "env":
+        if self.text is None:
             return
         end = self._offset(ann_tok)
         if self.text[end - 1] != ")":
@@ -1034,36 +1027,38 @@ class _Parser:
         return self.line_starts[tok.line - 1] + tok.col - 1
 
 
-def _group_tokens(tok: Token) -> list[Token]:
-    """The tokens of a group token's text, each where it is in the text."""
+def _placed(tok: Token, start: int) -> list[Token]:
+    """The tokens of tok's text from its character start on, each placed
+    where it is in the text being parsed."""
     out = []
-    for kind, text, line, col in tokenize(tok.text)[:-1]:
+    for kind, text, line, col in tokenize(tok.text[start:]):
         if line == 1:
-            col += tok.col - 1
+            col += tok.col + start - 1
         out.append(Token(kind, text, tok.line + line - 1, col))
     return out
 
 
-def _env_bindings(tok: Token, memo: dict) -> list[tuple[str, Type]]:
+def _env_bindings(tok: Token, after: Token, memo: dict) -> list[tuple[str, Type]]:
     """The bindings of an env token, read by _Parser.bindings from the tokens
-    of its text, with any error placed where it is in the env token.
+    of its text, each where it is; after is the token that follows it, at
+    which one with no "}" fails.
 
-    Only commas separate bindings, so each text between commas of an env
-    token that was read is one binding, which memo keeps under that text.
-    An env token whose every such text is in memo is not read again.
+    Only commas separate bindings, so each text between commas of a closed
+    env token that was read, and that holds no comment, is one binding,
+    which memo keeps under that text. An env token whose every such text is
+    in memo is not read again.
     """
-    parts = tok.text[1:-1].split(",")
-    known = [memo.get(part) for part in parts]
-    if None not in known:
-        return known
-    try:
-        tokens = tokenize(tok.text[1:-1])  # braces cut off, so no env token
-        # the eof token stands where the closing brace does
-        tokens[-1] = Token("punct", "}", 1, tokens[-1].col)
-        bindings = _Parser(tokens).bindings()
-    except ParseError as exc:
-        raise ParseError(exc.message, tok.line, tok.col + exc.col) from None
-    memo.update(zip(parts, bindings))  # none for "{}"
+    text = tok.text[1:]
+    if text.endswith("}"):
+        parts = text[:-1].split(",")
+        known = [memo.get(part) for part in parts]
+        if None not in known:
+            return known
+    tokens = _placed(tok, 1)  # its "}", if it has one, is punct
+    tokens[-1] = after  # in place of eof
+    bindings = _Parser(tokens).bindings()  # returns only at a "}"
+    if "#" not in text:
+        memo.update(zip(parts, bindings))  # none for "{}"
     return bindings
 
 

@@ -333,6 +333,16 @@ def test_eval_reads_the_decl_preamble_and_binds_stubs(tmp_path, capsys, body, co
     assert captured.out == "" and captured.err == "error: unbound symbol g\n"
 
 
+def test_one_parser_serves_every_call_and_keeps_no_bind(tmp_path, capsys):
+    f = write(tmp_path, "g.f", DECL_G + "(r == g(s)){r: Str[n], s: Str[n]}")
+    store = str(CORPUS / "pair.store")
+    assert main(["eval", f, store, "--bind", "g=identity"]) == 0
+    capsys.readouterr()
+    assert main(["eval", f, store]) == 2  # the first call's --bind is gone
+    assert capsys.readouterr() == ("", "error: unbound symbol g\n")
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_eval_error_exit(tmp_path, capsys):
     f = write(tmp_path, "u.f", "(U(c))" + OTP_ENV)
     assert main(["eval", f, "/nope.json"]) == 2

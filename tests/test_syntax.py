@@ -537,22 +537,24 @@ _PIECES = (
     + ["Str", "x1", "42"]
     + [" ", "\t", "\r", "\n", "#", "# c\n"]
     + ["$", "\f"]
-    + ["{x: Str[n]}", "{}"]
+    + ["{x: Str[n]}", "{}", "{x:\n Bool}", "{x: Bool # c, }\n}", "{x"]
 )
 
 
 def tokenize_expanded(text):
-    """tokenize, with each env token replaced by the tokens of its text, each
-    at its own line and column."""
+    """tokenize, with each env token replaced by "{" and the tokens of the
+    rest of its text, its "}" among them if it has one, each at its own line
+    and column."""
     out = []
     for t in tokenize(text):
         if t.kind != "env":
             out.append(t)
             continue
         out.append(("punct", "{", t.line, t.col))
-        for kind, inner, _, col in tokenize(t.text[1:-1])[:-1]:
-            out.append((kind, inner, t.line, t.col + col))
-        out.append(("punct", "}", t.line, t.col + len(t.text) - 1))
+        for kind, inner, line, col in tokenize(t.text[1:])[:-1]:
+            if line == 1:
+                col += t.col
+            out.append((kind, inner, t.line + line - 1, col))
     return out
 
 
@@ -736,17 +738,66 @@ def test_malformed_annotations_fail_where_they_did(ann, in_formula, in_node, in_
     assert parse_error(parse_proof, json.dumps(doc)) == in_cert
 
 
-def test_annotations_that_are_not_one_token_parse_as_before():
-    # a line break, a comment or a nested brace keeps "{" a token of its own
+def test_annotations_across_lines_are_one_token():
+    # a line break or a comment inside an annotation keeps it one env token
     for ann in ("{x:\n Bool}", "{x: Bool # c\n}"):
-        assert [t.kind for t in tokenize(ann)][0] == "punct"
+        assert [t.kind for t in tokenize(ann)] == ["env", "eof"]
         assert parse_env(ann) == parse_env("{x: Bool}")
+    # the token leaves out a ":" that opens ":=", and "{" alone is one
+    assert [t[:2] for t in tokenize("{x:=")] == [
+        ("env", "{x"),
+        ("punct", ":="),
+        ("eof", ""),
+    ]
+    assert parse_error(tokenize, "{=") == ("unexpected character '='", 1, 2)
     assert parse_error(parse_formula, "x == {x: Bool}") == (
         "expected an expression, got '{'", 1, 6
     )
     assert parse_error(parse_formula, "(T){x: Bool} {y: Bool}") == (
         "expected '', got '{'", 1, 14
     )
+
+
+# (formula text, its error or None as a formula, as the pre field of a script
+#  node, and with "(U(x))" cut to "(T)" as the lhs of a certificate step);
+# the figures are those of the parser that read "{" as punctuation wherever
+# an annotation spanned lines, held a comment or had no "}".
+ANNOTATIONS_OF_ANY_SHAPE = [
+    ("(U(x)){x:\n Str[n}   * (T){z: Bool}", *[("expected ']', got '}'", 2, 7)] * 3),
+    ("(U(x)){x: Bool # c, d\n , y: Bool}", None, None, None),
+    ("(U(x)){x: Bool # }\n}", None, None, None),
+    (
+        "(U(x)){x .= y}",
+        ("expected ':', got '.='", 1, 10),
+        ("expected ':', got '.='", 1, 10),
+        ("expected ':', got '.='", 1, 7),
+    ),
+    ("(U(x)){x: Bool\n   * (T){z: Bool}", *[("expected '}', got '*'", 2, 4)] * 3),
+    ("(U(x)){x:\n é}", *[("unexpected character 'é'", 2, 2)] * 3),
+    ("x == == {y: é}", *[("unexpected character 'é'", 1, 13)] * 3),
+    ("(U(x)){x: Bool,\n x: Bool}", *[("duplicate variable in environment", 2, 10)] * 3),
+]
+
+
+def parse_result(parse, text):
+    try:
+        parse(text)
+    except ParseError as exc:
+        return exc.message, exc.line, exc.col
+    return None
+
+
+@pytest.mark.parametrize("text, in_formula, in_node, in_cert", ANNOTATIONS_OF_ANY_SHAPE)
+def test_annotations_of_any_shape_read_as_they_did(text, in_formula, in_node, in_cert):
+    assert parse_result(parse_formula, text) == in_formula
+    proof = (ROOT / "corpus" / "otp.proof").read_text()
+    doc = json.loads(proof)
+    doc["root"]["children"][1]["pre"] = text
+    assert parse_result(parse_proof, json.dumps(doc)) == in_node
+    doc = json.loads(proof)
+    step = doc["root"]["children"][0]["post_cert"]["steps"][0]
+    step["lhs"] = text.replace("(U(x))", "(T)")
+    assert parse_result(parse_proof, json.dumps(doc)) == in_cert
 
 
 def test_equal_annotation_texts_share_one_env():
@@ -802,7 +853,17 @@ def test_an_annotation_of_known_bindings_is_not_read_again(monkeypatch):
     assert again == first
     assert again.lookup("k") is first.lookup("k")
     assert parse_env("{}", memo) == EMPTY_ENV
-    for bad in ("{ m: Bool,k: Str[n}", "{k: Str[n],k: Str[n]}", "{ m: Bool,}"):
+    # a comment's comma splits no binding: " d\n " below is not one
+    assert parse_env("{x: Bool # c, d\n , y: Bool}", memo) == parse_env(
+        "{x: Bool, y: Bool}"
+    )
+    for bad in (
+        "{ m: Bool,k: Str[n}",
+        "{k: Str[n],k: Str[n]}",
+        "{ m: Bool,}",
+        "{k: Str[n]",
+        "{ d\n }",
+    ):
         assert parse_error(lambda t: parse_env(t, memo), bad) == parse_error(
             parse_env, bad
         )
@@ -907,6 +968,23 @@ def test_errors_next_to_shared_groups_are_where_they_were(text, error):
     assert parse_error(lambda t: parse_formula(t, symbols), text) == error
 
 
+def test_a_group_annotated_across_lines_is_shared():
+    group = "(U(k)){k:\n Str[n] # the key\n}"
+    first = f"({group} * (T){{m: Str[n]}}){{k: Str[n], m: Str[n]}}"
+    second = f"((T){{m: Str[n]}} * {group}){{k: Str[n], m: Str[n]}}"
+    doc = json.loads((ROOT / "corpus" / "otp.proof").read_text())
+    doc["root"]["mid"], doc["root"]["post"] = first, second
+    tree = parse_proof(json.dumps(doc))
+    assert tree.mid.body.left is tree.conclusion.post.body.right
+    memo = {}
+    parse_formula(first, None, memo)
+    groups = [t for t in tokenize(second, memo) if t.kind == "group"]
+    assert [(t.text, t.line, t.col) for t in groups] == [
+        ("(T){m: Str[n]}", 1, 2),
+        (group, 1, 19),
+    ]
+
+
 def test_equal_groups_of_one_text_are_one_object():
     f = parse_formula("((U(x)){x: Bool} /\\ (U(x)){x: Bool}){x: Bool}")
     assert f.body.left is f.body.right
@@ -946,7 +1024,12 @@ def expand_groups(tokens):
     return out
 
 
-_GROUPS = ["(T){}", "(U(x)){x: Bool}", "((T){} * (U(\nx)){x: Bool}){x: Bool}"]
+_GROUPS = [
+    "(T){}",
+    "(U(x)){x: Bool}",
+    "((T){} * (U(\nx)){x: Bool}){x: Bool}",
+    "(U(x)){x:\n Bool # c\n}",
+]
 _GROUP_MEMO = {}
 for _group in _GROUPS:
     parse_formula(_group, None, _GROUP_MEMO)

@@ -7,6 +7,8 @@ exhaustive enumeration downstream is instant even at n = 3.
 
 The rule generators (gen_scoped_assign, gen_composite, gen_rcond) draw
 conclusions only; hoare's rule functions give each its post or premises.
+A share of their draws breaks a side condition that the rule checks, so
+that the fuzzer also tests the checks: the rule must reject those draws.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .syntax import (
     And,
     Atom,
     BOOL,
+    EMPTY_ENV,
     Env,
     Formula,
     HoareTriple,
@@ -41,7 +44,7 @@ from .syntax import (
     Top,
     Var,
 )
-from .types import env_join
+from .types import env_join, mv
 
 STR_N = StrType(POLY_N)
 STR_1 = StrType(POLY_ONE)
@@ -262,6 +265,11 @@ def gen_exact_formula(
 # Proof-rule conclusions for the soundness fuzzer
 
 
+# the share of SRAssn/SDAssn draws that assign inside the active component,
+# and of Const draws whose context mentions a variable the program writes
+SIDE_CONDITION_SHARE = 0.25
+
+
 def _disjoint_envs(rng: random.Random, k1: int, k2: int):
     names = gen_names(rng, k1 + k2)
     a = Env.make({nm: rng.choice(_TYPE_POOL) for nm in names[:k1]})
@@ -274,21 +282,30 @@ def gen_scoped_assign(rng: random.Random, ns, symbols: SymbolTable, exact: bool)
     itself gives the post (hoare.scoped_post)."""
     xi, theta = _disjoint_envs(rng, rng.randint(1, 2), rng.randint(1, 2))
     delta = env_join(xi, theta)
-    r = rng.choice(theta.names())
-    e = gen_expr(rng, xi, theta.lookup(r), symbols, det=exact, depth=1)
+    inside = rng.random() < SIDE_CONDITION_SHARE
+    r = rng.choice((xi if inside else theta).names())
+    e = gen_expr(rng, xi, delta.lookup(r), symbols, det=exact, depth=1)
     phi = gen_simple_formula(rng, xi, symbols)
     pre = Formula(Star(phi, Formula(Top(), theta)), delta)
     return HoareTriple(pre, delta, Assign(r, e), Formula(Top(), delta))
 
 
 def gen_composite(rng: random.Random, ns, symbols: SymbolTable, star_shape: bool):
-    """A random Frame (star_shape) or Const conclusion."""
+    """A random Frame (star_shape) or Const conclusion; a Frame context is
+    always disjoint, since an overlapping * is ill-formed."""
     xi, theta = _disjoint_envs(rng, rng.randint(1, 2), rng.randint(1, 2))
     delta = env_join(xi, theta)
     prog = gen_program(rng, xi, symbols, size=2)
     phi = gen_simple_formula(rng, xi, symbols)
     psi = gen_simple_formula(rng, xi, symbols)
-    context = gen_simple_formula(rng, theta, symbols)
+    written = sorted(mv(prog))
+    if not star_shape and written and rng.random() < SIDE_CONDITION_SHARE:
+        w = rng.choice(written)  # the context pins a variable the program writes
+        w_env = xi.restrict([w])
+        const = gen_expr(rng, EMPTY_ENV, w_env.lookup(w), symbols, det=True, depth=0)
+        context = Formula(Atom(ATOM_EQ, (Var(w), const)), w_env)
+    else:
+        context = gen_simple_formula(rng, theta, symbols)
     shape = Star if star_shape else And
     pre = Formula(shape(phi, context), delta)
     post = Formula(shape(psi, context), delta)

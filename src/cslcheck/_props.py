@@ -24,7 +24,7 @@ from .dist import (
     uniform_store,
     zero_store,
 )
-from .hoare import fuzz_rule_soundness
+from .hoare import FUZZ_CASES, fuzz_rule_soundness
 from .logic import (
     SCHEMA_TEMPLATES,
     entailment_holds_on,
@@ -304,8 +304,8 @@ def suite_axioms(rng, cases, ns, result):
 
 @_suite
 def suite_fuzz(rng, cases, ns, result):
-    per_rule = max(1, cases // 5)
-    for rule in ("Frame", "Const", "RCond", "SRAssn", "SDAssn"):
+    per_rule = max(1, cases // len(FUZZ_CASES))
+    for rule in FUZZ_CASES:
         report = fuzz_rule_soundness(rule, per_rule, rng.randrange(2**30), ns)
         for v in report.violations:
             _note(result, f"{rule}: {v['program']} breaks {v['post']}")

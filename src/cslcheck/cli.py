@@ -5,7 +5,9 @@ Exit codes follow one contract everywhere: 0 success / property holds,
 1 checked-and-rejected (proof error, false formula, failing suite),
 2 usage, parse, or configuration errors, and input that nests or chains
 too deeply to process, 3 an internal error (an exception that is not an
-input error: a bug in cslcheck, never a verdict). The subcommands raise on
+input error: a bug in cslcheck, never a verdict). The proof reader knows
+no rule names: a node's unknown rule or missing witness is a proof error,
+which the checker reports at the node's path. The subcommands raise on
 bad input and `main` alone turns that into exit 2, and any other exception
 into exit 3 with one `internal error:` line.
 """

@@ -1,9 +1,10 @@
 """The triple checker, semantic spot-validation, and rule soundness fuzzing.
 
 check_triple walks a proof tree top-down and checks each node against the
-shape of its named rule. Failures carry the path of the shallowest failing
-node (root, root.children[1], ...) so scripts can point at the offending
-subproof.
+shape of its named rule; _RULE_CHECKS is the only list of proof rules, and
+FUZZ_CASES of the rules the fuzzer draws. Failures carry the path of the
+shallowest failing node (root, root.children[1], ...) so scripts can point
+at the offending subproof.
 
 Each rule's post or premises are built once: scoped_post (SRAssn/SDAssn),
 rcond_premises (RCond), composite_premise (Frame/Const). check_triple holds
@@ -80,15 +81,21 @@ def check_triple(
     """Check a proof tree; returns the root conclusion it establishes.
 
     Each formula object of the tree and its certificates is checked for
-    well-formedness once (see wf_formula_once), where it first occurs.
+    well-formedness once (see wf_formula_once), where it first occurs. A
+    program is typed only where the environment changes: the root's, and a
+    Frame or Const subproof's on its smaller environment. Every other node
+    runs a part of its parent's program under its parent's environment,
+    which its parent's rule check has compared.
     """
     symbols = symbols or SymbolTable()
     registry = registry if registry is not None else load_registry()
-    _check_node(tree, "root", symbols, registry, {})
+    _check_node(tree, "root", symbols, registry, {}, None)
     return tree.conclusion
 
 
-def _check_node(node: ProofTree, path: str, symbols, registry, checked) -> None:
+def _check_node(
+    node: ProofTree, path: str, symbols, registry, checked, parent_env
+) -> None:
     def fail(message: str):
         raise ProofError(path, message)
 
@@ -97,7 +104,8 @@ def _check_node(node: ProofTree, path: str, symbols, registry, checked) -> None:
     if checker is None:
         fail(f"unknown rule {node.rule!r}")
     try:
-        type_program(t.env, t.program, symbols)
+        if t.env != parent_env:
+            type_program(t.env, t.program, symbols)
         wf_formula_once(t.pre, symbols, checked)
         wf_formula_once(t.post, symbols, checked)
     except TypeCheckError as exc:
@@ -109,7 +117,7 @@ def _check_node(node: ProofTree, path: str, symbols, registry, checked) -> None:
 
     checker(node, t, fail, symbols, registry, checked)
     for i, child in enumerate(node.children):
-        _check_node(child, f"{path}.children[{i}]", symbols, registry, checked)
+        _check_node(child, f"{path}.children[{i}]", symbols, registry, checked, t.env)
 
 
 def _need_children(node, k, fail):
@@ -362,14 +370,7 @@ def fuzz_rule_soundness(
     rng = random.Random(seed)
     symbols = SymbolTable()
     report = FuzzReport(rule, cases)
-    makers = {
-        "Frame": partial(_fuzz_composite, "Frame"),
-        "Const": partial(_fuzz_composite, "Const"),
-        "RCond": _fuzz_rcond_case,
-        "SRAssn": partial(_fuzz_scoped_case, ATOM_EQ),
-        "SDAssn": partial(_fuzz_scoped_case, ATOM_ESPL),
-    }
-    if rule not in makers:
+    if rule not in FUZZ_CASES:
         raise ValueError(f"no fuzz generator for rule {rule!r}")
 
     def fail(message: str):
@@ -377,7 +378,7 @@ def fuzz_rule_soundness(
 
     for _ in range(cases):
         try:
-            triple, premises_hold = makers[rule](rng, ns, epsilon, symbols, fail)
+            triple, premises_hold = FUZZ_CASES[rule](rng, ns, epsilon, symbols, fail)
         except ProofError:
             continue  # the rule does not apply to this draw
         stores = _gen.gen_stores(rng, triple.env, ns, count=3)
@@ -440,3 +441,13 @@ def _fuzz_rcond_case(rng, ns, epsilon, symbols, fail):
         return True
 
     return triple, premises_hold
+
+
+# each fuzzable rule's case maker: a conclusion and a test of its premises
+FUZZ_CASES = {
+    "Frame": partial(_fuzz_composite, "Frame"),
+    "Const": partial(_fuzz_composite, "Const"),
+    "RCond": _fuzz_rcond_case,
+    "SRAssn": partial(_fuzz_scoped_case, ATOM_EQ),
+    "SDAssn": partial(_fuzz_scoped_case, ATOM_ESPL),
+}

@@ -9,8 +9,9 @@ witnessing product; sat_bi holds when it finds a witness.
 
 Entailments between annotated formulas are checked only against explicit
 step-by-step certificates; see check_hilbert. Leaf steps are named axiom
-schemas checked by match_axiom; which schemas are enabled is configuration
-read from schemas.json. The S, T, W and U1 schemas and Ax_SPL/Ax_MRG are
+schemas checked by match_axiom. _SCHEMA_MATCHERS is the only list of
+schemas: DEFAULT_REGISTRY enables each of them and Trans, and a --schemas
+file may enable fewer. The S, T, W and U1 schemas and Ax_SPL/Ax_MRG are
 defined only by their entries in SCHEMA_TEMPLATES, which one unifier matches:
 each template variable stands for one expression, and an annotation stands
 for the instance's outer annotation where the template has its outer one,
@@ -25,7 +26,6 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -697,23 +697,20 @@ _SCHEMA_MATCHERS: dict[str, Callable] = {
 }
 
 
-def load_registry(path: Optional[str] = None) -> frozenset[str]:
-    """Names of enabled schemas, from schemas.json or a user-supplied file.
+DEFAULT_REGISTRY = frozenset(_SCHEMA_MATCHERS) | {"Trans"}
 
-    The file must be {"enabled": [name, ...]}, each name a schema or Trans;
-    any other shape raises ValueError. The packaged file is read once.
+
+def load_registry(path: Optional[str] = None) -> frozenset[str]:
+    """Names of enabled schemas: DEFAULT_REGISTRY (every schema and Trans),
+    or those a user-supplied file enables.
+
+    The file must be {"enabled": [name, ...]}, each name in DEFAULT_REGISTRY;
+    any other shape raises ValueError.
     """
     if path is None:
-        return _packaged_registry()
+        return DEFAULT_REGISTRY
     with open(path, "r", encoding="utf-8") as fh:
         return _registry_from_text(fh.read())
-
-
-@cache
-def _packaged_registry() -> frozenset[str]:
-    return _registry_from_text(
-        resources.files("cslcheck").joinpath("schemas.json").read_text()
-    )
 
 
 def _registry_from_text(text: str) -> frozenset[str]:
@@ -721,7 +718,7 @@ def _registry_from_text(text: str) -> frozenset[str]:
     names = doc.get("enabled") if isinstance(doc, dict) else None
     if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
         raise ValueError('schemas file must be {"enabled": [name, ...]}')
-    unknown = sorted(set(names) - set(_SCHEMA_MATCHERS) - {"Trans"})
+    unknown = sorted(set(names) - DEFAULT_REGISTRY)
     if unknown:
         raise ValueError(f"unknown schema name(s): {', '.join(unknown)}")
     return frozenset(names)
@@ -762,20 +759,6 @@ class CertError(Exception):
         super().__init__(f"step {step}: {message}")
         self.step = step
         self.message = message
-
-
-CORE_RULES = (
-    "AP",
-    "TopI",
-    "BotE",
-    "AndI",
-    "AndE1",
-    "AndE2",
-    "StarI",
-    "StarC",
-    "StarA1",
-    "StarA2",
-)
 
 
 def _check_core_step(step, get_premise, fail) -> None:
@@ -869,6 +852,8 @@ def _check_core_step(step, get_premise, fail) -> None:
             fail("the inner node must be annotated with the join of its children")
         if lhs.annotation != rhs.annotation:
             fail("reassociation keeps the outer annotation")
+    else:
+        fail(f"unknown step rule {rule!r}")
 
 
 def check_hilbert(
@@ -879,6 +864,8 @@ def check_hilbert(
 ) -> tuple[Formula, Formula]:
     """Check every step of a derivation; returns the root conclusion.
 
+    A step is Trans, a schema instance, or one of the core rules that
+    _check_core_step knows; any other rule name fails there.
     checked is as for wf_formula_once: check_triple passes one for all the
     certificates and nodes of a tree.
     """
@@ -905,9 +892,7 @@ def check_hilbert(
                 wf_formula_once(f, symbols, checked)
             except TypeCheckError as exc:
                 fail(f"ill-formed formula: {exc}")
-        if step.rule in CORE_RULES:
-            _check_core_step(step, get_premise, fail)
-        elif step.rule == "Trans":
+        if step.rule == "Trans":
             if "Trans" not in registry:
                 fail("schema Trans is disabled in the registry")
             if len(step.premises) != 2:
@@ -927,7 +912,7 @@ def check_hilbert(
             except SchemaError as exc:
                 fail(str(exc))
         else:
-            fail(f"unknown step rule {step.rule!r}")
+            _check_core_step(step, get_premise, fail)
         seen[sid] = step
     root = cert.step(cert.root)
     if root is None:

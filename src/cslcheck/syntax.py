@@ -519,20 +519,6 @@ class EntailmentCert:
         return None
 
 
-RULE_NAMES = (
-    "Skip",
-    "Seq",
-    "Assn",
-    "DAssn",
-    "SRAssn",
-    "SDAssn",
-    "RCond",
-    "Weak",
-    "Const",
-    "Frame",
-)
-
-
 @dataclass
 class ProofTree:
     rule: str
@@ -1315,8 +1301,6 @@ def _tree_from_obj(
         if key not in obj:
             raise ValueError(f"{path}: missing field {key!r}")
     rule = _json_str(obj, "rule", path)
-    if rule not in RULE_NAMES:
-        raise ValueError(f"{path}: unknown rule name {rule!r}")
     env = _parsed(memo, obj, "env", path, parse_env, memo)
     conclusion = HoareTriple(
         pre=_parsed(memo, obj, "pre", path, parse_formula, symbols, memo),
@@ -1331,17 +1315,11 @@ def _tree_from_obj(
     mid = None
     if "mid" in obj:
         mid = _parsed(memo, obj, "mid", path, parse_formula, symbols, memo)
-    elif rule == "Seq":
-        raise ValueError(f"{path}: Seq node needs a 'mid' witness formula")
-    pre_cert = post_cert = None
-    if rule == "Weak":
-        if "pre_cert" not in obj or "post_cert" not in obj:
-            raise ValueError(f"{path}: Weak node needs pre_cert and post_cert")
-        pre_cert = _cert_from_obj(obj["pre_cert"], symbols, f"{path}.pre_cert", memo)
-        post_cert = _cert_from_obj(
-            obj["post_cert"], symbols, f"{path}.post_cert", memo
-        )
-    return ProofTree(rule, conclusion, children, mid, pre_cert, post_cert)
+    certs = [
+        _cert_from_obj(obj[key], symbols, f"{path}.{key}", memo) if key in obj else None
+        for key in ("pre_cert", "post_cert")
+    ]
+    return ProofTree(rule, conclusion, children, mid, *certs)
 
 
 def parse_proof_with_decls(

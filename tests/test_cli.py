@@ -16,6 +16,7 @@ from cslcheck import cli
 from cslcheck._props import SuiteResult
 from cslcheck.cli import main, parse_store, store_to_text
 from cslcheck.dist import uniform_store, zero_store
+from cslcheck.logic import DEFAULT_REGISTRY
 from cslcheck.syntax import parse_env
 
 
@@ -681,6 +682,69 @@ def test_exit_code_contract_on_malformed_input(store_text, formula_text, n):
             if code == 2:
                 assert only_an_error_line(err), err
                 assert "overall" not in out
+
+
+def _field_paths(obj, path=()):
+    """The key path of every field and list entry below obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, path + (key,))
+
+
+ODD_PROOF_VALUES = ODD_VALUES + [
+    "Assnn", "Seq", "Weak", "Frame", "NoSuchSchema", "XorPi", "Trans", "AP", "S0",
+    "no_such_step", "(T){", "(T){}", "(U(q)){q: Str[n]}", "T", "k := ", "{k: Str[",
+]
+
+
+def one_field_mutations(*docs):
+    """Texts of docs, each with one field or list entry dropped or replaced."""
+    fields = [(doc, path) for doc in docs for path in _field_paths(doc)]
+
+    @st.composite
+    def mutated(draw):
+        doc, path = draw(st.sampled_from(fields))
+        doc = json.loads(json.dumps(doc))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.sampled_from(ODD_PROOF_VALUES))
+        return json.dumps(doc, indent=2)
+
+    return mutated()
+
+
+# a rule name, a formula, a certificate, a premise id, a node, ... of a script
+PROOF_NAMES = ("otp", "xor", "potp")
+mutated_proofs = one_field_mutations(
+    *(json.loads((CORPUS / f"{name}.proof").read_text()) for name in PROOF_NAMES)
+)
+# no --schemas file, or the default registry's file with one name changed
+mutated_schemas = st.one_of(
+    st.none(), one_field_mutations({"enabled": sorted(DEFAULT_REGISTRY)})
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(mutated_proofs, mutated_schemas)
+def test_check_exit_code_contract_on_mutated_proofs(proof_text, schemas_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["check", write(Path(tmp), "p.proof", proof_text)]
+        if schemas_text is not None:
+            argv += ["--schemas", write(Path(tmp), "s.json", schemas_text)]
+        code, out, err = run_main(argv)
+    assert code in (0, 1, 2)
+    # one line: "ok:" on stdout, or "proof error:" or "error:" on stderr
+    stream, prefix = [(out, "ok:"), (err, "proof error:"), (err, "error:")][code]
+    assert out + err == stream and stream.count("\n") == 1, (out, err)
+    assert stream.startswith(prefix), stream
 
 
 # entry point

@@ -14,7 +14,6 @@ from cslcheck.hoare import (
     validate_triple,
 )
 from cslcheck.syntax import (
-    RULE_NAMES,
     And,
     HoareTriple,
     Star,
@@ -26,6 +25,7 @@ from cslcheck.syntax import (
     parse_proof_with_decls,
     proof_to_text,
 )
+from cslcheck.types import TypeCheckError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -411,13 +411,46 @@ def test_the_fuzzer_finds_rcond_with_its_branches_swapped(monkeypatch):
         assert not fuzz_rule_soundness("RCond", 100, seed, (1, 2)).ok, seed
 
 
+def _lenient(fail, skipped):
+    """fail, except that a check whose message starts with skipped passes."""
+
+    def check(message):
+        if not message.startswith(skipped):
+            fail(message)
+
+    return check
+
+
+def test_the_fuzzer_finds_const_without_its_clash_check(monkeypatch):
+    real = hoare.composite_premise
+
+    def unchecked(t, rule, fail):  # the context may mention written variables
+        return real(t, rule, _lenient(fail, "the context mentions"))
+
+    monkeypatch.setattr(hoare, "composite_premise", unchecked)
+    for seed in (0, 1, 2):
+        assert not fuzz_rule_soundness("Const", 200, seed, (1,)).ok, seed
+
+
+def test_the_fuzzer_finds_srassn_assigning_in_the_active_component(monkeypatch):
+    real = hoare.scoped_post
+
+    def unchecked(t, atom_kind, symbols, fail):  # the target may lie in xi
+        skipped = "the assigned variable must not occur in the active component"
+        return real(t, atom_kind, symbols, _lenient(fail, skipped))
+
+    monkeypatch.setattr(hoare, "scoped_post", unchecked)
+    for seed in (0, 1, 2):
+        try:
+            report = fuzz_rule_soundness("SRAssn", 100, seed, (1, 2))
+        except TypeCheckError:  # the unchecked post joins the target in twice
+            continue
+        assert not report.ok, seed
+
+
 def test_fuzz_unknown_rule():
     with pytest.raises(ValueError, match="fuzz generator"):
         fuzz_rule_soundness("Skip", cases=1)
-
-
-def test_every_rule_name_has_a_checker():
-    assert set(hoare._RULE_CHECKS) == set(RULE_NAMES)
 
 
 # Each formula object is checked for well-formedness once per check

@@ -13,7 +13,8 @@ new on generated programs, expressions, distributions and formulas.
 
 The next section restates how the rule generators once built the SRAssn
 and SDAssn post, the RCond branch triples and the Frame/Const subproof
-triple, and compares that with the checker's rule functions.
+triple, and compares that with the checker's rule functions; a draw that
+breaks a side condition must be rejected with that condition.
 
 The final section keeps the store reader and writer as they were before
 they worked in C-level passes, and compares old and new on generated stores
@@ -91,7 +92,7 @@ from cslcheck.syntax import (
     Top,
     parse_formula,
 )
-from cslcheck.types import TypeCheckError, env_join
+from cslcheck.types import TypeCheckError, env_join, mv
 
 import pytest
 
@@ -676,27 +677,55 @@ def ref_composite_premise(t):
     return HoareTriple(t.pre.body.left, xi, t.program, t.post.body.left)
 
 
+def ref_broken_side_condition(t, rule):
+    """The message of the side condition a drawn conclusion breaks, or None.
+    The generators break one on purpose in a share of their draws."""
+    if rule in ("SRAssn", "SDAssn") and t.program.target in t.pre.body.left.annotation:
+        return "the assigned variable must not occur in the active component"
+    if rule == "Const":
+        clash = sorted(set(t.pre.body.right.annotation.names()) & mv(t.program))
+        if clash:
+            return f"the context mentions variables the program writes: {clash}"
+    return None
+
+
+class NotAnInstance(Exception):
+    pass
+
+
 def _not_an_instance(message):
-    raise AssertionError(f"a generated conclusion fails its rule: {message}")
+    raise NotAnInstance(message)
 
 
 @pytest.mark.parametrize("rule", ["SRAssn", "SDAssn", "RCond", "Frame", "Const"])
 def test_rule_functions_agree_with_independent_builders(rule):
+    # a draw that breaks a side condition is rejected with that condition;
+    # any other draw is an instance, built as the reference builds it
     rng = random.Random(f"rules:{rule}")
     symbols = SymbolTable()
+    broken_draws = 0
     for _ in range(200):
         if rule in ("SRAssn", "SDAssn"):
             kind = ATOM_ESPL if rule == "SDAssn" else ATOM_EQ
             t = _gen.gen_scoped_assign(rng, (1, 2), symbols, exact=rule == "SDAssn")
-            got = scoped_post(t, kind, symbols, _not_an_instance)
-            assert got == ref_scoped_post(t, kind)
+            build = lambda: scoped_post(t, kind, symbols, _not_an_instance)
+            want = lambda: ref_scoped_post(t, kind)
         elif rule == "RCond":
             t = _gen.gen_rcond(rng, (1, 2), symbols)
-            assert rcond_premises(t, _not_an_instance) == ref_rcond_premises(t)
+            build = lambda: rcond_premises(t, _not_an_instance)
+            want = lambda: ref_rcond_premises(t)
         else:
             t = _gen.gen_composite(rng, (1, 2), symbols, star_shape=rule == "Frame")
-            got = composite_premise(t, rule, _not_an_instance)
-            assert got == ref_composite_premise(t)
+            build = lambda: composite_premise(t, rule, _not_an_instance)
+            want = lambda: ref_composite_premise(t)
+        broken = ref_broken_side_condition(t, rule)
+        if broken is None:
+            assert build() == want()
+        else:
+            broken_draws += 1
+            with pytest.raises(NotAnInstance, match=re.escape(broken)):
+                build()
+    assert (broken_draws > 0) == (rule in ("SRAssn", "SDAssn", "Const"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cslcheck.hoare import ProofError, check_triple
 
-from cslcheck import syntax
+from cslcheck import cli, syntax
 from cslcheck.syntax import (
     And,
     App,
@@ -420,25 +420,48 @@ def test_parse_proof_round_trip():
     assert parse_proof(proof_to_text(t)) == t
 
 
-def test_parse_proof_unknown_rule_names_the_node():
-    bad = OTP_PROOF.replace('"rule": "Assn"', '"rule": "Assnn"')
-    with pytest.raises(ValueError, match=r"root\.children\[1\].*Assnn"):
-        parse_proof(bad)
+def _rejected_by_the_checker(doc, tmp_path, capsys, path, message):
+    # the reader reads any node; the checker names the defect and its node
+    text = json.dumps(doc)
+    tree = parse_proof(text)
+    with pytest.raises(ProofError) as exc:
+        check_triple(tree)
+    assert (exc.value.path, exc.value.message) == (path, message)
+    script = tmp_path / "bad.proof"
+    script.write_text(text)
+    assert cli.main(["check", str(script)]) == 1
+    assert capsys.readouterr() == ("", f"proof error: {path}: {message}\n")
 
 
-def test_parse_proof_seq_needs_mid():
-    bad = OTP_PROOF.replace('"mid": "(U(k)){c: Str[n], k: Str[n], m: Str[n]}",', "")
-    with pytest.raises(ValueError, match="mid"):
-        parse_proof(bad)
+def _otp_doc():
+    return json.loads((ROOT / "corpus" / "otp.proof").read_text())
 
 
-def test_parse_proof_weak_needs_certs():
-    doc = """
-    {"root": {"rule": "Weak", "env": "{x: Bool}", "pre": "(T){x: Bool}",
-      "program": "skip", "post": "(T){x: Bool}", "children": []}}
-    """
-    with pytest.raises(ValueError, match="pre_cert"):
-        parse_proof(doc)
+def test_parse_proof_unknown_rule_names_the_node(tmp_path, capsys):
+    doc = _otp_doc()
+    doc["root"]["children"][1]["children"][0]["rule"] = "Constt"
+    _rejected_by_the_checker(
+        doc, tmp_path, capsys, "root.children[1].children[0]", "unknown rule 'Constt'"
+    )
+
+
+def test_parse_proof_seq_needs_mid(tmp_path, capsys):
+    doc = _otp_doc()
+    del doc["root"]["mid"]
+    _rejected_by_the_checker(doc, tmp_path, capsys, "root", "Seq needs a mid formula")
+
+
+def test_parse_proof_weak_needs_certs(tmp_path, capsys):
+    for cert in ("pre_cert", "post_cert"):
+        doc = _otp_doc()
+        del doc["root"]["children"][1][cert]
+        _rejected_by_the_checker(
+            doc,
+            tmp_path,
+            capsys,
+            "root.children[1]",
+            "Weak needs pre and post certificates",
+        )
 
 
 def test_cert_round_trip():

@@ -308,7 +308,8 @@ def suite_fuzz(rng, cases, ns, result):
     for rule in FUZZ_CASES:
         report = fuzz_rule_soundness(rule, per_rule, rng.randrange(2**30), ns)
         for v in report.violations:
-            _note(result, f"{rule}: {v['program']} breaks {v['post']}")
+            note = v["error"] if "error" in v else f"{v['program']} breaks {v['post']}"
+            _note(result, f"{rule}: {note}")
 
 
 @_suite
@@ -365,56 +366,39 @@ def suite_split_merge(rng, cases, ns, result):
             _note(result, "split/merge mismatch on a random store")
 
 
+def product_witness(s: Store, total: int) -> bool:
+    """Whether s, at one n over two booleans, is the product of marginals
+    with probabilities in multiples of 1/total: an exhaustive search over
+    the (total+1)^2 pairs, which builds each candidate marginal once."""
+    (n,) = s.tested_ns()
+
+    def candidates(e: Env) -> list[Store]:
+        lo, hi = all_memories(e, n)
+        return [
+            Store(e, {n: FinDist({lo: Fraction(k, total), hi: 1 - Fraction(k, total)})})
+            for k in range(total + 1)
+        ]
+
+    xs, ys = (candidates(s.env.restrict((name,))) for name in s.env.names())
+    return any(tensor(u, v) == s for u in xs for v in ys)
+
+
 @_suite
 def suite_independence(rng, cases, ns, result):
     """The product criterion agrees with exhaustive witness search."""
     symbols = SymbolTable()
     env = Env.make({"x": BOOL, "y": BOOL})
     ex, ey = env.restrict(("x",)), env.restrict(("y",))
-    f = Formula(
-        Star(Formula(Top(), ex), Formula(Top(), ey)),
-        env,
-    )
+    f = Formula(Star(Formula(Top(), ex), Formula(Top(), ey)), env)
     for _ in range(cases):
         n = rng.choice(ns)
-        xmems = all_memories(ex, n)
-        ymems = all_memories(ey, n)
         weights = [rng.randint(0, 6) for _ in range(4)]
         total = sum(weights)
         if total == 0:
             continue
-        d = FinDist(
-            {
-                m: Fraction(w, total)
-                for m, w in zip(all_memories(env, n), weights)
-                if w
-            }
-        )
-        s = Store(env, {n: d})
-        criterion = sat_formula(s, f, symbols=symbols)
-        # brute force: all product pairs with probabilities k/total
-        found = False
-        for kx in range(total + 1):
-            u = FinDist(
-                {
-                    xmems[0]: Fraction(kx, total),
-                    xmems[1]: Fraction(total - kx, total),
-                }
-            )
-            u = Store(ex, {n: u})
-            for ky in range(total + 1):
-                v = FinDist(
-                    {
-                        ymems[0]: Fraction(ky, total),
-                        ymems[1]: Fraction(total - ky, total),
-                    }
-                )
-                if tensor(u, Store(ey, {n: v})) == s:
-                    found = True
-                    break
-            if found:
-                break
-        if criterion != found:
+        points = zip(all_memories(env, n), weights)
+        s = Store(env, {n: FinDist({m: Fraction(w, total) for m, w in points if w})})
+        if sat_formula(s, f, symbols=symbols) != product_witness(s, total):
             _note(result, f"independence criterion disagrees at weights {weights}")
 
 

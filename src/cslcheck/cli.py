@@ -86,7 +86,7 @@ def _select_ns(store: Store, n_text: Optional[str]) -> Store:
     missing = [n for n in ns if n not in store.family]
     if missing:
         raise ValueError(f"store has no distribution at n={missing}")
-    return Store(store.env, {n: store.at(n) for n in ns})
+    return Store.from_dists(store.env, {n: store.at(n) for n in ns})
 
 
 def _apply_binds(symbols: SymbolTable, binds) -> SymbolTable:
@@ -169,7 +169,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--epsilon must be >= 0, got {args.epsilon}")
     check_bit_budget(store.env, store.tested_ns(), args.max_bits)
     verdicts = [
-        (n, sat_formula(Store(store.env, {n: d}), formula, epsilon, symbols))
+        (n, sat_formula(Store.from_dists(store.env, {n: d}), formula, epsilon, symbols))
         for n, d in sorted(store.family.items())
     ]
     for n, verdict in verdicts:

@@ -19,9 +19,11 @@ bind: FinDist.bind, add and the program kernel all go through it.
 
 Sub-unit total mass is permitted (the program semantics is linear and gets
 exercised on sub-distributions); stores and serialization require full
-mass. Only the public constructor, scale, add, Store and parse_store
-validate: map, bind, tensor, project, condition and the program kernel
-build results that are valid by construction (FinDist.from_ints).
+mass. The public FinDist constructor, scale, add, Store() and parse_store
+validate. What is valid by construction is built unchecked: map, bind,
+condition and the program kernel through FinDist.from_ints; project,
+tensor, run_store and stores cut from a store's own distributions through
+Store.from_dists.
 """
 
 from __future__ import annotations
@@ -298,6 +300,14 @@ class Store:
                         f"value per variable of {env_to_text(env)}"
                     )
 
+    @staticmethod
+    def from_dists(env: Env, family: dict) -> "Store":
+        """A store of proper distributions over memories of env, taken
+        unchecked and uncopied."""
+        s = object.__new__(Store)
+        s.env, s.family = env, family
+        return s
+
     def tested_ns(self) -> list[int]:
         return sorted(self.family)
 
@@ -338,12 +348,12 @@ def project(s: Store, target: Env) -> Store:
     if not env_ext(target, s.env):
         raise TypeCheckError("project", "target is not a sub-environment")
     pick = _picker(s.env.names(), target)
-    return Store(target, {n: d.map(pick) for n, d in s.family.items()})
+    return Store.from_dists(target, {n: d.map(pick) for n, d in s.family.items()})
 
 
 def tensor(a: Store, b: Store) -> Store:
     """The product of two stores over disjoint environments, n by n."""
-    if a.tested_ns() != b.tested_ns():
+    if a.family.keys() != b.family.keys():
         raise ValueError("stores are tested at different n sets")
     env = env_join(a.env, b.env)
     pick = _picker(a.env.names() + b.env.names(), env)
@@ -356,7 +366,7 @@ def tensor(a: Store, b: Store) -> Store:
             for y, wb in db._weights.items()
         }
         family[n] = FinDist.from_ints(acc, da._den * db._den)
-    return Store(env, family)
+    return Store.from_dists(env, family)
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,8 @@ def fuzz_rule_soundness(
     Each instance is a conclusion triple drawn by _gen and a test of the
     premises that the rule's own definition (scoped_post, rcond_premises,
     composite_premise) gives it; validate_triple checks the conclusion on
-    the stores that pass the test.
+    the stores that pass the test. A TypeCheckError from the rule's
+    definition is a violation {"error": ...}: the conclusions are well typed.
     """
     rng = random.Random(seed)
     symbols = SymbolTable()
@@ -381,6 +382,9 @@ def fuzz_rule_soundness(
             triple, premises_hold = FUZZ_CASES[rule](rng, ns, epsilon, symbols, fail)
         except ProofError:
             continue  # the rule does not apply to this draw
+        except TypeCheckError as exc:  # the rule built an ill-typed formula
+            report.violations.append({"error": f"ill-typed instance: {exc}"})
+            continue
         stores = _gen.gen_stores(rng, triple.env, ns, count=3)
         found = validate_triple(
             triple, [s for s in stores if premises_hold(s)], epsilon, symbols
@@ -435,7 +439,7 @@ def _fuzz_rcond_case(rng, ns, epsilon, symbols, fail):
                 except ZeroMassError:
                     pass  # the branch is never taken at this n
             if family and not _holds_on(
-                branch, Store(store.env, family), epsilon, symbols
+                branch, Store.from_dists(store.env, family), epsilon, symbols
             ):
                 return False
         return True

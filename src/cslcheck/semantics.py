@@ -237,7 +237,8 @@ def run_kozen(
 
 
 def run_store(s: Store, p: Program, symbols: Optional[SymbolTable] = None) -> Store:
-    return Store(s.env, {n: run(s.env, p, n, d, symbols) for n, d in s.family.items()})
+    family = {n: run(s.env, p, n, d, symbols) for n, d in s.family.items()}
+    return Store.from_dists(s.env, family)
 
 
 def store_indist(a: Store, b: Store, epsilon: Fraction = Fraction(0)) -> bool:

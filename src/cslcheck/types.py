@@ -227,7 +227,8 @@ def env_join(a: Env, b: Env) -> Env:
         raise TypeCheckError(
             "env_join", f"environment domains overlap on {sorted(overlap)}"
         )
-    return Env.make(a.items() + b.items())
+    # the names are distinct, so sorting the bindings never compares types
+    return Env(tuple(sorted(a.items() + b.items())))
 
 
 def env_union(a: Env, b: Env) -> Env:

@@ -1,9 +1,12 @@
 """Finite sub-distributions, memories, and stores."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cslcheck import _gen
 from cslcheck.dist import (
     FinDist,
     Store,
@@ -23,8 +26,8 @@ from cslcheck.dist import (
     uniform_values,
     zero_store,
 )
-from cslcheck.semantics import store_indist
-from cslcheck.syntax import BOOL, parse_env, parse_type
+from cslcheck.semantics import run_store, store_indist
+from cslcheck.syntax import BOOL, SymbolTable, parse_env, parse_type
 from cslcheck.types import TypeCheckError
 
 
@@ -272,6 +275,23 @@ def test_store_rejects_mismatched_memories():
         with pytest.raises(ValueError, match="one value per variable"):
             Store(env, {1: FinDist.dirac(point)})
     Store(env, {1: FinDist.dirac(("0", "0"))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32))
+def test_unchecked_stores_pass_the_store_checks(seed):
+    # project, tensor and run_store build their stores unchecked
+    rng = random.Random(seed)
+    symbols = SymbolTable()
+    xi, theta = _gen._disjoint_envs(rng, rng.randint(1, 2), rng.randint(0, 2))
+    ns = tuple(sorted(rng.sample((1, 2, 3), rng.randint(1, 2))))
+    joint = tensor(_gen.gen_store(rng, xi, ns), _gen.gen_store(rng, theta, ns))
+    names = joint.env.names()
+    sub = joint.env.restrict(rng.sample(names, rng.randint(0, len(names))))
+    marginal = project(joint, sub)
+    out = run_store(joint, _gen.gen_program(rng, joint.env, symbols), symbols)
+    for r in (joint, marginal, out):
+        assert Store(r.env, r.family) == r
 
 
 def test_stores_over_different_environments_differ():

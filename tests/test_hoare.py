@@ -1,11 +1,13 @@
 """The proof-tree checker, semantic spot checks, and rule fuzzing."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
 from cslcheck import hoare, types
+from cslcheck.cli import main
 from cslcheck.dist import uniform_store, zero_store
 from cslcheck.hoare import (
     ProofError,
@@ -25,7 +27,6 @@ from cslcheck.syntax import (
     parse_proof_with_decls,
     proof_to_text,
 )
-from cslcheck.types import TypeCheckError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -432,7 +433,7 @@ def test_the_fuzzer_finds_const_without_its_clash_check(monkeypatch):
         assert not fuzz_rule_soundness("Const", 200, seed, (1,)).ok, seed
 
 
-def test_the_fuzzer_finds_srassn_assigning_in_the_active_component(monkeypatch):
+def _allow_srassn_targets_in_the_active_component(monkeypatch):
     real = hoare.scoped_post
 
     def unchecked(t, atom_kind, symbols, fail):  # the target may lie in xi
@@ -440,12 +441,25 @@ def test_the_fuzzer_finds_srassn_assigning_in_the_active_component(monkeypatch):
         return real(t, atom_kind, symbols, _lenient(fail, skipped))
 
     monkeypatch.setattr(hoare, "scoped_post", unchecked)
+
+
+def test_the_fuzzer_finds_srassn_assigning_in_the_active_component(monkeypatch):
+    _allow_srassn_targets_in_the_active_component(monkeypatch)
     for seed in (0, 1, 2):
-        try:
-            report = fuzz_rule_soundness("SRAssn", 100, seed, (1, 2))
-        except TypeCheckError:  # the unchecked post joins the target in twice
-            continue
-        assert not report.ok, seed
+        assert not fuzz_rule_soundness("SRAssn", 100, seed, (1, 2)).ok, seed
+
+
+def test_a_rule_that_builds_an_ill_typed_post_fails_the_fuzz_suite(monkeypatch, capsys):
+    # the unchecked post joins a target in xi in twice: env_join raises
+    _allow_srassn_targets_in_the_active_component(monkeypatch)
+    report = fuzz_rule_soundness("SRAssn", 100, 0, (1, 2))
+    errors = [v["error"] for v in report.violations if "error" in v]
+    assert errors and errors[0].startswith("ill-typed instance: env_join: "), errors
+    assert main(["properties", "--cases", "50", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert re.search(r"^fuzz +cases=50 +FAIL$", out, re.M), out
+    assert "ill-typed instance: env_join: environment domains overlap" in out
+    assert err == ""
 
 
 def test_fuzz_unknown_rule():

@@ -16,9 +16,13 @@ and SDAssn post, the RCond branch triples and the Frame/Const subproof
 triple, and compares that with the checker's rule functions; a draw that
 breaks a side condition must be rejected with that condition.
 
-The final section keeps the store reader and writer as they were before
+The next section keeps the store reader and writer as they were before
 they worked in C-level passes, and compares old and new on generated stores
 and on one-field mutations of store documents.
+
+The final section keeps the independence witness search as it was before
+each candidate marginal was built once, and compares its verdict with
+_props.product_witness on independent and correlated weight vectors.
 """
 
 import json
@@ -27,7 +31,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from cslcheck import _gen
+from cslcheck import _gen, _props, logic
 from cslcheck.dist import (
     FinDist,
     Store,
@@ -1058,3 +1062,77 @@ def test_an_earlier_bad_prob_is_reported_before_a_later_bad_value():
                 want = _read(ref_parse_store, text)
                 assert want[1].startswith(f"store family '2' entry {i}: value"), want
                 assert _read(parse_store, text) == want
+
+
+# ---------------------------------------------------------------------------
+# The independence witness search as suite_independence ran it before each
+# candidate marginal was built once: the y candidate is rebuilt, through the
+# validating constructors, for every x candidate.
+
+
+def ref_independence_witness(s, n, total):
+    ex, ey = s.env.restrict(("x",)), s.env.restrict(("y",))
+    xmems = all_memories(ex, n)
+    ymems = all_memories(ey, n)
+    found = False
+    for kx in range(total + 1):
+        u = FinDist(
+            {
+                xmems[0]: Fraction(kx, total),
+                xmems[1]: Fraction(total - kx, total),
+            }
+        )
+        u = Store(ex, {n: u})
+        for ky in range(total + 1):
+            v = FinDist(
+                {
+                    ymems[0]: Fraction(ky, total),
+                    ymems[1]: Fraction(total - ky, total),
+                }
+            )
+            if tensor(u, Store(ey, {n: v})) == s:
+                found = True
+                break
+        if found:
+            break
+    return found
+
+
+XY = parse_env("{x: Bool, y: Bool}")
+
+
+def _xy_store(weights, n):
+    """The store at n over {x, y} with weights/sum(weights) on 00, 01, 10, 11."""
+    total = sum(weights)
+    points = zip(all_memories(XY, n), weights)
+    return Store(XY, {n: FinDist({m: Fraction(w, total) for m, w in points if w})})
+
+
+def test_product_witness_agrees_with_the_nested_loop():
+    rng = random.Random(1919)
+    # products of marginal weights (a, b) and (c, d) are independent
+    independent = [
+        (a * c, a * d, b * c, b * d)
+        for a in range(3) for b in range(3) for c in range(3) for d in range(3)
+        if (a or b) and (c or d)
+    ]
+    drawn = [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(30)]
+    verdicts = {True: 0, False: 0}
+    for weights in independent + [w for w in drawn if any(w)]:
+        for n in (1, 2):
+            s, total = _xy_store(weights, n), sum(weights)
+            want = ref_independence_witness(s, n, total)
+            assert _props.product_witness(s, total) == want, (weights, n)
+            verdicts[want] += 1
+    assert verdicts[True] >= len(independent) * 2 and verdicts[False] >= 30, verdicts
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_the_independence_suite_catches_a_constant_criterion(monkeypatch, verdict):
+    def constant(s, left, right, epsilon):
+        return (project(s, left), project(s, right)) if verdict else None
+
+    monkeypatch.setattr(logic, "_independent", constant)
+    result = _props.suite_independence(1, 50, (1, 2))
+    assert not result.ok
+    assert result.failures[0].startswith("independence criterion disagrees at weights")

@@ -277,7 +277,7 @@ def _disjoint_envs(rng: random.Random, k1: int, k2: int):
     return a, b
 
 
-def gen_scoped_assign(rng: random.Random, ns, symbols: SymbolTable, exact: bool):
+def gen_scoped_assign(rng: random.Random, symbols: SymbolTable, exact: bool):
     """A random SRAssn/SDAssn conclusion; its post is T, since the rule
     itself gives the post (hoare.scoped_post)."""
     xi, theta = _disjoint_envs(rng, rng.randint(1, 2), rng.randint(1, 2))
@@ -290,7 +290,7 @@ def gen_scoped_assign(rng: random.Random, ns, symbols: SymbolTable, exact: bool)
     return HoareTriple(pre, delta, Assign(r, e), Formula(Top(), delta))
 
 
-def gen_composite(rng: random.Random, ns, symbols: SymbolTable, star_shape: bool):
+def gen_composite(rng: random.Random, symbols: SymbolTable, star_shape: bool):
     """A random Frame (star_shape) or Const conclusion; a Frame context is
     always disjoint, since an overlapping * is ill-formed."""
     xi, theta = _disjoint_envs(rng, rng.randint(1, 2), rng.randint(1, 2))
@@ -312,7 +312,7 @@ def gen_composite(rng: random.Random, ns, symbols: SymbolTable, star_shape: bool
     return HoareTriple(pre, delta, prog, post)
 
 
-def gen_rcond(rng: random.Random, ns, symbols: SymbolTable):
+def gen_rcond(rng: random.Random, symbols: SymbolTable):
     """A random RCond conclusion."""
     guard = rng.choice(_NAME_POOL)
     extra = gen_env(

@@ -379,7 +379,7 @@ def fuzz_rule_soundness(
 
     for _ in range(cases):
         try:
-            triple, premises_hold = FUZZ_CASES[rule](rng, ns, epsilon, symbols, fail)
+            triple, premises_hold = FUZZ_CASES[rule](rng, epsilon, symbols, fail)
         except ProofError:
             continue  # the rule does not apply to this draw
         except TypeCheckError as exc:  # the rule built an ill-typed formula
@@ -409,14 +409,14 @@ def _holds_on(triple, store, epsilon, symbols) -> bool:
     return found.hits == 1 and found.ok
 
 
-def _fuzz_scoped_case(atom_kind, rng, ns, epsilon, symbols, fail):
-    t = _gen.gen_scoped_assign(rng, ns, symbols, exact=atom_kind == ATOM_ESPL)
+def _fuzz_scoped_case(atom_kind, rng, epsilon, symbols, fail):
+    t = _gen.gen_scoped_assign(rng, symbols, exact=atom_kind == ATOM_ESPL)
     post = scoped_post(t, atom_kind, symbols, fail)
     return replace(t, post=post), lambda store: True  # an axiom: no premises
 
 
-def _fuzz_composite(rule, rng, ns, epsilon, symbols, fail):
-    triple = _gen.gen_composite(rng, ns, symbols, star_shape=rule == "Frame")
+def _fuzz_composite(rule, rng, epsilon, symbols, fail):
+    triple = _gen.gen_composite(rng, symbols, star_shape=rule == "Frame")
     child = composite_premise(triple, rule, fail)
     # premise: the child triple holds on the store's marginal
     return triple, lambda store: _holds_on(
@@ -424,8 +424,8 @@ def _fuzz_composite(rule, rng, ns, epsilon, symbols, fail):
     )
 
 
-def _fuzz_rcond_case(rng, ns, epsilon, symbols, fail):
-    triple = _gen.gen_rcond(rng, ns, symbols)
+def _fuzz_rcond_case(rng, epsilon, symbols, fail):
+    triple = _gen.gen_rcond(rng, symbols)
     then_triple, else_triple = rcond_premises(triple, fail)
     guard = triple.program.guard
 

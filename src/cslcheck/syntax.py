@@ -28,6 +28,9 @@ share one Env object. It also reads a group "(...){...}" that the script
 has already parsed as one group token, whose Formula the parser takes from
 the script's memo, so equal groups share one Formula object wherever they
 occur and each is read once.
+
+A token's one position is its character offset in the text being parsed.
+Line and column are worked out from it only when a ParseError is raised.
 """
 
 from __future__ import annotations
@@ -39,13 +42,19 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
 class ParseError(Exception):
-    """Syntax error carrying a line/column position."""
+    """Syntax error at a 1-based line and column, counted in characters."""
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
         self.message = message
         self.line = line
         self.col = col
+
+    @classmethod
+    def at(cls, message: str, text: str, offset: int) -> "ParseError":
+        """The error at character offset of text."""
+        line_start = text.rfind("\n", 0, offset) + 1
+        return cls(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -534,16 +543,16 @@ class ProofTree:
 
 # One alternative per token class, tried in order at each position. The
 # grammar is ASCII: any other character matches nothing and is reported.
-# Only newline and the token kinds are named groups, so whitespace and "#"
-# comments match with lastgroup None. Two-character punctuation comes first
-# so that ":=" is not read as ":" followed by "=".
+# Only the token kinds are named groups, so whitespace and "#" comments
+# match with lastgroup None. Two-character punctuation comes first so that
+# ":=" is not read as ":" followed by "=".
 #
 # "{" always opens one env token, which the parser reads once per distinct
 # text (see _Parser.env): the longest run of characters that tokenize on
 # their own, newlines and "#" comments, then the "}" that closes it, if one
 # follows. The run stops at "{", "}" and any character the tokenizer
 # rejects, and it leaves out a ":" that opens ":=". So the tokens of its
-# text (see _env_bindings) are those the other alternatives would give in
+# text (see _Parser.env_bindings) are those the other alternatives give in
 # place, and an error in it is reported where it was when "{" was a token
 # of its own. A stray "}" is punct.
 #
@@ -557,7 +566,7 @@ class ProofTree:
 _ENV_RUN = r"[A-Za-z0-9_ \t\r\n()\[\],;:*+^]*"
 _ENV = r"\{" + _ENV_RUN + r"(?:#[^\n]*" + _ENV_RUN + r")*(?:\}|(?<!:)|(?!=))"
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"[ \t\r\n]+|#[^\n]*"
     rf"|(?P<env>{_ENV})"
     r"|(?P<punct>:=|->|==|\.=|~~|/\\|[()}\[\],;:*+^])"
     r"|(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -568,10 +577,19 @@ _GROUP_SCAN = re.compile(rf"\(|\)(?:{_ENV})?")
 
 
 class Token(NamedTuple):
+    """A token and where it starts: a character offset in the text being
+    parsed. Line and column are worked out from it only for an error (see
+    ParseError.at)."""
+
     kind: str  # "ident" | "int" | "punct" | "env" | "group" | "eof"
     text: str
-    line: int
-    col: int
+    start: int
+
+
+def _own_decls(tokens: list[Token]) -> bool:
+    """Whether tokens open with a decl preamble, which gives their text its
+    own symbol table, so that its groups are not the script's."""
+    return bool(tokens) and tokens[0][:2] == ("ident", "decl")
 
 
 def _group_ends(text: str) -> dict[int, int]:
@@ -602,36 +620,28 @@ def tokenize(text: str, memo: Optional[dict] = None) -> list[Token]:
     tokens = []
     match = _TOKEN.match
     ends = None if memo else {}  # found at the first "(" that may open a group
-    i, line, line_start, n = 0, 1, 0, len(text)
+    i, n = 0, len(text)
     while i < n:
         m = match(text, i)
         if m is None:
-            raise ParseError(
-                f"unexpected character {text[i]!r}", line, i - line_start + 1
-            )
+            raise ParseError.at(f"unexpected character {text[i]!r}", text, i)
         kind = m.lastgroup
         start, i = i, m.end()
-        if kind == "newline":
-            line, line_start = line + 1, i
-        elif kind is not None:
+        if kind is not None:
             tok = m.group()
             # after a name or "]" a "(" opens arguments, elsewhere a group
             if tok == "(" and not (
                 tokens and (tokens[-1].kind == "ident" or tokens[-1].text == "]")
             ):
                 if ends is None:
-                    own_decls = tokens and tokens[0][:2] == ("ident", "decl")
-                    ends = {} if own_decls else _group_ends(text)
+                    ends = {} if _own_decls(tokens) else _group_ends(text)
                 end = ends.get(start)
                 if end is not None and text[start:end] in memo:
                     kind, tok, i = "group", text[start:end], end
-            tokens.append(Token(kind, tok, line, start - line_start + 1))
-            if "\n" in tok:  # an env or group token that spans lines
-                line += tok.count("\n")
-                line_start = start + tok.rindex("\n") + 1
+            tokens.append(Token(kind, tok, start))
     # a comment that runs to the end of the text leaves eof at its "#"
-    end = text.find("#", line_start)
-    tokens.append(Token("eof", "", line, (n if end < 0 else end) - line_start + 1))
+    end = text.find("#", text.rfind("\n") + 1)
+    tokens.append(Token("eof", "", n if end < 0 else end))
     return tokens
 
 
@@ -649,33 +659,37 @@ def _shown(tok: Token) -> str:
 # inside Python's recursion limit at this depth.
 MAX_DEPTH = 100
 
+# A size polynomial's exponent is at most this. Its terms are built as
+# coefficient lists, so a typo like n^1000000000 would ask for gigabytes,
+# and already at n = 2 a Str[n^64] is past any bit budget.
+MAX_EXPONENT = 64
+
 
 class _Parser:
-    """Recursive descent over a token list.
+    """Recursive descent over the tokens of text, which it tokenizes with
+    memo.
 
     memo maps the text of each env token read so far to its Env, and each
-    binding text in one to its binding (see _env_bindings), so equal
+    binding text in one to its binding (see env_bindings), so equal
     annotations are parsed once and share one object; parse_formula and
-    parse_env take it from their caller to share it across texts. Given the
-    text the tokens came from, the parser also enters in memo each annotated
-    group it reads (see record), which tokenize then reads as one token.
+    parse_env take it from their caller to share it across texts. The parser
+    also enters in memo each annotated group it reads (see record), which
+    tokenize then reads as one token.
     """
 
     def __init__(
         self,
-        tokens: list[Token],
+        text: str,
         symbols: Optional[SymbolTable] = None,
         memo: Optional[dict] = None,
-        text: Optional[str] = None,
     ):
-        self.tokens = tokens
+        self.text = text
+        self.tokens = tokenize(text, memo)
         self.pos = 0
         self.depth = 0
         self.deepest = 0  # the greatest depth reached in the current group
         self.symbols = symbols.copy() if symbols else SymbolTable()
         self.memo = {} if memo is None else memo
-        self.text = text
-        self.line_starts: Optional[list[int]] = None
 
     # -- token plumbing
 
@@ -703,24 +717,28 @@ class _Parser:
         return self.peek().kind == "env"
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
         if not self.at(text):
-            raise ParseError(
-                f"expected {text!r}, got {_shown(tok)!r}", tok.line, tok.col
-            )
+            self.fail(f"expected {text!r}, got {_shown(self.peek())!r}")
         return self.next()
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(
-                f"expected {what}, got {_shown(tok)!r}", tok.line, tok.col
-            )
+        if self.peek().kind != "ident":
+            self.fail(f"expected {what}, got {_shown(self.peek())!r}")
         return self.next()
 
-    def fail(self, message: str):
+    def fail(self, message: str, tok: Optional[Token] = None):
+        """Raise message at tok, by default the token at hand."""
+        start = self.peek().start if tok is None else tok.start
+        raise ParseError.at(message, self.text, start)
+
+    def unfold(self, skip: int) -> None:
+        """Put the tokens of the text of the token at hand, from its
+        character skip on, in its place."""
         tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        self.tokens[self.pos : self.pos + 1] = [
+            Token(kind, text, tok.start + skip + start)
+            for kind, text, start in tokenize(tok.text[skip:])[:-1]
+        ]
 
     def enter(self) -> None:
         """One level deeper; the caller lowers self.depth when it leaves."""
@@ -749,10 +767,12 @@ class _Parser:
         self.next()
         power = 1
         if self.eat("^"):
-            ptok = self.peek()
-            if ptok.kind != "int":
+            if self.peek().kind != "int":
                 self.fail("expected an integer exponent")
-            power = int(self.next().text)
+            power = int(self.peek().text)
+            if power > MAX_EXPONENT:
+                self.fail(f"exponent larger than {MAX_EXPONENT}")
+            self.next()
         return SizePoly.make([0] * power + [coeff])
 
     def type_(self) -> Type:
@@ -764,20 +784,46 @@ class _Parser:
             p = self.poly()
             self.expect("]")
             return StrType(p)
-        raise ParseError(f"expected a type, got {tok.text!r}", tok.line, tok.col)
+        self.fail(f"expected a type, got {tok.text!r}", tok)
 
     def env(self) -> Env:
         if not self.at_env():
             self.expect("{")  # fails: "{" only ever opens an env token
-        tok = self.next()
-        found = self.memo.get(tok.text)
+        text = self.peek().text
+        found = self.memo.get(text)
         if found is None:
-            bindings = _env_bindings(tok, self.peek(), self.memo)
+            bindings = self.env_bindings()
             try:
-                found = self.memo[tok.text] = Env.make(bindings)
-            except ValueError as exc:  # reported at the token after tok
+                found = self.memo[text] = Env.make(bindings)
+            except ValueError as exc:  # reported at the token after the env token
                 self.fail(str(exc))
+        else:
+            self.next()
         return found
+
+    def env_bindings(self) -> list[tuple[str, Type]]:
+        """The bindings of the env token at hand, read through it. Unless
+        memo knows them all, the tokens of its text take its place, each
+        where it is, for bindings to read; so one with no "}" fails at the
+        token after it.
+
+        Only commas separate bindings, so each text between commas of a
+        closed env token that was read, and that holds no comment, is one
+        binding, which memo keeps under that text. An env token whose every
+        such text is in memo is not read again.
+        """
+        text = self.peek().text[1:]
+        if text.endswith("}"):
+            parts = text[:-1].split(",")
+            known = [self.memo.get(part) for part in parts]
+            if None not in known:
+                self.next()
+                return known
+        self.unfold(1)  # its "}", if it has one, is punct
+        bindings = self.bindings()  # returns only at a "}"
+        if "#" not in text:
+            self.memo.update(zip(parts, bindings))  # none for "{}"
+        return bindings
 
     def bindings(self) -> list[tuple[str, Type]]:
         """The bindings of an environment after its "{", through its "}"."""
@@ -799,11 +845,7 @@ class _Parser:
             self.next()
             name_tok = self.expect_ident("a symbol name")
             if name_tok.text in BUILTIN_NAMES:
-                raise ParseError(
-                    f"cannot redeclare built-in symbol {name_tok.text}",
-                    name_tok.line,
-                    name_tok.col,
-                )
+                self.fail(f"cannot redeclare built-in symbol {name_tok.text}", name_tok)
             self.expect(":")
             arg_types = []
             if not self.at("->"):
@@ -815,18 +857,14 @@ class _Parser:
             result = self.type_()
             kind_tok = self.expect_ident("det or rnd")
             if kind_tok.text not in (DET, RND):
-                raise ParseError(
-                    f"expected det or rnd, got {kind_tok.text!r}",
-                    kind_tok.line,
-                    kind_tok.col,
-                )
+                self.fail(f"expected det or rnd, got {kind_tok.text!r}", kind_tok)
             self.expect(";")
             try:
                 self.symbols.declare(
                     FuncSym(name_tok.text, tuple(arg_types), result, kind_tok.text)
                 )
             except ValueError as exc:
-                raise ParseError(str(exc), name_tok.line, name_tok.col) from exc
+                self.fail(str(exc), name_tok)
 
     # -- expressions
 
@@ -849,9 +887,7 @@ class _Parser:
             size_args = tuple(sizes)
         if self.at("(") or size_args:
             if not self.symbols.known(name):
-                raise ParseError(
-                    f"unknown function symbol {name}", name_tok.line, name_tok.col
-                )
+                self.fail(f"unknown function symbol {name}", name_tok)
             self.expect("(")
             self.enter()
             args = []
@@ -889,11 +925,7 @@ class _Parser:
         if self.eat("if"):
             guard_tok = self.expect_ident("a guard variable")
             if self.at("("):
-                raise ParseError(
-                    "guard of if must be a bare variable",
-                    guard_tok.line,
-                    guard_tok.col,
-                )
+                self.fail("guard of if must be a bare variable", guard_tok)
             self.expect("then")
             self.enter()
             then_branch = self.program()
@@ -904,9 +936,7 @@ class _Parser:
             return If(guard_tok.text, then_branch, else_branch)
         target = self.expect_ident("a statement")
         if target.text in ("then", "else", "end", "decl"):
-            raise ParseError(
-                f"unexpected keyword {target.text!r}", target.line, target.col
-            )
+            self.fail(f"unexpected keyword {target.text!r}", target)
         self.expect(":=")
         return Assign(target.text, self.expr())
 
@@ -941,8 +971,7 @@ class _Parser:
                 self.deepest = max(self.deepest, self.depth + depth)
                 ann = formula.annotation
                 return _RawNode("group", ann=ann, free_vars=free_vars, resolved=formula)
-            # read it token by token, so that the nesting error is where it was
-            self.tokens[self.pos : self.pos + 1] = _placed(tok, 0)[:-1]
+            self.unfold(0)  # token by token, so that the nesting error is where it was
         if self.eat("("):
             outer, self.deepest = self.deepest, self.depth
             self.enter()
@@ -988,64 +1017,23 @@ class _Parser:
         memo, as its Formula, the depth it nests to and its free variables.
 
         Only a group written "(...){...}" with its annotation right after
-        the ")" is entered, as tokenize reads no other. Its explicit
-        annotation wins over any inherited one and is passed down to every
-        part of it, so it resolves, and alike wherever it stands. A group
-        already entered keeps its Formula, so equal groups are one object.
+        the ")" is entered, as tokenize reads no other, and none of a text
+        with its own decl preamble. Its explicit annotation wins over any
+        inherited one and is passed down to every part of it, so it
+        resolves, and alike wherever it stands. A group already entered
+        keeps its Formula, so equal groups are one object.
         """
-        if self.text is None:
+        if _own_decls(self.tokens):
             return
-        end = self._offset(ann_tok)
+        end = ann_tok.start
         if self.text[end - 1] != ")":
             return
-        key = self.text[self._offset(open_tok) : end + len(ann_tok.text)]
+        key = self.text[open_tok.start : end + len(ann_tok.text)]
         found = self.memo.get(key)
         if found is None:
             formula = _resolve_formula(node, None, self)
             found = self.memo[key] = (formula, depth, node.free_vars)
         node.resolved = found[0]
-
-    def _offset(self, tok: Token) -> int:
-        """Where tok starts in self.text."""
-        if self.line_starts is None:
-            self.line_starts = [0]
-            self.line_starts += (m.end() for m in re.finditer("\n", self.text))
-        return self.line_starts[tok.line - 1] + tok.col - 1
-
-
-def _placed(tok: Token, start: int) -> list[Token]:
-    """The tokens of tok's text from its character start on, each placed
-    where it is in the text being parsed."""
-    out = []
-    for kind, text, line, col in tokenize(tok.text[start:]):
-        if line == 1:
-            col += tok.col + start - 1
-        out.append(Token(kind, text, tok.line + line - 1, col))
-    return out
-
-
-def _env_bindings(tok: Token, after: Token, memo: dict) -> list[tuple[str, Type]]:
-    """The bindings of an env token, read by _Parser.bindings from the tokens
-    of its text, each where it is; after is the token that follows it, at
-    which one with no "}" fails.
-
-    Only commas separate bindings, so each text between commas of a closed
-    env token that was read, and that holds no comment, is one binding,
-    which memo keeps under that text. An env token whose every such text is
-    in memo is not read again.
-    """
-    text = tok.text[1:]
-    if text.endswith("}"):
-        parts = text[:-1].split(",")
-        known = [memo.get(part) for part in parts]
-        if None not in known:
-            return known
-    tokens = _placed(tok, 1)  # its "}", if it has one, is punct
-    tokens[-1] = after  # in place of eof
-    bindings = _Parser(tokens).bindings()  # returns only at a "}"
-    if "#" not in text:
-        memo.update(zip(parts, bindings))  # none for "{}"
-    return bindings
 
 
 @dataclass
@@ -1136,7 +1124,7 @@ def parse_program(text: str, symbols: Optional[SymbolTable] = None) -> Program:
 def parse_program_with_decls(
     text: str, symbols: Optional[SymbolTable] = None
 ) -> tuple[SymbolTable, Program]:
-    p = _Parser(tokenize(text), symbols)
+    p = _Parser(text, symbols)
     p.decls()
     prog = p.program()
     p.expect("")  # eof
@@ -1158,24 +1146,22 @@ def parse_formula(
 def parse_formula_with_decls(
     text: str, symbols: Optional[SymbolTable] = None, memo: Optional[dict] = None
 ) -> tuple[SymbolTable, Formula]:
-    p = _Parser(tokenize(text, memo), symbols, memo, text)
+    p = _Parser(text, symbols, memo)
     p.decls()
-    if p.pos:
-        p.text = None  # its own symbol table: its groups are not the script's
     f = p.formula()
     p.expect("")
     return p.symbols, f
 
 
 def parse_expr(text: str, symbols: Optional[SymbolTable] = None) -> Expr:
-    p = _Parser(tokenize(text), symbols)
+    p = _Parser(text, symbols)
     e = p.expr()
     p.expect("")
     return e
 
 
 def parse_type(text: str) -> Type:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     t = p.type_()
     p.expect("")
     return t
@@ -1183,21 +1169,21 @@ def parse_type(text: str) -> Type:
 
 def parse_env(text: str, memo: Optional[dict] = None) -> Env:
     """Parse an environment; memo as for parse_formula."""
-    p = _Parser(tokenize(text), memo=memo)
+    p = _Parser(text, memo=memo)
     env = p.env()
     p.expect("")
     return env
 
 
 def parse_poly(text: str) -> SizePoly:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     poly = p.poly()
     p.expect("")
     return poly
 
 
 def parse_decls(text: str, symbols: Optional[SymbolTable] = None) -> SymbolTable:
-    p = _Parser(tokenize(text), symbols)
+    p = _Parser(text, symbols)
     p.decls()
     p.expect("")
     return p.symbols
@@ -1242,7 +1228,7 @@ def _parsed(memo: dict, obj: dict, key: str, where: str, parse: Callable, *args)
     symbol table is fixed, so the text alone is a sound key. It also serves
     parse_formula and parse_env as their memo. Under annotation-text keys
     "{...}" it holds Env objects, under the text of each binding between the
-    commas of an annotation its binding (see _env_bindings), and under
+    commas of an annotation its binding (see _Parser.env_bindings), and under
     group-text keys "(...){...}" the Formula, nesting depth and free
     variables of each annotated group read so far (see _Parser.record).
     """

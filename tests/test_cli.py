@@ -303,6 +303,30 @@ def test_eval_ill_formed_formula_is_a_usage_error(tmp_path, capsys, text, messag
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "field, text, error",
+    [
+        (
+            "program",
+            "k := rnd();\n  c := xor(m k)",
+            "error: 2:14: expected ')', got 'k'\n",
+        ),
+        (
+            "post",
+            "((T){m: Str[n]} *\n (U(c){c: Str[n]}){c: Str[n], k: Str[n], m: Str[n]}",
+            "error: 2:19: formula is annotated twice\n",
+        ),
+    ],
+)
+def test_check_names_the_line_and_column_of_a_broken_field(
+    tmp_path, capsys, field, text, error
+):
+    doc = json.loads((CORPUS / "otp.proof").read_text())
+    doc["root"][field] = text
+    assert main(["check", write(tmp_path, "otp.proof", json.dumps(doc))]) == 2
+    assert capsys.readouterr() == ("", error)
+
+
 DECL_G = "decl g : Str[n] -> Str[n] det; "
 
 

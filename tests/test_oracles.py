@@ -20,9 +20,14 @@ The next section keeps the store reader and writer as they were before
 they worked in C-level passes, and compares old and new on generated stores
 and on one-field mutations of store documents.
 
-The final section keeps the independence witness search as it was before
+The next section keeps the independence witness search as it was before
 each candidate marginal was built once, and compares its verdict with
 _props.product_witness on independent and correlated weight vectors.
+
+The final section keeps the tokenizer as it was when every token carried
+its line and column, and compares its tokens and errors with those of
+tokenize, whose tokens carry a character offset, on generated texts with
+line breaks, comments, annotations across lines and shared groups.
 """
 
 import json
@@ -31,7 +36,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from cslcheck import _gen, _props, logic
+from cslcheck import _gen, _props, logic, syntax
 from cslcheck.dist import (
     FinDist,
     Store,
@@ -91,10 +96,12 @@ from cslcheck.syntax import (
     Env,
     Formula,
     HoareTriple,
+    ParseError,
     Star,
     SymbolTable,
     Top,
     parse_formula,
+    tokenize,
 )
 from cslcheck.types import TypeCheckError, env_join, mv
 
@@ -711,15 +718,15 @@ def test_rule_functions_agree_with_independent_builders(rule):
     for _ in range(200):
         if rule in ("SRAssn", "SDAssn"):
             kind = ATOM_ESPL if rule == "SDAssn" else ATOM_EQ
-            t = _gen.gen_scoped_assign(rng, (1, 2), symbols, exact=rule == "SDAssn")
+            t = _gen.gen_scoped_assign(rng, symbols, exact=rule == "SDAssn")
             build = lambda: scoped_post(t, kind, symbols, _not_an_instance)
             want = lambda: ref_scoped_post(t, kind)
         elif rule == "RCond":
-            t = _gen.gen_rcond(rng, (1, 2), symbols)
+            t = _gen.gen_rcond(rng, symbols)
             build = lambda: rcond_premises(t, _not_an_instance)
             want = lambda: ref_rcond_premises(t)
         else:
-            t = _gen.gen_composite(rng, (1, 2), symbols, star_shape=rule == "Frame")
+            t = _gen.gen_composite(rng, symbols, star_shape=rule == "Frame")
             build = lambda: composite_premise(t, rule, _not_an_instance)
             want = lambda: ref_composite_premise(t)
         broken = ref_broken_side_condition(t, rule)
@@ -1136,3 +1143,107 @@ def test_the_independence_suite_catches_a_constant_criterion(monkeypatch, verdic
     result = _props.suite_independence(1, 50, (1, 2))
     assert not result.ok
     assert result.failures[0].startswith("independence criterion disagrees at weights")
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer as it was when each token carried its line and column, which
+# it tracked in its loop: (kind, text, line, col) tuples.
+
+_REF_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    rf"|(?P<env>{syntax._ENV})"
+    r"|(?P<punct>:=|->|==|\.=|~~|/\\|[()}\[\],;:*+^])"
+    r"|(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+)
+
+
+def ref_tokenize(text, memo=None):
+    tokens = []
+    match = _REF_TOKEN.match
+    ends = None if memo else {}
+    i, line, line_start, n = 0, 1, 0, len(text)
+    while i < n:
+        m = match(text, i)
+        if m is None:
+            raise ParseError(
+                f"unexpected character {text[i]!r}", line, i - line_start + 1
+            )
+        kind = m.lastgroup
+        start, i = i, m.end()
+        if kind == "newline":
+            line, line_start = line + 1, i
+        elif kind is not None:
+            tok = m.group()
+            if tok == "(" and not (
+                tokens and (tokens[-1][0] == "ident" or tokens[-1][1] == "]")
+            ):
+                if ends is None:
+                    own_decls = tokens and tokens[0][:2] == ("ident", "decl")
+                    ends = {} if own_decls else syntax._group_ends(text)
+                end = ends.get(start)
+                if end is not None and text[start:end] in memo:
+                    kind, tok, i = "group", text[start:end], end
+            tokens.append((kind, tok, line, start - line_start + 1))
+            if "\n" in tok:
+                line += tok.count("\n")
+                line_start = start + tok.rindex("\n") + 1
+    end = text.find("#", line_start)
+    tokens.append(("eof", "", line, (n if end < 0 else end) - line_start + 1))
+    return tokens
+
+
+def ref_line_col(text, offset):
+    """The line and column of offset, counted one character at a time."""
+    line, col = 1, 1
+    for ch in text[:offset]:
+        line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+    return line, col
+
+
+def _lines_or_error(tok, text, memo):
+    try:
+        return tok(text, memo)
+    except ParseError as exc:
+        return exc.message, exc.line, exc.col
+
+
+def _offsets_as_lines(text, memo):
+    return [(k, t, *ref_line_col(text, s)) for k, t, s in tokenize(text, memo)]
+
+
+_SCRIPT_GROUPS = [
+    "(T){}",
+    "(U(x)){x: Bool}",
+    "(U(k)){k:\n Str[n] # the key\n}",
+    "((T){} * (U(\nx)){x: Bool}){x: Bool}",
+    "((U(k)){k: Str[n]} /\\ (k == k){k: Str[n]}){k: Str[n]}",
+]
+_TEXT_PIECES = list("(){}[],;:*+^=TUxkn01") + [
+    "(", ")", " ", "\t", "\r", "\n", "\n  ", ":=", "==", "/\\", "Str[n]",
+    "# c\n", "# (U(x)){x: Bool}\n", "#", "{x: Bool}", "{x:\n Bool}",
+    "{x: Bool # c, }\n}", "{k:\n Str[n] # the key\n}", "{x", "{x:=", "é", "$",
+    "decl ",
+]
+
+
+def test_offset_tokens_agree_with_the_line_tracking_tokenizer():
+    memo = {}
+    for group in _SCRIPT_GROUPS:
+        parse_formula(group, None, memo)
+    rng = random.Random(2020)
+    seen = {"group": 0, "env across lines": 0, "error": 0, "eof after line 1": 0}
+    for _ in range(2000):
+        pieces = _TEXT_PIECES + _SCRIPT_GROUPS * 3
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+        for shared in (memo, None):
+            want = _lines_or_error(ref_tokenize, text, shared)
+            assert _lines_or_error(_offsets_as_lines, text, shared) == want, text
+            if isinstance(want, tuple):
+                seen["error"] += 1
+                continue
+            seen["group"] += any(t[0] == "group" for t in want)
+            seen["env across lines"] += any(
+                t[0] == "env" and "\n" in t[1] for t in want
+            )
+            seen["eof after line 1"] += want[-1][2] > 1
+    assert min(seen.values()) >= 100, seen

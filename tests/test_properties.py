@@ -161,7 +161,7 @@ def test_formula_text_round_trip(f):
 def test_proof_text_round_trip(seed):
     rng = random.Random(seed)
     sym = SymbolTable()
-    t = _gen.gen_scoped_assign(rng, (1,), sym, exact=rng.random() < 0.5)
+    t = _gen.gen_scoped_assign(rng, sym, exact=rng.random() < 0.5)
     tree = ProofTree("SRAssn", t)
     assert parse_proof(proof_to_text(tree)) == tree
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from cslcheck.syntax import (
     If,
     Lit,
     MAX_DEPTH,
+    MAX_EXPONENT,
     ParseError,
     Seq,
     SizePoly,
@@ -549,6 +551,18 @@ def tokens_or_error(tok, text):
         return (exc.message, exc.line, exc.col)
 
 
+def line_col(text, offset):
+    """The 1-based line and column of the character at offset in text."""
+    lines = text[:offset].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
+def tokenize_lines(text, memo=None):
+    """tokenize, with each token's start offset as its line and column."""
+    tokens = tokenize(text, memo)
+    return [(kind, tok, *line_col(text, start)) for kind, tok, start in tokens]
+
+
 # pieces of ASCII text: every punctuation character, the halves of the
 # two-character operators, digits, letters, whitespace, comments, and two
 # characters outside the grammar
@@ -571,13 +585,11 @@ def tokenize_expanded(text):
     out = []
     for t in tokenize(text):
         if t.kind != "env":
-            out.append(t)
+            out.append((t.kind, t.text, *line_col(text, t.start)))
             continue
-        out.append(("punct", "{", t.line, t.col))
-        for kind, inner, line, col in tokenize(t.text[1:])[:-1]:
-            if line == 1:
-                col += t.col
-            out.append((kind, inner, t.line + line - 1, col))
+        out.append(("punct", "{", *line_col(text, t.start)))
+        for kind, inner, start in tokenize(t.text[1:])[:-1]:
+            out.append((kind, inner, *line_col(text, t.start + 1 + start)))
     return out
 
 
@@ -589,7 +601,7 @@ def test_tokenize_agrees_with_the_reference(text):
 
 
 def test_tokenize_positions_and_comments():
-    assert tokens_or_error(tokenize, "x:=y # c\n  n^2") == [
+    assert tokens_or_error(tokenize_lines, "x:=y # c\n  n^2") == [
         ("ident", "x", 1, 1),
         ("punct", ":=", 1, 2),
         ("ident", "y", 1, 4),
@@ -599,7 +611,7 @@ def test_tokenize_positions_and_comments():
         ("eof", "", 2, 6),
     ]
     # a trailing comment leaves eof at the column of its "#"
-    assert tokenize("x  # c")[-1] == ("eof", "", 1, 4)
+    assert tokenize_lines("x  # c")[-1] == ("eof", "", 1, 4)
     assert tokens_or_error(tokenize, "x\n  $") == ("unexpected character '$'", 2, 3)
 
 
@@ -619,6 +631,89 @@ def test_non_ascii_is_an_unexpected_character(parse, text, ch, col):
         1,
         col,
     )
+
+
+# (entry point, multi-line malformed text, its (message, line, col)); the
+# figures are those of the tokenizer that tracked lines in its loop
+ENTRY_POINT_ERRORS = [
+    (
+        parse_program,
+        "begin\n  x := a;\n  y := := b\nend",
+        ("expected an expression, got ':='", 3, 8),
+    ),
+    (parse_program, "begin\n  x := a;\n  y := b\n", ("expected 'end', got ''", 4, 1)),
+    (
+        parse_program,
+        "if b then\n  x := a\nelse\n  x := head(\nend",
+        ("expected ')', got ''", 5, 4),
+    ),
+    (
+        parse_program,
+        "if b then\n  x := a # keep\nelse\n  skip\n  y := b\nend",
+        ("expected 'end', got 'y'", 5, 3),
+    ),
+    (
+        parse_program,
+        "x := a;\nif b(c) then skip else skip end",
+        ("guard of if must be a bare variable", 2, 4),
+    ),
+    (
+        parse_decls,
+        "decl g : Str[n] -> Str[n] det;\ndecl h : Str[n] -> Str[n] maybe;",
+        ("expected det or rnd, got 'maybe'", 2, 27),
+    ),
+    (
+        parse_decls,
+        "decl g : Str[n] -> Str[n] det;\n  decl head : Str[n] -> Bool det;",
+        ("cannot redeclare built-in symbol head", 2, 8),
+    ),
+    (
+        parse_decls,
+        "decl g : Str[n] -> Str[n] det;\ndecl g : Str[n] -> Bool det;",
+        ("conflicting declarations for symbol g", 2, 6),
+    ),
+    (
+        parse_env,
+        "{x: Bool, # first\n  y: Str[n,\n  z: Bool}",
+        ("expected ']', got ','", 2, 11),
+    ),
+    (
+        parse_env,
+        "{x: Bool, # first\n  x: Bool}",
+        ("duplicate variable in environment", 2, 11),
+    ),
+    (parse_env, "{x: Bool # the bit\n  y: Bool}", ("expected '}', got 'y'", 2, 3)),
+    (parse_type, "Str[\n  n + ]", ("expected a size polynomial term", 2, 7)),
+    (parse_type, "Str[n^2 +\n 3n]  # size\n Bool", ("expected '', got 'Bool'", 3, 2)),
+    (parse_poly, "n +\n 2 n^", ("expected an integer exponent", 2, 6)),
+    (parse_poly, "n^2 + # square\n  3n + m", ("expected a size polynomial term", 2, 8)),
+]
+
+
+@pytest.mark.parametrize("parse, text, error", ENTRY_POINT_ERRORS)
+def test_errors_on_every_entry_point_are_where_they_were(parse, text, error):
+    assert parse_error(parse, text) == error
+
+
+@pytest.mark.parametrize(
+    "parse, text, where",
+    [
+        (parse_type, "Str[n^10000000]", (1, 7)),
+        (parse_poly, "n^2 +\n  3n^65", (2, 6)),
+        (parse_decls, "decl g : Str[n] ->\n  Str[n^10000000] det;", (2, 9)),
+        (parse_formula, "(U(k)){k:\n Str[n^10000000]}", (2, 8)),
+    ],
+)
+def test_a_size_exponent_above_the_bound_fails_at_once(parse, text, where):
+    tracemalloc.start()
+    try:
+        error = parse_error(parse, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert error == (f"exponent larger than {MAX_EXPONENT}", *where)
+    assert peak < 1_000_000  # no coefficient list was built
+    assert parse_poly(f"n^{MAX_EXPONENT}").coeffs == (0,) * MAX_EXPONENT + (1,)
 
 
 # Parsing each distinct text of a script once
@@ -1001,8 +1096,8 @@ def test_a_group_annotated_across_lines_is_shared():
     assert tree.mid.body.left is tree.conclusion.post.body.right
     memo = {}
     parse_formula(first, None, memo)
-    groups = [t for t in tokenize(second, memo) if t.kind == "group"]
-    assert [(t.text, t.line, t.col) for t in groups] == [
+    groups = [t for t in tokenize_lines(second, memo) if t[0] == "group"]
+    assert [t[1:] for t in groups] == [
         ("(T){m: Str[n]}", 1, 2),
         (group, 1, 19),
     ]
@@ -1032,18 +1127,16 @@ def test_a_group_at_the_depth_limit_is_read_as_one_token():
     assert parse_formula(text, symbols, memo) == parse_formula(text, symbols)
 
 
-def expand_groups(tokens):
-    """tokens, with each group token replaced by the tokens of its text, each
-    at its own line and column."""
+def expand_groups(text, memo):
+    """The tokens of text read with memo, with each group token replaced by
+    the tokens of its text, each at its own line and column."""
     out = []
-    for t in tokens:
+    for t in tokenize(text, memo):
         if t.kind != "group":
-            out.append(tuple(t))
+            out.append((t.kind, t.text, *line_col(text, t.start)))
             continue
-        for kind, inner, line, col in tokenize(t.text)[:-1]:
-            if line == 1:
-                col += t.col - 1
-            out.append((kind, inner, t.line + line - 1, col))
+        for kind, inner, start in tokenize(t.text)[:-1]:
+            out.append((kind, inner, *line_col(text, t.start + start)))
     return out
 
 
@@ -1061,5 +1154,5 @@ for _group in _GROUPS:
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(_PIECES + _GROUPS), max_size=30).map("".join))
 def test_group_tokens_expand_to_the_tokens_of_their_text(text):
-    got = tokens_or_error(lambda t: expand_groups(tokenize(t, _GROUP_MEMO)), text)
-    assert got == tokens_or_error(tokenize, text)
+    got = tokens_or_error(lambda t: expand_groups(t, _GROUP_MEMO), text)
+    assert got == tokens_or_error(tokenize_lines, text)

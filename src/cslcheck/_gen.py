@@ -36,13 +36,13 @@ from .syntax import (
     Lit,
     POLY_N,
     POLY_ONE,
-    Seq,
     SKIP,
     Star,
     StrType,
     SymbolTable,
     Top,
     Var,
+    seq,
 )
 from .types import env_join, mv
 
@@ -146,13 +146,6 @@ def gen_expr(
     return rng.choice(builders)()
 
 
-def _chain(stmts):
-    prog = stmts[0]
-    for s in stmts[1:]:
-        prog = Seq(prog, s)
-    return prog
-
-
 def gen_program(
     rng: random.Random,
     env: Env,
@@ -178,7 +171,7 @@ def gen_program(
         return Assign(target, e)
 
     def block(depth, count):
-        return _chain([stmt(depth) for _ in range(count)])
+        return seq(*[stmt(depth) for _ in range(count)])
 
     return block(2, rng.randint(1, size))
 

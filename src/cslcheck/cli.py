@@ -263,7 +263,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except RecursionError:
-        # passes over Seq, And and Star chains, and json.loads, recurse per level
+        # passes over And and Star chains, and json.loads, recurse per level
         print("error: the input nests or chains too deeply", file=sys.stderr)
         return USAGE
     except Exception as exc:  # SystemExit and KeyboardInterrupt pass through

@@ -39,6 +39,7 @@ from typing import Callable, Iterable
 from .syntax import (
     BoolType,
     Env,
+    MAX_DIGITS,
     Type,
     env_to_text,
     parse_type,
@@ -406,7 +407,7 @@ def store_to_text(s: Store) -> str:
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
-_N_KEY = re.compile(r"[1-9][0-9]*")
+_N_KEY = re.compile(rf"[1-9][0-9]{{0,{MAX_DIGITS - 1}}}")
 
 
 def exact_rational(raw, what: str) -> Fraction:

@@ -36,7 +36,6 @@ from .syntax import (
     If,
     Lit,
     ProofTree,
-    Seq,
     Skip,
     Star,
     SymbolTable,
@@ -45,6 +44,7 @@ from .syntax import (
     formula_to_text,
     fv,
     program_to_text,
+    seq,
 )
 from .types import (
     TypeCheckError,
@@ -135,15 +135,15 @@ def _check_skip(node, t, fail, symbols, registry, checked):
 
 def _check_seq(node, t, fail, symbols, registry, checked):
     _need_children(node, 2, fail)
-    if not isinstance(t.program, Seq):
-        fail("Seq applies to a sequential composition")
     if node.mid is None:
         fail("Seq needs a mid formula")
-    first, second = node.children
-    if first.conclusion != HoareTriple(t.pre, t.env, t.program.first, node.mid):
+    first, second = (child.conclusion for child in node.children)
+    if first != HoareTriple(t.pre, t.env, first.program, node.mid):
         fail("the first subproof must run the first command from pre to mid")
-    if second.conclusion != HoareTriple(node.mid, t.env, t.program.second, t.post):
+    if second != HoareTriple(node.mid, t.env, second.program, t.post):
         fail("the second subproof must run the second command from mid to post")
+    if seq(first.program, second.program) != t.program:
+        fail("the subproofs' programs must join to the program")
 
 
 def _assign_of(t, fail) -> Assign:

@@ -168,8 +168,9 @@ def _exec(p: Program, env: Env, n: int, symbols: SymbolTable, points: dict, den:
     if not points or isinstance(p, Skip):
         return points, den
     if isinstance(p, Seq):
-        points, den = _exec(p.first, env, n, symbols, points, den)
-        return _exec(p.second, env, n, symbols, points, den)
+        for s in p.stmts:
+            points, den = _exec(s, env, n, symbols, points, den)
+        return points, den
     names = env.names()
     if isinstance(p, If):
         g = names.index(p.guard)
@@ -219,7 +220,9 @@ def run_kozen(
     if isinstance(p, Assign):
         return run(env, p, n, d, symbols)
     if isinstance(p, Seq):
-        return run_kozen(env, p.second, n, run_kozen(env, p.first, n, d, symbols), symbols)
+        for s in p.stmts:
+            d = run_kozen(env, s, n, d, symbols)
+        return d
     total = d.total()
     g = env.names().index(p.guard)
     w1 = sum(pr for m, pr in d.items() if m[g] == "1")

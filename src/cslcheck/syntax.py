@@ -9,10 +9,9 @@ parsing the printed form gives back an equal tree.
 
 Surface syntax summary:
 
-    programs   skip | r := e | P; P | if r then P else R end
-               begin P end groups a sequence (needed so nested sequencing
-               round-trips); function applications are f(e1, ..., ek) and
-               setzero takes its size explicitly: setzero[n+1]()
+    programs   skip | r := e | P; P | if r then P else R end | begin P end
+               (begin only groups: a sequence is one flat statement list);
+               f(e1, ..., ek) applies f, and setzero takes its size: setzero[n+1]()
     formulas   T | F | U(e) | e ~~ g | e == g | d .= c | phi /\ psi
                | phi * psi, each group optionally annotated once with an
                environment: (U(k)){k: Str[n]} * (T){m: Str[n]}
@@ -371,8 +370,13 @@ class Assign:
 
 @dataclass(frozen=True)
 class Seq:
-    first: "Program"
-    second: "Program"
+    """Two or more statements, none a Seq, run in order; see seq."""
+
+    stmts: tuple["Program", ...]
+
+    def __post_init__(self):
+        if len(self.stmts) < 2 or any(isinstance(s, Seq) for s in self.stmts):
+            raise ValueError("a Seq holds two or more statements, none a Seq")
 
 
 @dataclass(frozen=True)
@@ -387,16 +391,19 @@ Program = Union[Skip, Assign, Seq, If]
 SKIP = Skip()
 
 
+def seq(*parts: Program) -> Program:
+    """parts run in order: the one statement, or the flat Seq of them all."""
+    stmts = tuple(s for p in parts for s in (p.stmts if isinstance(p, Seq) else (p,)))
+    return Seq(stmts) if len(stmts) != 1 else stmts[0]
+
+
 def program_to_text(p: Program) -> str:
     if isinstance(p, Skip):
         return "skip"
     if isinstance(p, Assign):
         return f"{p.target} := {expr_to_text(p.rhs)}"
     if isinstance(p, Seq):
-        first = program_to_text(p.first)
-        if isinstance(p.first, Seq):
-            first = f"begin {first} end"
-        return f"{first}; {program_to_text(p.second)}"
+        return "; ".join(map(program_to_text, p.stmts))
     return (
         f"if {p.guard} then {program_to_text(p.then_branch)}"
         f" else {program_to_text(p.else_branch)} end"
@@ -664,6 +671,10 @@ MAX_DEPTH = 100
 # and already at n = 2 a Str[n^64] is past any bit budget.
 MAX_EXPONENT = 64
 
+# An integer literal has at most this many digits: Python's default bound
+# on int() of a string, so that no literal reaches int() only to fail there.
+MAX_DIGITS = 4300
+
 
 class _Parser:
     """Recursive descent over the tokens of text, which it tokenizes with
@@ -759,7 +770,7 @@ class _Parser:
         tok = self.peek()
         coeff = 1
         if tok.kind == "int":
-            coeff = int(self.next().text)
+            coeff = self.int_(self.next())
             if not (self.peek().kind == "ident" and self.peek().text == "n"):
                 return SizePoly.const(coeff)
         if not (self.peek().kind == "ident" and self.peek().text == "n"):
@@ -769,11 +780,17 @@ class _Parser:
         if self.eat("^"):
             if self.peek().kind != "int":
                 self.fail("expected an integer exponent")
-            power = int(self.peek().text)
+            power = self.int_(self.peek())
             if power > MAX_EXPONENT:
                 self.fail(f"exponent larger than {MAX_EXPONENT}")
             self.next()
         return SizePoly.make([0] * power + [coeff])
+
+    def int_(self, tok: Token) -> int:
+        """The value of the int token tok."""
+        if len(tok.text) > MAX_DIGITS:
+            self.fail(f"integer longer than {MAX_DIGITS} digits", tok)
+        return int(tok.text)
 
     def type_(self) -> Type:
         tok = self.expect_ident("a type")
@@ -907,10 +924,7 @@ class _Parser:
         stmts = [self.statement()]
         while self.eat(";"):
             stmts.append(self.statement())
-        out = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            out = Seq(s, out)
-        return out
+        return seq(*stmts)
 
     def statement(self) -> Program:
         tok = self.peek()

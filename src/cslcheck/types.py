@@ -186,8 +186,8 @@ def type_program(
             raise _mismatch(f"{path} := {expr_to_text(p.rhs)}", declared, actual)
         return
     if isinstance(p, Seq):
-        type_program(env, p.first, symbols, f"{path}.first")
-        type_program(env, p.second, symbols, f"{path}.second")
+        for i, s in enumerate(p.stmts):
+            type_program(env, s, symbols, f"{path}[{i}]")
         return
     guard_t = env.lookup(p.guard)
     if guard_t is None:
@@ -207,7 +207,7 @@ def mv(p: Program) -> frozenset[str]:
     if isinstance(p, Assign):
         return frozenset((p.target,))
     if isinstance(p, Seq):
-        return mv(p.first) | mv(p.second)
+        return frozenset().union(*map(mv, p.stmts))
     return mv(p.then_branch) | mv(p.else_branch)
 
 

@@ -61,7 +61,7 @@ def rewrite_stmt(prog, old, new):
     if prog == old:
         return new
     if isinstance(prog, Seq):
-        return Seq(rewrite_stmt(prog.first, old, new), rewrite_stmt(prog.second, old, new))
+        return Seq(tuple(rewrite_stmt(s, old, new) for s in prog.stmts))
     if isinstance(prog, If):
         return If(
             prog.guard,

@@ -20,7 +20,8 @@ from cslcheck.logic import DEFAULT_REGISTRY
 from cslcheck.syntax import parse_env
 
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 OTP_ENV = "{c: Str[n], k: Str[n], m: Str[n]}"
 GOOD_PROOF = """
 {"root": {"rule": "Skip", "env": "{x: Bool}", "pre": "(T){x: Bool}",
@@ -445,7 +446,10 @@ def test_a_bad_store_value_names_its_entry(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("n_text", ["1_0", "01", " +1", "0", "1,-2", ","])
+@pytest.mark.parametrize(
+    "n_text",
+    ["1_0", "01", " +1", "0", "1,-2", ",", pytest.param("9" * 5000, id="5000 digits")],
+)
 def test_n_is_read_by_the_store_key_rule(otp_prog, tmp_path, capsys, n_text):
     store = fresh_store(tmp_path, otp_prog)
     f = write(tmp_path, "u.f", "(U(c))" + OTP_ENV)
@@ -460,6 +464,18 @@ def test_n_is_read_by_the_store_key_rule(otp_prog, tmp_path, capsys, n_text):
         assert captured.out == ""
     assert main(["eval", f, store, "--n", " 2 , 1 ,"]) == 0  # spaces around commas
     assert capsys.readouterr().out == "n=1: true\nn=2: true\noverall: true\n"
+
+
+def test_a_family_key_past_max_digits_gets_the_key_message(tmp_path, capsys):
+    # int() of it used to end eval with Python's advice on its digit limit
+    key = "9" * 5000
+    doc = {"env": {"x": "Bool"}, "family": {key: [{"values": {"x": "1"}, "prob": 1}]}}
+    store = write(tmp_path, "long.store", json.dumps(doc))
+    assert main(["eval", write(tmp_path, "t.f", "(T){x: Bool}"), store]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: store family key {key!r} must be an integer >= 1 "
+        'written without leading zeros, like "3"\n'
+    ))
 
 
 def test_check_proof_with_a_repeated_key_is_a_usage_error(tmp_path, capsys):
@@ -491,11 +507,6 @@ def test_eval_deeply_nested_formula_is_a_usage_error(tmp_path, capsys):
     "argv, name, text",
     [
         (
-            ["run", None, "--env", "{x: Bool, y: Bool}", "--n", "1"],
-            "chain.prog",
-            "; ".join(["x := not(x)"] * 990),
-        ),
-        (
             ["eval", None, str(CORPUS / "pair.store")],
             "chain.f",
             "(" + " /\\ ".join(["r == s"] * 990) + "){r: Str[n], s: Str[n]}",
@@ -506,7 +517,7 @@ def test_eval_deeply_nested_formula_is_a_usage_error(tmp_path, capsys):
             '{"root": ' + "[" * 100000 + "]" * 100000 + "}",
         ),
     ],
-    ids=["run", "eval", "check"],
+    ids=["eval", "check"],
 )
 def test_long_chains_are_a_usage_error(tmp_path, capsys, argv, name, text):
     # each of these used to escape as a RecursionError traceback (exit 1)
@@ -515,6 +526,43 @@ def test_long_chains_are_a_usage_error(tmp_path, capsys, argv, name, text):
     captured = capsys.readouterr()
     assert only_an_error_line(captured.err) and "too deeply" in captured.err
     assert captured.out == ""
+
+
+def test_a_long_statement_list_runs(tmp_path, capsys):
+    # 990 statements used to exit 2 like the chains above; a Seq is now one
+    # flat list, and every pass over it is a loop
+    path = write(tmp_path, "chain.prog", "; ".join(["x := not(x)"] * 5000))
+    assert main(["run", path, "--env", "{x: Bool, y: Bool}", "--n", "1"]) == 0
+    assert capsys.readouterr() == ("n=1\n  x=0 y=0  1\n", "")
+
+
+def test_a_long_seq_chain_checks(tmp_path):
+    # 400 Skip nodes used to exit 2: comparing binary Seq programs recursed
+    # once per statement. Both steps run at the default recursion limit in a
+    # fresh interpreter, whose stack holds no test frames.
+    path = str(tmp_path / "chain.proof")
+    build = (
+        "import sys; sys.path.insert(0, sys.argv[2]); import build_corpus; "
+        "from cslcheck.syntax import proof_to_text; "
+        "decls, tree = build_corpus.build_skip_chain(480); "
+        "open(sys.argv[1], 'w').write(proof_to_text(tree, decls))"
+    )
+    subprocess.run([sys.executable, "-c", build, path, str(ROOT / "tools")], check=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cslcheck", "check", path], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    skips = "; ".join(["skip"] * 480)
+    assert proc.stdout == f"ok: {{(T){{x: Bool}}}} {{x: Bool}} |- {skips} {{(T){{x: Bool}}}}\n"
+
+
+def test_an_ill_typed_statement_is_named_by_its_index(tmp_path, capsys):
+    path = write(tmp_path, "bad.prog", "x := 1; y := x; skip; x := setzero[n](); y := x")
+    assert main(["run", path, "--env", "{x: Bool, y: Bool}", "--n", "1"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: program[3] := setzero[n](): expected Bool, got Str[n]\n",
+    )
 
 
 def test_store_prob_must_be_exact():

@@ -1,14 +1,16 @@
 """The proof-tree checker, semantic spot checks, and rule fuzzing."""
 
 import importlib.util
+import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
-from cslcheck import hoare, types
+from cslcheck import _gen, hoare, types
 from cslcheck.cli import main
-from cslcheck.dist import uniform_store, zero_store
+from cslcheck.dist import FinDist, Store, all_memories, uniform_store, zero_store
 from cslcheck.hoare import (
     ProofError,
     check_triple,
@@ -220,6 +222,89 @@ def test_error_paths_point_into_the_tree():
     with pytest.raises(ProofError) as exc_info:
         check(bad)
     assert "root.children[1]" in str(exc_info.value)
+
+
+# A Seq node may split its statement list at any point: a; b; c is proved
+# below as (a; b); c and as a; (b; c), through the cuts P0 .. P3.
+E_BX = "{b: Bool, x: Bool}"
+STMTS = ["b := not(x)", "x := not(b)", "b := x"]
+CUTS = [f"({body}){E_BX}" for body in ("T", "b .= not(x)", "x .= not(b)", "b .= x")]
+
+
+def _node(rule, pre, program, post, children=(), **witnesses):
+    return {"rule": rule, "env": E_BX, "pre": pre, "program": program,
+            "post": post, **witnesses, "children": list(children)}
+
+
+def _one_step(rule, lhs, rhs):
+    step = {"id": "s", "rule": rule, "lhs": lhs, "rhs": rhs, "premises": []}
+    return {"steps": [step], "root": "s"}
+
+
+def _assign(i):
+    """{CUTS[i]} STMTS[i] {CUTS[i + 1]}: DAssn from T, weakened from CUTS[i]."""
+    stmt, pre, post = STMTS[i], CUTS[i], CUTS[i + 1]
+    leaf = _node("DAssn", CUTS[0], stmt, post)
+    if pre == CUTS[0]:
+        return leaf
+    return _node("Weak", pre, stmt, post, [leaf],
+                 pre_cert=_one_step("TopI", pre, CUTS[0]),
+                 post_cert=_one_step("AP", post, post))
+
+
+def _seq(first, second):
+    return _node("Seq", first["pre"], f"{first['program']}; {second['program']}",
+                 second["post"], [first, second], mid=first["post"])
+
+
+SPLITS = {
+    "left": _seq(_seq(_assign(0), _assign(1)), _assign(2)),
+    "right": _seq(_assign(0), _seq(_assign(1), _assign(2))),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SPLITS))
+def test_seq_may_split_its_statement_list_anywhere(shape):
+    t = check(json.dumps({"root": SPLITS[shape]}))
+    assert t.program == parse_program("; ".join(STMTS))
+    assert (t.pre, t.post) == (parse_formula(CUTS[0]), parse_formula(CUTS[3]))
+
+
+@pytest.mark.parametrize("shape, child", [("left", 0), ("right", 1)])
+@pytest.mark.parametrize("edit", ["missing", "extra", "swapped"])
+def test_a_seq_child_must_run_its_part_of_the_list(tmp_path, capsys, shape, child, edit):
+    root = json.loads(json.dumps(SPLITS[shape]))
+    part = root["children"][child]["program"].split("; ")
+    part = {
+        "missing": part[:1],
+        "extra": part + part[-1:],
+        "swapped": part[::-1],
+    }[edit]
+    root["children"][child]["program"] = "; ".join(part)
+    path = tmp_path / "bad.proof"
+    path.write_text(json.dumps({"root": root}))
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "proof error: root: the subproofs' programs must join to the program\n"
+    )
+    assert captured.out == ""
+
+
+def test_every_triple_of_the_left_split_proof_holds():
+    env = parse_env(E_BX)
+    rng = random.Random(31)
+    stores = [Store(env, {1: FinDist.dirac(m)}) for m in all_memories(env, 1)]
+    stores += _gen.gen_stores(rng, env, (1, 2), 40)
+    nodes = [parse_proof(json.dumps({"root": SPLITS["left"]}))]
+    seen = 0
+    while nodes:
+        node = nodes.pop()
+        nodes.extend(node.children)
+        report = validate_triple(node.conclusion, stores)
+        assert report.ok and report.hits > 0, proof_to_text(node)
+        seen += 1
+    assert seen == 7  # two Seq nodes, two Weak nodes and three DAssn leaves
 
 
 def test_weak_certificates_must_match_exactly():

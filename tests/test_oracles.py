@@ -24,15 +24,20 @@ The next section keeps the independence witness search as it was before
 each candidate marginal was built once, and compares its verdict with
 _props.product_witness on independent and correlated weight vectors.
 
-The final section keeps the tokenizer as it was when every token carried
+The next section keeps the tokenizer as it was when every token carried
 its line and column, and compares its tokens and errors with those of
 tokenize, whose tokens carry a character offset, on generated texts with
 line breaks, comments, annotations across lines and shared groups.
+
+The final section keeps the program printer as it was when a Seq had two
+parts and the generator nested them to the left, which it printed with
+begin ... end, and checks that its text parses to the flat program.
 """
 
 import json
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -83,6 +88,7 @@ from cslcheck.syntax import (
     parse_type,
     poly_eval,
     program_to_text,
+    seq,
     type_to_text,
 )
 from cslcheck.logic import _splits, sat_atom, sat_bi, sat_formula
@@ -378,7 +384,9 @@ def ref_run(p, env, n, d, symbols):
             )
         )
     if isinstance(p, Seq):
-        return ref_run(p.second, env, n, ref_run(p.first, env, n, d, symbols), symbols)
+        for s in p.stmts:
+            d = ref_run(s, env, n, d, symbols)
+        return d
     return d.bind(
         lambda m: ref_run(
             p.then_branch if named(env, m)[p.guard] == "1" else p.else_branch,
@@ -427,7 +435,7 @@ def _with_symbols(rng, p, env):
     if isinstance(p, Assign):
         return Assign(p.target, _wrap(rng, p.rhs, env.lookup(p.target)))
     if isinstance(p, Seq):
-        return Seq(_with_symbols(rng, p.first, env), _with_symbols(rng, p.second, env))
+        return Seq(tuple(_with_symbols(rng, s, env) for s in p.stmts))
     if isinstance(p, If):
         return If(
             p.guard,
@@ -1247,3 +1255,58 @@ def test_offset_tokens_agree_with_the_line_tracking_tokenizer():
             )
             seen["eof after line 1"] += want[-1][2] > 1
     assert min(seen.values()) >= 100, seen
+
+
+# ---------------------------------------------------------------------------
+# The program printer as it was when a Seq had two parts, first and second.
+# The generator nested them to the left, and the printer put a first part
+# that was itself a Seq inside begin ... end, so that the text read back.
+
+
+@dataclass(frozen=True)
+class _Pair:
+    first: object
+    second: object
+
+
+def ref_left_nested(p):
+    """p with each statement list nested to the left in _Pair nodes."""
+    if isinstance(p, Seq):
+        out = ref_left_nested(p.stmts[0])
+        for s in p.stmts[1:]:
+            out = _Pair(out, ref_left_nested(s))
+        return out
+    if isinstance(p, If):
+        return If(p.guard, ref_left_nested(p.then_branch), ref_left_nested(p.else_branch))
+    return p
+
+
+def ref_program_to_text(p):
+    if isinstance(p, _Pair):
+        first = ref_program_to_text(p.first)
+        if isinstance(p.first, _Pair):
+            first = f"begin {first} end"
+        return f"{first}; {ref_program_to_text(p.second)}"
+    if isinstance(p, If):
+        return (
+            f"if {p.guard} then {ref_program_to_text(p.then_branch)}"
+            f" else {ref_program_to_text(p.else_branch)} end"
+        )
+    return program_to_text(p)
+
+
+def test_the_begin_printer_text_parses_to_the_flat_program():
+    rng = random.Random(2121)
+    seen = {"begin": 0, "if": 0, "one statement": 0}
+    for case in range(400):
+        env = _gen.gen_env(rng)
+        prog = _gen.gen_program(rng, env, size=5)
+        stmts = prog.stmts if isinstance(prog, Seq) else (prog,)
+        text = ref_program_to_text(ref_left_nested(prog))
+        assert parse_program(text) == seq(*stmts), (case, text)
+        assert parse_program(program_to_text(prog)) == prog, (case, text)
+        assert "begin" not in program_to_text(prog)
+        seen["begin"] += "begin" in text
+        seen["if"] += "if " in text
+        seen["one statement"] += len(stmts) == 1
+    assert min(seen.values()) >= 30, seen

@@ -21,6 +21,7 @@ from cslcheck.syntax import (
     If,
     Lit,
     MAX_DEPTH,
+    MAX_DIGITS,
     MAX_EXPONENT,
     ParseError,
     Seq,
@@ -47,6 +48,7 @@ from cslcheck.syntax import (
     poly_to_text,
     program_to_text,
     proof_to_text,
+    seq,
     tokenize,
     type_to_text,
 )
@@ -187,9 +189,31 @@ def test_parse_seq_and_if():
     text = "b := rnd(); if b then x := 1 else x := 0 end"
     p = parse_program(text)
     assert isinstance(p, Seq)
-    assert isinstance(p.second, If)
-    assert p.second.guard == "b"
+    assert isinstance(p.stmts[1], If)
+    assert p.stmts[1].guard == "b"
     assert program_to_text(p) == text
+
+
+def test_a_seq_is_one_flat_list_of_two_or_more_statements():
+    a, b, c = parse_program("x := 1"), Skip(), parse_program("y := not(x)")
+    for stmts in [(), (a,), (a, Seq((b, c)))]:
+        with pytest.raises(ValueError, match="two or more statements"):
+            Seq(stmts)
+    assert seq(a) is a
+    assert seq(a, seq(b, c)) == seq(seq(a, b), c) == Seq((a, b, c))
+
+
+def test_begin_only_groups():
+    flat = parse_program("x := 1; y := not(x); x := y")
+    for text in [
+        "begin x := 1; y := not(x) end; x := y",
+        "x := 1; begin y := not(x); x := y end",
+        "begin begin x := 1 end; y := not(x); x := y end",
+    ]:
+        assert parse_program(text) == flat
+    assert program_to_text(flat) == "x := 1; y := not(x); x := y"
+    nested = parse_program("if b then begin x := 1; y := x end; skip else skip end")
+    assert nested == parse_program("if b then x := 1; y := x; skip else skip end")
 
 
 # Nesting depth: MAX_DEPTH levels parse, and the tree they build survives
@@ -714,6 +738,25 @@ def test_a_size_exponent_above_the_bound_fails_at_once(parse, text, where):
     assert error == (f"exponent larger than {MAX_EXPONENT}", *where)
     assert peak < 1_000_000  # no coefficient list was built
     assert parse_poly(f"n^{MAX_EXPONENT}").coeffs == (0,) * MAX_EXPONENT + (1,)
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "parse, text, where",
+    [
+        (parse_formula, "(U(k)){k: Str[" + NINES + "]}", (1, 15)),
+        (parse_poly, "n +\n n^" + "0" * 4999 + "1", (2, 4)),
+        (parse_decls, "decl g : Str[n] ->\n  Str[" + NINES + "n] det;", (2, 7)),
+    ],
+    ids=["coefficient", "exponent", "decl"],
+)
+def test_an_integer_past_max_digits_fails_at_its_token(parse, text, where):
+    # int() itself refuses these, with advice and no position
+    assert parse_error(parse, text) == (f"integer longer than {MAX_DIGITS} digits", *where)
+    assert parse_poly("9" * 4000 + "n").coeffs == (0, int("9" * 4000))
+    assert parse_poly("0" * (MAX_DIGITS - 1) + "7").coeffs == (7,)
 
 
 # Parsing each distinct text of a script once

@@ -40,7 +40,7 @@ from cslcheck.syntax import (
     Lit,
     POLY_N,
     ProofTree,
-    Seq,
+    SKIP,
     SizePoly,
     Star,
     StrType,
@@ -51,6 +51,7 @@ from cslcheck.syntax import (
     parse_proof_with_decls,
     program_to_text,
     proof_to_text,
+    seq,
     top,
 )
 
@@ -102,7 +103,8 @@ def ap(f: Formula) -> EntailmentCert:
 
 
 def seq_chain(trees, progs, formulas, env: Env) -> tuple[ProofTree, object]:
-    """Right-nested Seq tree through the given cut formulas.
+    """Right-nested Seq tree through the given cut formulas, over the flat
+    program of all the progs.
 
     trees[i] proves {formulas[i]} progs[i] {formulas[i+1]}; the result
     proves {formulas[0]} progs[0]; ...; progs[-1] {formulas[-1]}.
@@ -110,7 +112,7 @@ def seq_chain(trees, progs, formulas, env: Env) -> tuple[ProofTree, object]:
     if len(trees) == 1:
         return trees[0], progs[0]
     rest, rest_prog = seq_chain(trees[1:], progs[1:], formulas[1:], env)
-    prog = Seq(progs[0], rest_prog)
+    prog = seq(progs[0], rest_prog)
     node = ProofTree(
         "Seq",
         HoareTriple(formulas[0], env, prog, formulas[-1]),
@@ -118,6 +120,14 @@ def seq_chain(trees, progs, formulas, env: Env) -> tuple[ProofTree, object]:
         mid=formulas[1],
     )
     return node, prog
+
+
+def build_skip_chain(k: int) -> tuple[list[str], ProofTree]:
+    """{T} skip; ...; skip {T} over {x: Bool}, with k skips: k Skip nodes
+    under a right-nested chain of k - 1 Seq nodes."""
+    env = Env.make({"x": BOOL})
+    skip = ProofTree("Skip", HoareTriple(top(env), env, SKIP, top(env)))
+    return [], seq_chain([skip] * k, [SKIP] * k, [top(env)] * (k + 1), env)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +155,7 @@ def pad_proof(delta: Env, key) -> ProofTree:
     k, m, c = Var("k"), Var("m"), Var("c")
     draw = Assign("k", App("rnd", ()))
     mask = Assign("c", App("xor", (m, key)))
-    prog = Seq(draw, mask)
+    prog = seq(draw, mask)
 
     pre = top(delta)
     post = star(top(d(["m"])), u(c, d(["c"])), delta)

@@ -44,6 +44,7 @@ from .syntax import (
     Env,
     Formula,
     HoareTriple,
+    NO_SYMBOLS,
     ParseError,
     ProofTree,
     SymbolTable,
@@ -80,6 +81,7 @@ __all__ = [
     "Formula",
     "FuzzReport",
     "HoareTriple",
+    "NO_SYMBOLS",
     "ParseError",
     "ProofError",
     "ProofTree",

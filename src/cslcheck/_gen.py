@@ -3,7 +3,8 @@ and proof-rule conclusions.
 
 Everything here is deliberately small: variables draw from a fixed name
 pool, string types stay at width 1 or n, and supports stay tiny, so that
-exhaustive enumeration downstream is instant even at n = 3.
+exhaustive enumeration downstream is instant even at n = 3. Expressions
+use the built-in symbols only, so no generator takes a symbol table.
 
 The rule generators (gen_scoped_assign, gen_composite, gen_rcond) draw
 conclusions only; hoare's rule functions give each its post or premises.
@@ -39,7 +40,6 @@ from .syntax import (
     SKIP,
     Star,
     StrType,
-    SymbolTable,
     Top,
     Var,
     seq,
@@ -95,16 +95,8 @@ def gen_stores(rng: random.Random, env: Env, ns, count: int):
 # Expressions and programs
 
 
-def gen_expr(
-    rng: random.Random,
-    env: Env,
-    want_t,
-    symbols: Optional[SymbolTable] = None,
-    det: bool = False,
-    depth: int = 2,
-):
+def gen_expr(rng: random.Random, env: Env, want_t, det: bool = False, depth: int = 2):
     """A random expression of the requested type over env."""
-    symbols = symbols or SymbolTable()
     simple = [Var(nm) for nm, t in env.items() if t == want_t]
     if want_t == BOOL:
         simple += [Lit("0"), Lit("1")]
@@ -120,8 +112,8 @@ def gen_expr(
             return App(
                 "xor",
                 (
-                    gen_expr(rng, env, want_t, symbols, det, depth - 1),
-                    gen_expr(rng, env, want_t, symbols, det, depth - 1),
+                    gen_expr(rng, env, want_t, det, depth - 1),
+                    gen_expr(rng, env, want_t, det, depth - 1),
                 ),
             )
 
@@ -129,7 +121,7 @@ def gen_expr(
         if want_t == BOOL:
             builders.append(
                 lambda: App(
-                    "not", (gen_expr(rng, env, BOOL, symbols, det, depth - 1),)
+                    "not", (gen_expr(rng, env, BOOL, det, depth - 1),)
                 )
             )
             headable = [
@@ -146,14 +138,8 @@ def gen_expr(
     return rng.choice(builders)()
 
 
-def gen_program(
-    rng: random.Random,
-    env: Env,
-    symbols: Optional[SymbolTable] = None,
-    size: int = 3,
-):
+def gen_program(rng: random.Random, env: Env, size: int = 3):
     """A random well-typed program over env (possibly with conditionals)."""
-    symbols = symbols or SymbolTable()
     bools = [nm for nm, t in env.items() if t == BOOL]
 
     def stmt(depth):
@@ -167,7 +153,7 @@ def gen_program(
                 block(depth - 1, rng.randint(1, 2)),
             )
         target = rng.choice(env.names())
-        e = gen_expr(rng, env, env.lookup(target), symbols)
+        e = gen_expr(rng, env, env.lookup(target))
         return Assign(target, e)
 
     def block(depth, count):
@@ -180,36 +166,25 @@ def gen_program(
 # Formulas
 
 
-def gen_atom(
-    rng: random.Random,
-    env: Env,
-    symbols: Optional[SymbolTable] = None,
-    exact: bool = False,
-) -> Formula:
+def gen_atom(rng: random.Random, env: Env, exact: bool = False) -> Formula:
     """A random well-formed atom annotated with env."""
-    symbols = symbols or SymbolTable()
     types = [t for _, t in env.items()] or [BOOL]
     t = rng.choice(types)
     kinds = (ATOM_EQ, ATOM_ESPL) if exact else (ATOM_U, ATOM_IND, ATOM_EQ, ATOM_ESPL)
     kind = rng.choice(kinds)
     det = kind == ATOM_ESPL
-    e = gen_expr(rng, env, t, symbols, det=det, depth=1)
+    e = gen_expr(rng, env, t, det=det, depth=1)
     if kind == ATOM_U:
         return Formula(Atom(kind, (e,)), env)
-    g = gen_expr(rng, env, t, symbols, det=det, depth=1)
+    g = gen_expr(rng, env, t, det=det, depth=1)
     return Formula(Atom(kind, (e, g)), env)
 
 
-def gen_simple_formula(
-    rng: random.Random,
-    env: Env,
-    symbols: Optional[SymbolTable] = None,
-    exact: bool = False,
-) -> Formula:
+def gen_simple_formula(rng: random.Random, env: Env, exact: bool = False) -> Formula:
     """T or a single atom, annotated with env."""
     if rng.random() < 0.3 or len(env) == 0:
         return Formula(Top(), env)
-    return gen_atom(rng, env, symbols, exact)
+    return gen_atom(rng, env, exact)
 
 
 def _split_env(rng: random.Random, env: Env):
@@ -219,39 +194,28 @@ def _split_env(rng: random.Random, env: Env):
     return env.restrict(names[:cut]), env.restrict(names[cut:])
 
 
-def gen_formula(
-    rng: random.Random,
-    env: Env,
-    symbols: Optional[SymbolTable] = None,
-    depth: int = 2,
-) -> Formula:
+def gen_formula(rng: random.Random, env: Env, depth: int = 2) -> Formula:
     """A random well-formed annotated formula over (a sub-env of) env."""
-    symbols = symbols or SymbolTable()
     roll = rng.random()
     if depth == 0 or roll < 0.45 or len(env) == 0:
-        return gen_simple_formula(rng, env, symbols)
+        return gen_simple_formula(rng, env)
     if roll < 0.75:
-        left = gen_formula(rng, env, symbols, depth - 1)
-        right = gen_formula(rng, env, symbols, depth - 1)
+        left = gen_formula(rng, env, depth - 1)
+        right = gen_formula(rng, env, depth - 1)
         return Formula(And(left, right), env)
     a, b = _split_env(rng, env)
-    left = gen_formula(rng, a, symbols, depth - 1)
-    right = gen_formula(rng, b, symbols, depth - 1)
+    left = gen_formula(rng, a, depth - 1)
+    right = gen_formula(rng, b, depth - 1)
     return Formula(Star(left, right), env)
 
 
-def gen_exact_formula(
-    rng: random.Random,
-    env: Env,
-    symbols: Optional[SymbolTable] = None,
-    depth: int = 1,
-) -> Formula:
+def gen_exact_formula(rng: random.Random, env: Env, depth: int = 1) -> Formula:
     """An exact formula (T, F, ==, .= and conjunction only)."""
     if depth > 0 and rng.random() < 0.4:
-        left = gen_exact_formula(rng, env, symbols, depth - 1)
-        right = gen_exact_formula(rng, env, symbols, depth - 1)
+        left = gen_exact_formula(rng, env, depth - 1)
+        right = gen_exact_formula(rng, env, depth - 1)
         return Formula(And(left, right), env)
-    return gen_simple_formula(rng, env, symbols, exact=True)
+    return gen_simple_formula(rng, env, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -270,49 +234,49 @@ def _disjoint_envs(rng: random.Random, k1: int, k2: int):
     return a, b
 
 
-def gen_scoped_assign(rng: random.Random, symbols: SymbolTable, exact: bool):
+def gen_scoped_assign(rng: random.Random, exact: bool):
     """A random SRAssn/SDAssn conclusion; its post is T, since the rule
     itself gives the post (hoare.scoped_post)."""
     xi, theta = _disjoint_envs(rng, rng.randint(1, 2), rng.randint(1, 2))
     delta = env_join(xi, theta)
     inside = rng.random() < SIDE_CONDITION_SHARE
     r = rng.choice((xi if inside else theta).names())
-    e = gen_expr(rng, xi, delta.lookup(r), symbols, det=exact, depth=1)
-    phi = gen_simple_formula(rng, xi, symbols)
+    e = gen_expr(rng, xi, delta.lookup(r), det=exact, depth=1)
+    phi = gen_simple_formula(rng, xi)
     pre = Formula(Star(phi, Formula(Top(), theta)), delta)
     return HoareTriple(pre, delta, Assign(r, e), Formula(Top(), delta))
 
 
-def gen_composite(rng: random.Random, symbols: SymbolTable, star_shape: bool):
+def gen_composite(rng: random.Random, star_shape: bool):
     """A random Frame (star_shape) or Const conclusion; a Frame context is
     always disjoint, since an overlapping * is ill-formed."""
     xi, theta = _disjoint_envs(rng, rng.randint(1, 2), rng.randint(1, 2))
     delta = env_join(xi, theta)
-    prog = gen_program(rng, xi, symbols, size=2)
-    phi = gen_simple_formula(rng, xi, symbols)
-    psi = gen_simple_formula(rng, xi, symbols)
+    prog = gen_program(rng, xi, size=2)
+    phi = gen_simple_formula(rng, xi)
+    psi = gen_simple_formula(rng, xi)
     written = sorted(mv(prog))
     if not star_shape and written and rng.random() < SIDE_CONDITION_SHARE:
         w = rng.choice(written)  # the context pins a variable the program writes
         w_env = xi.restrict([w])
-        const = gen_expr(rng, EMPTY_ENV, w_env.lookup(w), symbols, det=True, depth=0)
+        const = gen_expr(rng, EMPTY_ENV, w_env.lookup(w), det=True, depth=0)
         context = Formula(Atom(ATOM_EQ, (Var(w), const)), w_env)
     else:
-        context = gen_simple_formula(rng, theta, symbols)
+        context = gen_simple_formula(rng, theta)
     shape = Star if star_shape else And
     pre = Formula(shape(phi, context), delta)
     post = Formula(shape(psi, context), delta)
     return HoareTriple(pre, delta, prog, post)
 
 
-def gen_rcond(rng: random.Random, symbols: SymbolTable):
+def gen_rcond(rng: random.Random):
     """A random RCond conclusion."""
     guard = rng.choice(_NAME_POOL)
     extra = gen_env(
         rng, 1, 2, names=[nm for nm in gen_names(rng, 3) if nm != guard][:2]
     )
     env = env_join(Env.make({guard: BOOL}), extra)
-    then_p = gen_program(rng, env, symbols, size=2)
-    else_p = gen_program(rng, env, symbols, size=2)
-    post = gen_exact_formula(rng, env, symbols)
+    then_p = gen_program(rng, env, size=2)
+    else_p = gen_program(rng, env, size=2)
+    post = gen_exact_formula(rng, env)
     return HoareTriple(Formula(Top(), env), env, If(guard, then_p, else_p), post)

@@ -39,7 +39,6 @@ from .syntax import (
     Env,
     Formula,
     Star,
-    SymbolTable,
     Top,
     env_to_text,
     expr_to_text,
@@ -91,15 +90,14 @@ def _suite(fn):
 @_suite
 def suite_monad(rng, cases, ns, result):
     """Left/right identity and associativity for bind on memory space."""
-    symbols = SymbolTable()
     for _ in range(cases):
         env = _gen.gen_env(rng)
         n = rng.choice(ns)
         d = _gen.gen_dist(rng, env, n)
-        p1 = _gen.gen_program(rng, env, symbols, size=2)
-        p2 = _gen.gen_program(rng, env, symbols, size=2)
-        k1 = lambda m: run(env, p1, n, FinDist.dirac(m), symbols)
-        k2 = lambda m: run(env, p2, n, FinDist.dirac(m), symbols)
+        p1 = _gen.gen_program(rng, env, size=2)
+        p2 = _gen.gen_program(rng, env, size=2)
+        k1 = lambda m: run(env, p1, n, FinDist.dirac(m))
+        k2 = lambda m: run(env, p2, n, FinDist.dirac(m))
         m0 = rng.choice(list(d.support()))
         if FinDist.dirac(m0).bind(k1) != k1(m0):
             _note(result, f"left identity fails at {m0}")
@@ -113,13 +111,12 @@ def suite_monad(rng, cases, ns, result):
 def suite_kozen(rng, cases, ns, result):
     """The per-sample conditional semantics agrees with the split-and-merge
     one on every generated program, exactly."""
-    symbols = SymbolTable()
     for i in range(cases):
         env = _gen.gen_env(rng)
-        prog = _gen.gen_program(rng, env, symbols)
+        prog = _gen.gen_program(rng, env)
         n = rng.choice(ns)
         d = _gen.gen_dist(rng, env, n)
-        if run(env, prog, n, d, symbols) != run_kozen(env, prog, n, d, symbols):
+        if run(env, prog, n, d) != run_kozen(env, prog, n, d):
             _note(result, f"case {i}: semantics disagree")
 
 
@@ -157,13 +154,12 @@ def suite_pkrm(rng, cases, ns, result):
 @_suite
 def suite_mv(rng, cases, ns, result):
     """Running a program never moves the marginal of untouched variables."""
-    symbols = SymbolTable()
     for _ in range(cases):
         env = _gen.gen_env(rng, 2, 3)
-        prog = _gen.gen_program(rng, env, symbols)
+        prog = _gen.gen_program(rng, env)
         rest = env.restrict(set(env.names()) - mv(prog))
         s = _gen.gen_store(rng, env, ns)
-        out = run_store(s, prog, symbols)
+        out = run_store(s, prog)
         if project(out, rest) != project(s, rest):
             _note(result, "marginal of unmodified variables changed")
 
@@ -171,32 +167,26 @@ def suite_mv(rng, cases, ns, result):
 @_suite
 def suite_locality(rng, cases, ns, result):
     """A program over a sub-environment commutes with projection to it."""
-    symbols = SymbolTable()
     for _ in range(cases):
         env = _gen.gen_env(rng, 2, 3)
         sub_names = rng.sample(env.names(), rng.randint(1, len(env)))
         sub = env.restrict(sub_names)
-        prog = _gen.gen_program(rng, sub, symbols)
+        prog = _gen.gen_program(rng, sub)
         s = _gen.gen_store(rng, env, ns)
-        if project(run_store(s, prog, symbols), sub) != run_store(
-            project(s, sub), prog, symbols
-        ):
+        if project(run_store(s, prog), sub) != run_store(project(s, sub), prog):
             _note(result, "projection does not commute with execution")
 
 
 @_suite
 def suite_frame(rng, cases, ns, result):
     """Execution on one independent component leaves the product shape."""
-    symbols = SymbolTable()
     for _ in range(cases):
         xi, theta = _gen._disjoint_envs(rng, rng.randint(1, 2), rng.randint(1, 2))
-        prog = _gen.gen_program(rng, xi, symbols)
+        prog = _gen.gen_program(rng, xi)
         left = _gen.gen_store(rng, xi, ns)
         right = _gen.gen_store(rng, theta, ns)
         joint = tensor(left, right)
-        if run_store(joint, prog, symbols) != tensor(
-            run_store(left, prog, symbols), right
-        ):
+        if run_store(joint, prog) != tensor(run_store(left, prog), right):
             _note(result, "independence is not preserved by a local program")
 
 
@@ -217,21 +207,18 @@ def suite_unit(rng, cases, ns, result):
 @_suite
 def suite_linearity(rng, cases, ns, result):
     """Execution is linear in the input sub-distribution."""
-    symbols = SymbolTable()
     for _ in range(cases):
         env = _gen.gen_env(rng)
-        prog = _gen.gen_program(rng, env, symbols)
+        prog = _gen.gen_program(rng, env)
         n = rng.choice(ns)
         d1 = _gen.gen_dist(rng, env, n).scale(Fraction(1, 2))
         d2 = _gen.gen_dist(rng, env, n).scale(Fraction(1, 3))
-        if run(env, prog, n, d1.add(d2), symbols) != run(
-            env, prog, n, d1, symbols
-        ).add(run(env, prog, n, d2, symbols)):
+        if run(env, prog, n, d1.add(d2)) != run(env, prog, n, d1).add(
+            run(env, prog, n, d2)
+        ):
             _note(result, "additivity fails")
         q = Fraction(rng.randint(1, 3), 4)
-        if run(env, prog, n, d1.scale(q), symbols) != run(
-            env, prog, n, d1, symbols
-        ).scale(q):
+        if run(env, prog, n, d1.scale(q)) != run(env, prog, n, d1).scale(q):
             _note(result, "homogeneity fails")
 
 
@@ -239,7 +226,6 @@ def suite_linearity(rng, cases, ns, result):
 def suite_axioms(rng, cases, ns, result):
     """Semantic validity of the axiom schemas on random and on crafted
     stores, all at epsilon 0."""
-    symbols = SymbolTable()
     # one share of the cases per template, one for the pseudorandom step
     per_schema = max(1, cases // (len(SCHEMA_TEMPLATES) + 1))
     for name, (lhs_tpl, rhs_tpl, side) in SCHEMA_TEMPLATES.items():
@@ -250,16 +236,16 @@ def suite_axioms(rng, cases, ns, result):
             t = rng.choice([tt for _, tt in env.items()])
             det = name == "W2"
             exprs = {
-                k: expr_to_text(_gen.gen_expr(rng, env, t, symbols, det=det, depth=1))
+                k: expr_to_text(_gen.gen_expr(rng, env, t, det=det, depth=1))
                 for k in "egh"
             }
             lhs, rhs = (
                 parse_formula(tpl.format(env=env_to_text(env), **exprs))
                 for tpl in (lhs_tpl, rhs_tpl)
             )
-            match_axiom(name, lhs, rhs, symbols)
+            match_axiom(name, lhs, rhs)
             for s in _gen.gen_stores(rng, env, ns, 2):
-                if not entailment_holds_on(s, lhs, rhs, symbols=symbols):
+                if not entailment_holds_on(s, lhs, rhs):
                     _note(result, f"{name} fails on a store")
     # split: uniform source, derived head/tail;
     # merge: independent uniform parts, derived concatenation
@@ -281,13 +267,10 @@ def suite_axioms(rng, cases, ns, result):
                 }
             )
         s = Store(env, family)
-        if not (
-            sat_formula(s, lhs, symbols=symbols)
-            and sat_formula(s, rhs, symbols=symbols)
-        ):
+        if not (sat_formula(s, lhs) and sat_formula(s, rhs)):
             _note(result, f"{word} axiom fails on the derived uniform store")
         for rnd_store in _gen.gen_stores(rng, env, ns, 3):
-            if not entailment_holds_on(rnd_store, lhs, rhs, symbols=symbols):
+            if not entailment_holds_on(rnd_store, lhs, rhs):
                 _note(result, f"{word} axiom fails on a random store")
     # pseudorandom-step axiom under length-preserving bijections
     decls = parse_decls("decl g : Str[n] -> Str[n] det;")
@@ -316,15 +299,14 @@ def suite_fuzz(rng, cases, ns, result):
 def suite_bi(rng, cases, ns, result):
     """Annotated satisfaction implies plain satisfaction; plain satisfaction
     always has an annotated witness."""
-    symbols = SymbolTable()
     for _ in range(cases):
         env = _gen.gen_env(rng, 1, 2)
-        f = _gen.gen_formula(rng, env, symbols)
+        f = _gen.gen_formula(rng, env)
         s = project(_gen.gen_store(rng, env, ns), f.annotation)
-        witness = search_annotation(s, f.body, symbols=symbols)
-        if witness is None and sat_formula(s, f, symbols=symbols):
+        witness = search_annotation(s, f.body)
+        if witness is None and sat_formula(s, f):
             _note(result, "annotated satisfaction without a plain witness")
-        if witness is not None and not sat_formula(s, witness, symbols=symbols):
+        if witness is not None and not sat_formula(s, witness):
             _note(result, "the annotation found for a plainly-true formula fails")
 
 
@@ -386,7 +368,6 @@ def product_witness(s: Store, total: int) -> bool:
 @_suite
 def suite_independence(rng, cases, ns, result):
     """The product criterion agrees with exhaustive witness search."""
-    symbols = SymbolTable()
     env = Env.make({"x": BOOL, "y": BOOL})
     ex, ey = env.restrict(("x",)), env.restrict(("y",))
     f = Formula(Star(Formula(Top(), ex), Formula(Top(), ey)), env)
@@ -398,7 +379,7 @@ def suite_independence(rng, cases, ns, result):
             continue
         points = zip(all_memories(env, n), weights)
         s = Store(env, {n: FinDist({m: Fraction(w, total) for m, w in points if w})})
-        if sat_formula(s, f, symbols=symbols) != product_witness(s, total):
+        if sat_formula(s, f) != product_witness(s, total):
             _note(result, f"independence criterion disagrees at weights {weights}")
 
 

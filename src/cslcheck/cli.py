@@ -114,9 +114,9 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_check(args) -> int:
     symbols, tree = parse_proof_with_decls(_read(args.proof))
-    registry = load_registry(args.schemas) if args.schemas else None
+    registry = load_registry(args.schemas)
     try:
-        triple = check_triple(tree, symbols, registry=registry)
+        triple = check_triple(tree, symbols, registry)
     except ProofError as exc:
         print(f"proof error: {exc}", file=sys.stderr)
         return REJECTED

@@ -42,10 +42,10 @@ from .syntax import (
     MAX_DIGITS,
     Type,
     env_to_text,
+    load_json,
     parse_type,
     poly_eval,
     type_to_text,
-    unique_keys,
 )
 from .types import TypeCheckError, env_ext, env_join
 
@@ -513,7 +513,7 @@ def parse_store(text: str) -> Store:
     The family must hold at least one n, and each n key is written as a
     canonical decimal integer >= 1, so no two keys name the same n.
     """
-    doc = json.loads(text, object_pairs_hook=unique_keys)
+    doc = load_json(text)
     if not (
         isinstance(doc, dict)
         and isinstance(doc.get("env"), dict)

@@ -18,11 +18,10 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
-from typing import Optional
 
 from . import _gen
 from .dist import Store, ZeroMassError, condition, project
-from .logic import CertError, check_hilbert, load_registry, sat_formula
+from .logic import DEFAULT_REGISTRY, CertError, check_hilbert, sat_formula
 from .semantics import DEFAULT_MAX_BITS, check_bit_budget, run_store
 from .syntax import (
     Assign,
@@ -35,6 +34,7 @@ from .syntax import (
     HoareTriple,
     If,
     Lit,
+    NO_SYMBOLS,
     ProofTree,
     Skip,
     Star,
@@ -75,8 +75,8 @@ def _is_top(f: Formula) -> bool:
 
 def check_triple(
     tree: ProofTree,
-    symbols: Optional[SymbolTable] = None,
-    registry: Optional[frozenset] = None,
+    symbols: SymbolTable = NO_SYMBOLS,
+    registry: frozenset = DEFAULT_REGISTRY,
 ) -> HoareTriple:
     """Check a proof tree; returns the root conclusion it establishes.
 
@@ -87,8 +87,6 @@ def check_triple(
     runs a part of its parent's program under its parent's environment,
     which its parent's rule check has compared.
     """
-    symbols = symbols or SymbolTable()
-    registry = registry if registry is not None else load_registry()
     _check_node(tree, "root", symbols, registry, {}, None)
     return tree.conclusion
 
@@ -315,13 +313,12 @@ def validate_triple(
     triple: HoareTriple,
     stores,
     epsilon: Fraction = ZERO,
-    symbols: Optional[SymbolTable] = None,
+    symbols: SymbolTable = NO_SYMBOLS,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> ValidationReport:
     """Run the program on each store whose contents satisfy the precondition
     and test the postcondition on the output; counterexamples keep both
     stores for inspection."""
-    symbols = symbols or SymbolTable()
     checked = hits = 0
     failures = []
     for s in stores:
@@ -369,7 +366,6 @@ def fuzz_rule_soundness(
     definition is a violation {"error": ...}: the conclusions are well typed.
     """
     rng = random.Random(seed)
-    symbols = SymbolTable()
     report = FuzzReport(rule, cases)
     if rule not in FUZZ_CASES:
         raise ValueError(f"no fuzz generator for rule {rule!r}")
@@ -379,16 +375,14 @@ def fuzz_rule_soundness(
 
     for _ in range(cases):
         try:
-            triple, premises_hold = FUZZ_CASES[rule](rng, epsilon, symbols, fail)
+            triple, premises_hold = FUZZ_CASES[rule](rng, epsilon, fail)
         except ProofError:
             continue  # the rule does not apply to this draw
         except TypeCheckError as exc:  # the rule built an ill-typed formula
             report.violations.append({"error": f"ill-typed instance: {exc}"})
             continue
         stores = _gen.gen_stores(rng, triple.env, ns, count=3)
-        found = validate_triple(
-            triple, [s for s in stores if premises_hold(s)], epsilon, symbols
-        )
+        found = validate_triple(triple, [s for s in stores if premises_hold(s)], epsilon)
         report.hits += found.hits
         report.violations.extend(
             {
@@ -403,29 +397,27 @@ def fuzz_rule_soundness(
     return report
 
 
-def _holds_on(triple, store, epsilon, symbols) -> bool:
+def _holds_on(triple, store, epsilon) -> bool:
     """store meets the precondition and its output the postcondition."""
-    found = validate_triple(triple, [store], epsilon, symbols)
+    found = validate_triple(triple, [store], epsilon)
     return found.hits == 1 and found.ok
 
 
-def _fuzz_scoped_case(atom_kind, rng, epsilon, symbols, fail):
-    t = _gen.gen_scoped_assign(rng, symbols, exact=atom_kind == ATOM_ESPL)
-    post = scoped_post(t, atom_kind, symbols, fail)
+def _fuzz_scoped_case(atom_kind, rng, epsilon, fail):
+    t = _gen.gen_scoped_assign(rng, exact=atom_kind == ATOM_ESPL)
+    post = scoped_post(t, atom_kind, NO_SYMBOLS, fail)
     return replace(t, post=post), lambda store: True  # an axiom: no premises
 
 
-def _fuzz_composite(rule, rng, epsilon, symbols, fail):
-    triple = _gen.gen_composite(rng, symbols, star_shape=rule == "Frame")
+def _fuzz_composite(rule, rng, epsilon, fail):
+    triple = _gen.gen_composite(rng, star_shape=rule == "Frame")
     child = composite_premise(triple, rule, fail)
     # premise: the child triple holds on the store's marginal
-    return triple, lambda store: _holds_on(
-        child, project(store, child.env), epsilon, symbols
-    )
+    return triple, lambda store: _holds_on(child, project(store, child.env), epsilon)
 
 
-def _fuzz_rcond_case(rng, epsilon, symbols, fail):
-    triple = _gen.gen_rcond(rng, symbols)
+def _fuzz_rcond_case(rng, epsilon, fail):
+    triple = _gen.gen_rcond(rng)
     then_triple, else_triple = rcond_premises(triple, fail)
     guard = triple.program.guard
 
@@ -439,7 +431,7 @@ def _fuzz_rcond_case(rng, epsilon, symbols, fail):
                 except ZeroMassError:
                     pass  # the branch is never taken at this n
             if family and not _holds_on(
-                branch, Store.from_dists(store.env, family), epsilon, symbols
+                branch, Store.from_dists(store.env, family), epsilon
             ):
                 return False
         return True

@@ -22,7 +22,6 @@ hypothesis. The remaining schemas have hand-written matchers.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -47,6 +46,7 @@ from .syntax import (
     Env,
     Formula,
     Lit,
+    NO_SYMBOLS,
     POLY_N,
     POLY_ONE,
     Star,
@@ -58,9 +58,9 @@ from .syntax import (
     expr_to_text,
     formula_to_text,
     fv,
+    load_json,
     parse_formula,
     top as mk_top,
-    unique_keys,
 )
 from .types import (
     TypeCheckError,
@@ -85,10 +85,9 @@ def sat_atom(
     s: Store,
     f: Formula,
     epsilon: Fraction = ZERO,
-    symbols: Optional[SymbolTable] = None,
+    symbols: SymbolTable = NO_SYMBOLS,
 ) -> bool:
     """Decide an atomic formula on a store over exactly its annotation."""
-    symbols = symbols or SymbolTable()
     a = f.body
     if not isinstance(a, Atom):
         raise ValueError("sat_atom needs an atomic formula")
@@ -118,10 +117,9 @@ def sat_formula(
     s: Store,
     f: Formula,
     epsilon: Fraction = ZERO,
-    symbols: Optional[SymbolTable] = None,
+    symbols: SymbolTable = NO_SYMBOLS,
 ) -> bool:
     """Decide an annotated formula on a store over exactly its annotation."""
-    symbols = symbols or SymbolTable()
     if s.env != f.annotation:
         raise TypeCheckError(
             "sat_formula", "store environment differs from annotation"
@@ -165,7 +163,7 @@ def entailment_holds_on(
     lhs: Formula,
     rhs: Formula,
     epsilon: Fraction = ZERO,
-    symbols: Optional[SymbolTable] = None,
+    symbols: SymbolTable = NO_SYMBOLS,
 ) -> bool:
     """One store's worth of evidence for an entailment.
 
@@ -214,7 +212,7 @@ def sat_bi(
     s: Store,
     f: Formula,
     epsilon: Fraction = ZERO,
-    symbols: Optional[SymbolTable] = None,
+    symbols: SymbolTable = NO_SYMBOLS,
 ) -> bool:
     """Decide a formula on a store ignoring all annotations: it holds when
     search_annotation finds annotations under which it holds."""
@@ -225,7 +223,7 @@ def search_annotation(
     s: Store,
     body,
     epsilon: Fraction = ZERO,
-    symbols: Optional[SymbolTable] = None,
+    symbols: SymbolTable = NO_SYMBOLS,
 ) -> Optional[Formula]:
     """Re-annotate a formula body so it holds on s, or return None.
 
@@ -234,7 +232,6 @@ def search_annotation(
     disjoint sub-environments for a split whose marginals are independent
     and satisfy the two sides. An ill-formed atom raises TypeCheckError.
     """
-    symbols = symbols or SymbolTable()
     if isinstance(body, Top):
         return Formula(body, s.env)
     if isinstance(body, Bot):
@@ -714,7 +711,7 @@ def load_registry(path: Optional[str] = None) -> frozenset[str]:
 
 
 def _registry_from_text(text: str) -> frozenset[str]:
-    doc = json.loads(text, object_pairs_hook=unique_keys)
+    doc = load_json(text)
     names = doc.get("enabled") if isinstance(doc, dict) else None
     if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
         raise ValueError('schemas file must be {"enabled": [name, ...]}')
@@ -728,16 +725,14 @@ def match_axiom(
     name: str,
     lhs: Formula,
     rhs: Formula,
-    symbols: Optional[SymbolTable] = None,
-    registry: Optional[frozenset] = None,
+    symbols: SymbolTable = NO_SYMBOLS,
+    registry: frozenset = DEFAULT_REGISTRY,
     checked: Optional[dict] = None,
 ) -> None:
     """Check one claimed schema instance; SchemaError explains failures.
 
     checked is as for wf_formula_once, for the formulas of one check.
     """
-    symbols = symbols or SymbolTable()
-    registry = registry if registry is not None else load_registry()
     checked = {} if checked is None else checked
     if name not in _SCHEMA_MATCHERS:
         raise SchemaError(name, "unknown schema")
@@ -858,8 +853,8 @@ def _check_core_step(step, get_premise, fail) -> None:
 
 def check_hilbert(
     cert: EntailmentCert,
-    symbols: Optional[SymbolTable] = None,
-    registry: Optional[frozenset] = None,
+    symbols: SymbolTable = NO_SYMBOLS,
+    registry: frozenset = DEFAULT_REGISTRY,
     checked: Optional[dict] = None,
 ) -> tuple[Formula, Formula]:
     """Check every step of a derivation; returns the root conclusion.
@@ -869,8 +864,6 @@ def check_hilbert(
     checked is as for wf_formula_once: check_triple passes one for all the
     certificates and nodes of a tree.
     """
-    symbols = symbols or SymbolTable()
-    registry = registry if registry is not None else load_registry()
     checked = {} if checked is None else checked
     seen: dict[str, object] = {}
     for step in cert.steps:

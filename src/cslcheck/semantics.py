@@ -16,7 +16,7 @@ can run.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .dist import (
     FinDist,
@@ -36,6 +36,7 @@ from .syntax import (
     Expr,
     If,
     Lit,
+    NO_SYMBOLS,
     Program,
     RND,
     Seq,
@@ -141,24 +142,24 @@ def _lift(part: tuple[bool, Callable]) -> Callable:
 
 
 def compile_det(
-    env: Env, e: Expr, n: int, symbols: Optional[SymbolTable] = None
+    env: Env, e: Expr, n: int, symbols: SymbolTable = NO_SYMBOLS
 ) -> Callable[[tuple], str]:
     """A deterministic expression compiled once, as a function of a memory."""
-    return _compile(e, env.names(), n, symbols or SymbolTable(), det=True)[1]
+    return _compile(e, env.names(), n, symbols, det=True)[1]
 
 
 def eval_det(
-    env: Env, d: Expr, n: int, m: tuple, symbols: Optional[SymbolTable] = None
+    env: Env, d: Expr, n: int, m: tuple, symbols: SymbolTable = NO_SYMBOLS
 ) -> str:
     """Evaluate a deterministic expression in one memory."""
     return compile_det(env, d, n, symbols)(m)
 
 
 def eval_expr(
-    env: Env, e: Expr, n: int, d: FinDist, symbols: Optional[SymbolTable] = None
+    env: Env, e: Expr, n: int, d: FinDist, symbols: SymbolTable = NO_SYMBOLS
 ) -> FinDist:
     """Output-value distribution of e over an input memory distribution."""
-    fn = _lift(_compile(e, env.names(), n, symbols or SymbolTable()))
+    fn = _lift(_compile(e, env.names(), n, symbols))
     weights, den = d.weights()
     return FinDist.from_ints(*mix(weights, den, fn))
 
@@ -198,14 +199,14 @@ def _exec(p: Program, env: Env, n: int, symbols: SymbolTable, points: dict, den:
 
 
 def run(
-    env: Env, p: Program, n: int, d: FinDist, symbols: Optional[SymbolTable] = None
+    env: Env, p: Program, n: int, d: FinDist, symbols: SymbolTable = NO_SYMBOLS
 ) -> FinDist:
     """Push the whole input through p; env is the memories' environment."""
-    return FinDist.from_ints(*_exec(p, env, n, symbols or SymbolTable(), *d.weights()))
+    return FinDist.from_ints(*_exec(p, env, n, symbols, *d.weights()))
 
 
 def run_kozen(
-    env: Env, p: Program, n: int, d: FinDist, symbols: Optional[SymbolTable] = None
+    env: Env, p: Program, n: int, d: FinDist, symbols: SymbolTable = NO_SYMBOLS
 ) -> FinDist:
     """Distribution-level semantics: conditionals split the whole input.
 
@@ -214,7 +215,6 @@ def run_kozen(
     conditioned distributions and the results recombine convexly with the
     guard's weights.
     """
-    symbols = symbols or SymbolTable()
     if isinstance(p, Skip):
         return d
     if isinstance(p, Assign):
@@ -239,7 +239,7 @@ def run_kozen(
 # Store algebra
 
 
-def run_store(s: Store, p: Program, symbols: Optional[SymbolTable] = None) -> Store:
+def run_store(s: Store, p: Program, symbols: SymbolTable = NO_SYMBOLS) -> Store:
     family = {n: run(s.env, p, n, d, symbols) for n, d in s.family.items()}
     return Store.from_dists(s.env, family)
 

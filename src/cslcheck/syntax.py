@@ -37,17 +37,28 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 
 class ParseError(Exception):
-    """Syntax error at a 1-based line and column, counted in characters."""
+    """Syntax error at a 1-based line and column, counted in characters.
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+    where, when not empty, names the field of a proof script or certificate
+    whose text line and col count in, such as root.children[1].post.
+    """
+
+    def __init__(self, message: str, line: int, col: int, where: str = ""):
+        place = f"{where}: " if where else ""
+        super().__init__(f"{place}{line}:{col}: {message}")
         self.message = message
         self.line = line
         self.col = col
+        self.where = where
+
+    def within(self, where: str) -> "ParseError":
+        """This error, placed in the script field where."""
+        return ParseError(self.message, self.line, self.col, where)
 
     @classmethod
     def at(cls, message: str, text: str, offset: int) -> "ParseError":
@@ -264,17 +275,24 @@ class FuncSym:
 
 
 class SymbolTable:
-    """Declared (non-built-in) function symbols, by name."""
+    """Declared (non-built-in) function symbols, by name.
 
-    def __init__(self, syms: Optional[dict[str, FuncSym]] = None):
-        self.syms: dict[str, FuncSym] = dict(syms or {})
+    A table is a value: syms is a read-only mapping, and declare and bind
+    return a new table and leave this one as it was, so a parser or checker
+    never needs to copy the table it is given. NO_SYMBOLS is the one empty
+    table and the default wherever a table is optional.
+    """
 
-    def declare(self, sym: FuncSym) -> None:
+    def __init__(self, syms: Mapping[str, FuncSym] = MappingProxyType({})):
+        self.syms: Mapping[str, FuncSym] = MappingProxyType(dict(syms))
+
+    def declare(self, sym: FuncSym) -> "SymbolTable":
+        """This table with sym added."""
         if sym.name in BUILTIN_NAMES:
             raise ValueError(f"cannot redeclare built-in symbol {sym.name}")
         if sym.name in self.syms and self.syms[sym.name] != sym:
             raise ValueError(f"conflicting declarations for symbol {sym.name}")
-        self.syms[sym.name] = sym
+        return SymbolTable({**self.syms, sym.name: sym})
 
     def lookup(self, name: str) -> Optional[FuncSym]:
         return self.syms.get(name)
@@ -282,16 +300,14 @@ class SymbolTable:
     def known(self, name: str) -> bool:
         return name in BUILTIN_NAMES or name in self.syms
 
-    def copy(self) -> "SymbolTable":
-        return SymbolTable(self.syms)
-
     def bind(self, name: str, impl: Callable) -> "SymbolTable":
-        """Return a copy with the named symbol's evaluator set."""
+        """This table with the named symbol's evaluator set."""
         if name not in self.syms:
             raise KeyError(f"unknown symbol {name}")
-        out = self.copy()
-        out.syms[name] = self.syms[name].with_impl(impl)
-        return out
+        return SymbolTable({**self.syms, name: self.syms[name].with_impl(impl)})
+
+
+NO_SYMBOLS = SymbolTable()
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +707,7 @@ class _Parser:
     def __init__(
         self,
         text: str,
-        symbols: Optional[SymbolTable] = None,
+        symbols: SymbolTable = NO_SYMBOLS,
         memo: Optional[dict] = None,
     ):
         self.text = text
@@ -699,7 +715,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.deepest = 0  # the greatest depth reached in the current group
-        self.symbols = symbols.copy() if symbols else SymbolTable()
+        self.symbols = symbols
         self.memo = {} if memo is None else memo
 
     # -- token plumbing
@@ -877,7 +893,7 @@ class _Parser:
                 self.fail(f"expected det or rnd, got {kind_tok.text!r}", kind_tok)
             self.expect(";")
             try:
-                self.symbols.declare(
+                self.symbols = self.symbols.declare(
                     FuncSym(name_tok.text, tuple(arg_types), result, kind_tok.text)
                 )
             except ValueError as exc:
@@ -1130,13 +1146,13 @@ def _resolve_formula(
 # Parser entry points
 
 
-def parse_program(text: str, symbols: Optional[SymbolTable] = None) -> Program:
+def parse_program(text: str, symbols: SymbolTable = NO_SYMBOLS) -> Program:
     """Parse a program, allowing an optional decl preamble."""
     return parse_program_with_decls(text, symbols)[1]
 
 
 def parse_program_with_decls(
-    text: str, symbols: Optional[SymbolTable] = None
+    text: str, symbols: SymbolTable = NO_SYMBOLS
 ) -> tuple[SymbolTable, Program]:
     p = _Parser(text, symbols)
     p.decls()
@@ -1146,7 +1162,7 @@ def parse_program_with_decls(
 
 
 def parse_formula(
-    text: str, symbols: Optional[SymbolTable] = None, memo: Optional[dict] = None
+    text: str, symbols: SymbolTable = NO_SYMBOLS, memo: Optional[dict] = None
 ) -> Formula:
     """Parse an annotated formula, allowing an optional decl preamble.
 
@@ -1158,7 +1174,7 @@ def parse_formula(
 
 
 def parse_formula_with_decls(
-    text: str, symbols: Optional[SymbolTable] = None, memo: Optional[dict] = None
+    text: str, symbols: SymbolTable = NO_SYMBOLS, memo: Optional[dict] = None
 ) -> tuple[SymbolTable, Formula]:
     p = _Parser(text, symbols, memo)
     p.decls()
@@ -1167,7 +1183,7 @@ def parse_formula_with_decls(
     return p.symbols, f
 
 
-def parse_expr(text: str, symbols: Optional[SymbolTable] = None) -> Expr:
+def parse_expr(text: str, symbols: SymbolTable = NO_SYMBOLS) -> Expr:
     p = _Parser(text, symbols)
     e = p.expr()
     p.expect("")
@@ -1196,7 +1212,7 @@ def parse_poly(text: str) -> SizePoly:
     return poly
 
 
-def parse_decls(text: str, symbols: Optional[SymbolTable] = None) -> SymbolTable:
+def parse_decls(text: str, symbols: SymbolTable = NO_SYMBOLS) -> SymbolTable:
     p = _Parser(text, symbols)
     p.decls()
     p.expect("")
@@ -1220,6 +1236,19 @@ def unique_keys(pairs: list) -> dict:
     return obj
 
 
+def _json_int(text: str) -> int:
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"JSON integer longer than {MAX_DIGITS} digits")
+    return int(text)
+
+
+def load_json(text: str):
+    """The JSON document text, read as every cslcheck file is: a repeated
+    key raises ValueError (see unique_keys), and so does an integer of more
+    than MAX_DIGITS digits. Invalid JSON raises json.JSONDecodeError."""
+    return json.loads(text, object_pairs_hook=unique_keys, parse_int=_json_int)
+
+
 def _json_str(obj: dict, key: str, where: str) -> str:
     if not isinstance(obj[key], str):
         raise ValueError(f"{where}: field {key!r} must be a string")
@@ -1237,6 +1266,8 @@ def _json_list(obj: dict, key: str, where: str, item: type) -> list:
 
 def _parsed(memo: dict, obj: dict, key: str, where: str, parse: Callable, *args):
     """parse(obj[key], *args), computed once per distinct text in one script.
+    A ParseError names the field, where.key, in front of its line and column;
+    memo keeps no failure, so that is the field where the text first occurs.
 
     memo lives for one parse_proof_with_decls or parse_cert call, where the
     symbol table is fixed, so the text alone is a sound key. It also serves
@@ -1249,7 +1280,10 @@ def _parsed(memo: dict, obj: dict, key: str, where: str, parse: Callable, *args)
     text = _json_str(obj, key, where)
     found = memo.get((parse, text))
     if found is None:
-        found = memo[parse, text] = parse(text, *args)
+        try:
+            found = memo[parse, text] = parse(text, *args)
+        except ParseError as exc:
+            raise exc.within(f"{where}.{key}") from None
     return found
 
 
@@ -1323,7 +1357,7 @@ def _tree_from_obj(
 
 
 def parse_proof_with_decls(
-    text: str, symbols: Optional[SymbolTable] = None
+    text: str, symbols: SymbolTable = NO_SYMBOLS
 ) -> tuple[SymbolTable, ProofTree]:
     """Parse a JSON proof script into its symbol table and ProofTree.
 
@@ -1331,20 +1365,22 @@ def parse_proof_with_decls(
     rule, env, pre, program, post, optional witnesses, and children.
     """
     try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
+        doc = load_json(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"proof script is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("proof script must be a JSON object")
-    table = symbols.copy() if symbols else SymbolTable()
-    for decl in _json_list(doc, "decls", "proof script", str):
-        table = parse_decls(decl, table)
+    for i, decl in enumerate(_json_list(doc, "decls", "proof script", str)):
+        try:
+            symbols = parse_decls(decl, symbols)
+        except ParseError as exc:
+            raise exc.within(f"decls[{i}]") from None
     if "root" not in doc:
         raise ValueError("proof script needs a 'root' node")
-    return table, _tree_from_obj(doc["root"], table, "root", {})
+    return symbols, _tree_from_obj(doc["root"], symbols, "root", {})
 
 
-def parse_proof(text: str, symbols: Optional[SymbolTable] = None) -> ProofTree:
+def parse_proof(text: str, symbols: SymbolTable = NO_SYMBOLS) -> ProofTree:
     return parse_proof_with_decls(text, symbols)[1]
 
 
@@ -1372,10 +1408,9 @@ def proof_to_text(t: ProofTree, decls: Optional[list[str]] = None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_cert(text: str, symbols: Optional[SymbolTable] = None) -> EntailmentCert:
+def parse_cert(text: str, symbols: SymbolTable = NO_SYMBOLS) -> EntailmentCert:
     try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
+        doc = load_json(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"certificate is not valid JSON: {exc}") from exc
-    table = symbols.copy() if symbols else SymbolTable()
-    return _cert_from_obj(doc, table, "cert", {})
+    return _cert_from_obj(doc, symbols, "cert", {})

@@ -13,6 +13,7 @@ from typing import Optional
 
 from .syntax import (
     BOOL,
+    NO_SYMBOLS,
     POLY_N,
     POLY_ONE,
     And,
@@ -64,10 +65,9 @@ def _mismatch(path: str, expected: Type, actual: Type) -> TypeCheckError:
 
 
 def type_expr(
-    env: Env, e: Expr, symbols: Optional[SymbolTable] = None, path: str = "expr"
+    env: Env, e: Expr, symbols: SymbolTable = NO_SYMBOLS, path: str = "expr"
 ) -> Type:
     """Return the type of e under env, or raise TypeCheckError."""
-    symbols = symbols or SymbolTable()
     if isinstance(e, Var):
         t = env.lookup(e.name)
         if t is None:
@@ -153,9 +153,8 @@ def _type_app(env: Env, e: App, symbols: SymbolTable, path: str) -> Type:
     return sym.result_type
 
 
-def is_det_expr(e: Expr, symbols: Optional[SymbolTable] = None) -> bool:
+def is_det_expr(e: Expr, symbols: SymbolTable = NO_SYMBOLS) -> bool:
     """True iff no randomized symbol occurs in e."""
-    symbols = symbols or SymbolTable()
     if isinstance(e, (Var, Lit)):
         return True
     if e.fname == "rnd":
@@ -171,10 +170,9 @@ def is_det_expr(e: Expr, symbols: Optional[SymbolTable] = None) -> bool:
 
 
 def type_program(
-    env: Env, p: Program, symbols: Optional[SymbolTable] = None, path: str = "program"
+    env: Env, p: Program, symbols: SymbolTable = NO_SYMBOLS, path: str = "program"
 ) -> None:
     """Check that p types under env; raise TypeCheckError otherwise."""
-    symbols = symbols or SymbolTable()
     if isinstance(p, Skip):
         return
     if isinstance(p, Assign):
@@ -249,7 +247,7 @@ def env_union(a: Env, b: Env) -> Env:
 
 def wf_formula(
     f: Formula,
-    symbols: Optional[SymbolTable] = None,
+    symbols: SymbolTable = NO_SYMBOLS,
     path: str = "formula",
     checked: Optional[dict] = None,
 ) -> None:
@@ -262,7 +260,6 @@ def wf_formula(
     fails at its first ill-formed part, with the same path, wherever it is
     checked.
     """
-    symbols = symbols or SymbolTable()
     b = f.body
     if isinstance(b, Atom):
         _wf_atom(f.annotation, b, symbols, path)

@@ -310,12 +310,12 @@ def test_eval_ill_formed_formula_is_a_usage_error(tmp_path, capsys, text, messag
         (
             "program",
             "k := rnd();\n  c := xor(m k)",
-            "error: 2:14: expected ')', got 'k'\n",
+            "error: root.program: 2:14: expected ')', got 'k'\n",
         ),
         (
             "post",
             "((T){m: Str[n]} *\n (U(c){c: Str[n]}){c: Str[n], k: Str[n], m: Str[n]}",
-            "error: 2:19: formula is annotated twice\n",
+            "error: root.post: 2:19: formula is annotated twice\n",
         ),
     ],
 )
@@ -326,6 +326,21 @@ def test_check_names_the_line_and_column_of_a_broken_field(
     doc["root"][field] = text
     assert main(["check", write(tmp_path, "otp.proof", json.dumps(doc))]) == 2
     assert capsys.readouterr() == ("", error)
+
+
+def test_check_names_the_decl_or_certificate_step_of_a_parse_error(tmp_path, capsys):
+    doc = json.loads((CORPUS / "potp.proof").read_text())
+    doc["decls"][0] = doc["decls"][0].replace("det;", "dett;")
+    assert main(["check", write(tmp_path, "decl.proof", json.dumps(doc))]) == 2
+    assert capsys.readouterr() == ("", "error: decls[0]: 1:29: expected det or rnd, got 'dett'\n")
+    doc = json.loads((CORPUS / "potp.proof").read_text())
+    step = doc["root"]["children"][1]["pre_cert"]["steps"][2]
+    step["lhs"] = step["lhs"][:-1]
+    assert main(["check", write(tmp_path, "step.proof", json.dumps(doc))]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: root.children[1].pre_cert.steps[2].lhs: 1:88: expected '}', got ''\n",
+    )
 
 
 DECL_G = "decl g : Str[n] -> Str[n] det; "
@@ -476,6 +491,34 @@ def test_a_family_key_past_max_digits_gets_the_key_message(tmp_path, capsys):
         f"error: store family key {key!r} must be an integer >= 1 "
         'written without leading zeros, like "3"\n'
     ))
+
+
+def json_file_argv(tmp_path, kind, digits):
+    """The command line that reads one JSON file of kind, whose document
+    carries an unread field holding an integer of digits nines."""
+
+    def with_int(name, doc):
+        text = json.dumps({**doc, "note": "@"}).replace('"@"', "9" * digits)
+        return write(tmp_path, name, text)
+
+    otp = str(CORPUS / "otp.proof")
+    if kind == "store":
+        store = json.loads((CORPUS / "pair.store").read_text())
+        return ["eval", str(CORPUS / "eq_pair.formula"), with_int("s.store", store)]
+    if kind == "proof":
+        return ["check", with_int("p.proof", json.loads(Path(otp).read_text()))]
+    schemas = {"enabled": sorted(DEFAULT_REGISTRY)}
+    return ["check", otp, "--schemas", with_int("s.json", schemas)]
+
+
+@pytest.mark.parametrize("kind", ["store", "proof", "schemas"])
+def test_a_json_integer_past_max_digits_names_the_bound(tmp_path, capsys, kind):
+    # one line names cslcheck's bound, not Python's advice on int(); an
+    # integer of up to 4300 digits reads as any other
+    assert main(json_file_argv(tmp_path, kind, 4300)) == 0
+    assert capsys.readouterr().err == ""
+    assert main(json_file_argv(tmp_path, kind, 5000)) == 2
+    assert capsys.readouterr() == ("", "error: JSON integer longer than 4300 digits\n")
 
 
 def test_check_proof_with_a_repeated_key_is_a_usage_error(tmp_path, capsys):

@@ -27,7 +27,7 @@ from cslcheck.dist import (
     zero_store,
 )
 from cslcheck.semantics import run_store, store_indist
-from cslcheck.syntax import BOOL, SymbolTable, parse_env, parse_type
+from cslcheck.syntax import BOOL, parse_env, parse_type
 from cslcheck.types import TypeCheckError
 
 
@@ -282,14 +282,13 @@ def test_store_rejects_mismatched_memories():
 def test_unchecked_stores_pass_the_store_checks(seed):
     # project, tensor and run_store build their stores unchecked
     rng = random.Random(seed)
-    symbols = SymbolTable()
     xi, theta = _gen._disjoint_envs(rng, rng.randint(1, 2), rng.randint(0, 2))
     ns = tuple(sorted(rng.sample((1, 2, 3), rng.randint(1, 2))))
     joint = tensor(_gen.gen_store(rng, xi, ns), _gen.gen_store(rng, theta, ns))
     names = joint.env.names()
     sub = joint.env.restrict(rng.sample(names, rng.randint(0, len(names))))
     marginal = project(joint, sub)
-    out = run_store(joint, _gen.gen_program(rng, joint.env, symbols), symbols)
+    out = run_store(joint, _gen.gen_program(rng, joint.env))
     for r in (joint, marginal, out):
         assert Store(r.env, r.family) == r
 

@@ -32,6 +32,7 @@ from cslcheck.syntax import (
     EntailmentCert,
     Env,
     Formula,
+    NO_SYMBOLS,
     Star,
     SymbolTable,
     parse_cert,
@@ -198,7 +199,7 @@ def test_entailment_holds_on():
 ENV2 = "{x: Str[n], y: Str[n]}"
 
 
-def instance(name, lhs, rhs, env=ENV2, symbols=None):
+def instance(name, lhs, rhs, env=ENV2, symbols=NO_SYMBOLS):
     """Parse lhs/rhs under the outer annotation env and match them."""
     l, r = (parse_formula(f"({side}){env}", symbols) for side in (lhs, rhs))
     match_axiom(name, l, r, symbols)

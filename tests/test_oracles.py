@@ -102,6 +102,7 @@ from cslcheck.syntax import (
     Env,
     Formula,
     HoareTriple,
+    NO_SYMBOLS,
     ParseError,
     Star,
     SymbolTable,
@@ -459,7 +460,7 @@ def test_compiled_kernel_agrees_with_the_per_memory_semantics():
         env = _gen.gen_env(rng)
         n = rng.choice((1, 2, 3))
         syms = _symbols(rng)
-        prog = _with_symbols(rng, _gen.gen_program(rng, env, syms), env)
+        prog = _with_symbols(rng, _gen.gen_program(rng, env), env)
         d = _gen.gen_dist(rng, env, n)
         if rng.random() < 0.4:
             d = d.scale(Fraction(rng.randint(1, 4), 5))
@@ -468,7 +469,7 @@ def test_compiled_kernel_agrees_with_the_per_memory_semantics():
         want = _outcome(ref_run, prog, env, n, d, syms)
         assert _outcome(run, env, prog, n, d, syms) == want, (case, text)
         t = rng.choice([t for _, t in env.items()])
-        e = _wrap(rng, _gen.gen_expr(rng, env, t, syms), t)
+        e = _wrap(rng, _gen.gen_expr(rng, env, t), t)
         kinds["if"] += "if " in text
         for name in ("f", "c", "g"):
             kinds[name] += f"{name}(" in text + expr_to_text(e)
@@ -627,8 +628,7 @@ def test_integer_weights_agree_with_the_per_point_fraction_operations():
 # yields.
 
 
-def ref_sat_bi(s, f, epsilon=Fraction(0), symbols=None):
-    symbols = symbols or SymbolTable()
+def ref_sat_bi(s, f, epsilon=Fraction(0), symbols=NO_SYMBOLS):
     b = f.body
     if isinstance(b, Top):
         return True
@@ -653,7 +653,7 @@ def test_witness_search_agrees_with_the_recursive_plain_evaluator():
     verdicts = {True: 0, False: 0}
     for case in range(320):
         env = _gen.gen_env(rng, 1, 3)
-        f = _gen.gen_formula(rng, env, symbols)
+        f = _gen.gen_formula(rng, env)
         s = _gen.gen_store(rng, env, (1, 2))
         for epsilon in (Fraction(0), Q):
             want = ref_sat_bi(s, f, epsilon, symbols)
@@ -721,20 +721,19 @@ def test_rule_functions_agree_with_independent_builders(rule):
     # a draw that breaks a side condition is rejected with that condition;
     # any other draw is an instance, built as the reference builds it
     rng = random.Random(f"rules:{rule}")
-    symbols = SymbolTable()
     broken_draws = 0
     for _ in range(200):
         if rule in ("SRAssn", "SDAssn"):
             kind = ATOM_ESPL if rule == "SDAssn" else ATOM_EQ
-            t = _gen.gen_scoped_assign(rng, symbols, exact=rule == "SDAssn")
-            build = lambda: scoped_post(t, kind, symbols, _not_an_instance)
+            t = _gen.gen_scoped_assign(rng, exact=rule == "SDAssn")
+            build = lambda: scoped_post(t, kind, NO_SYMBOLS, _not_an_instance)
             want = lambda: ref_scoped_post(t, kind)
         elif rule == "RCond":
-            t = _gen.gen_rcond(rng, symbols)
+            t = _gen.gen_rcond(rng)
             build = lambda: rcond_premises(t, _not_an_instance)
             want = lambda: ref_rcond_premises(t)
         else:
-            t = _gen.gen_composite(rng, symbols, star_shape=rule == "Frame")
+            t = _gen.gen_composite(rng, star_shape=rule == "Frame")
             build = lambda: composite_premise(t, rule, _not_an_instance)
             want = lambda: ref_composite_premise(t)
         broken = ref_broken_side_condition(t, rule)

@@ -12,7 +12,6 @@ from cslcheck.semantics import run, run_kozen
 from cslcheck.syntax import (
     ProofTree,
     SizePoly,
-    SymbolTable,
     env_to_text,
     formula_to_text,
     parse_env,
@@ -52,14 +51,14 @@ def envs(draw):
 def programs(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     env = _gen.gen_env(rng, max_vars=4)
-    return _gen.gen_program(rng, env, SymbolTable(), size=draw(st.integers(1, 5)))
+    return _gen.gen_program(rng, env, size=draw(st.integers(1, 5)))
 
 
 @st.composite
 def formulas(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     env = _gen.gen_env(rng, max_vars=4)
-    return _gen.gen_formula(rng, env, SymbolTable())
+    return _gen.gen_formula(rng, env)
 
 
 small_probs = st.fractions(min_value=0, max_value=1, max_denominator=8)
@@ -160,8 +159,7 @@ def test_formula_text_round_trip(f):
 @given(st.integers(0, 2**32))
 def test_proof_text_round_trip(seed):
     rng = random.Random(seed)
-    sym = SymbolTable()
-    t = _gen.gen_scoped_assign(rng, sym, exact=rng.random() < 0.5)
+    t = _gen.gen_scoped_assign(rng, exact=rng.random() < 0.5)
     tree = ProofTree("SRAssn", t)
     assert parse_proof(proof_to_text(tree)) == tree
 
@@ -206,13 +204,12 @@ def test_stat_dist_triangle(a, b, c):
 @given(st.integers(0, 2**32))
 def test_run_agrees_with_kozen(seed):
     rng = random.Random(seed)
-    sym = SymbolTable()
     env = _gen.gen_env(rng, max_vars=3)
     if not env.names():
         return
-    prog = _gen.gen_program(rng, env, sym, size=3)
+    prog = _gen.gen_program(rng, env, size=3)
     d = _gen.gen_dist(rng, env, 1)
-    assert run(env, prog, 1, d, sym) == run_kozen(env, prog, 1, d, sym)
+    assert run(env, prog, 1, d) == run_kozen(env, prog, 1, d)
 
 
 # Tensor and projection

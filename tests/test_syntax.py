@@ -17,12 +17,16 @@ from cslcheck.syntax import (
     Assign,
     Atom,
     BOOL,
+    DET,
     EMPTY_ENV,
+    FuncSym,
     If,
     Lit,
     MAX_DEPTH,
     MAX_DIGITS,
     MAX_EXPONENT,
+    NO_SYMBOLS,
+    POLY_N,
     ParseError,
     Seq,
     SizePoly,
@@ -39,6 +43,7 @@ from cslcheck.syntax import (
     parse_env,
     parse_expr,
     parse_formula,
+    parse_formula_with_decls,
     parse_poly,
     parse_program,
     parse_program_with_decls,
@@ -170,6 +175,43 @@ def test_declared_symbols_parse():
     # the table is required: without it the name is rejected
     with pytest.raises(ParseError):
         parse_expr("g(k)")
+
+
+# Symbol tables are values
+
+G_SYM = FuncSym("g", (StrType(POLY_N),), StrType(POLY_N), DET)
+
+
+def test_declare_and_bind_return_new_tables():
+    table = NO_SYMBOLS.declare(G_SYM)
+    assert table.lookup("g") == G_SYM and NO_SYMBOLS.lookup("g") is None
+    impl = lambda n, vals: vals[0]
+    bound = table.bind("g", impl)
+    assert bound.lookup("g").impl is impl
+    assert table.lookup("g").impl is None
+
+
+def test_parsers_leave_the_callers_table_unchanged():
+    table = NO_SYMBOLS.declare(G_SYM)
+    more = parse_decls("decl h : Str[n] -> Bool rnd;", table)
+    assert more.known("h") and not table.known("h")
+    text = "decl f : Str[n] -> Str[n] det; (f(g(x)) == x){x: Str[n]}"
+    own, _ = parse_formula_with_decls(text, table)
+    assert own.known("f") and not table.known("f")
+    assert dict(table.syms) == {"g": G_SYM}
+
+
+def test_the_empty_table_is_read_only():
+    with pytest.raises(TypeError):
+        NO_SYMBOLS.syms["g"] = G_SYM
+    assert dict(NO_SYMBOLS.syms) == {}
+
+
+def test_the_empty_table_stays_empty_after_commands(capsys):
+    assert cli.main(["properties", "--cases", "5", "--seed", "1"]) == 0
+    assert cli.main(["check", str(ROOT / "corpus" / "potp.proof")]) == 0
+    capsys.readouterr()
+    assert dict(NO_SYMBOLS.syms) == {}
 
 
 # Programs
@@ -504,6 +546,11 @@ def test_cert_round_trip():
     assert [s.sid for s in cert.steps] == ["a", "b"]
     assert cert.root == "a"
     assert parse_cert(json.dumps(_cert_to_obj(cert))) == cert
+    broken = doc.replace('"(T){x: Str[n]}", "premises"', '"(T){x: Str[n]", "premises"')
+    with pytest.raises(ParseError) as exc:
+        parse_cert(broken)
+    assert str(exc.value) == "cert.steps[0].rhs: 1:14: expected '}', got ''"
+    assert (exc.value.where, exc.value.line, exc.value.col) == ("cert.steps[0].rhs", 1, 14)
 
 
 def test_env_hashable_and_frozen():
@@ -781,7 +828,9 @@ def test_repeated_bad_text_fails_where_it_first_appears():
         parse_formula(broken)
     with pytest.raises(ParseError) as exc:
         parse_proof(OTP_PROOF.replace(json.dumps(MID), json.dumps(broken)))
-    assert str(exc.value) == str(alone.value) == "1:39: expected '}', got ''"
+    assert str(alone.value) == "1:39: expected '}', got ''"
+    assert str(exc.value) == "root.children[0].post: " + str(alone.value)
+    assert (exc.value.line, exc.value.col) == (alone.value.line, alone.value.col)
 
     ill_formed = MID.replace("U(k)", "U(q)")
     tree = parse_proof(OTP_PROOF.replace(json.dumps(MID), json.dumps(ill_formed)))

@@ -38,13 +38,13 @@ from cslcheck.syntax import (
     HoareTriple,
     If,
     Lit,
+    NO_SYMBOLS,
     POLY_N,
     ProofTree,
     SKIP,
     SizePoly,
     Star,
     StrType,
-    SymbolTable,
     Var,
     formula_to_text,
     parse_decls,
@@ -534,7 +534,7 @@ def mirrored_pair_store(ns) -> Store:
 
 
 def verify(name: str, decls: list[str], tree: ProofTree) -> str:
-    symbols = SymbolTable()
+    symbols = NO_SYMBOLS
     for text in decls:
         symbols = parse_decls(text, symbols)
     check_triple(tree, symbols)
@@ -576,7 +576,7 @@ def main() -> int:
     report = validate_triple(otp_tree.conclusion, [msg])
     if not (report.ok and report.hits == 1):
         raise AssertionError("otp triple fails on the sample store")
-    out = run_store(msg, otp_tree.conclusion.program, SymbolTable())
+    out = run_store(msg, otp_tree.conclusion.program)
 
     xor_tree = proofs["xor"][1]
     xenv = xor_tree.conclusion.env

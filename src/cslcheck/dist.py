@@ -22,8 +22,10 @@ exercised on sub-distributions); stores and serialization require full
 mass. The public FinDist constructor, scale, add, Store() and parse_store
 validate. What is valid by construction is built unchecked: map, bind,
 condition and the program kernel through FinDist.from_ints; project,
-tensor, run_store and stores cut from a store's own distributions through
-Store.from_dists.
+tensor, the marginals of independence, run_store and stores cut from a
+store's own distributions through Store.from_dists. independence decides
+no verdict: it gives the marginals and the exact distance of the joint
+from their product, and logic compares that with the tolerance.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import re
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Callable, Iterable
+from operator import itemgetter, mul, sub
+from typing import Callable, Iterable, Optional
 
 from .syntax import (
     BoolType,
@@ -345,11 +347,68 @@ def zero_store(env: Env, ns: Iterable[int]) -> Store:
 
 
 def project(s: Store, target: Env) -> Store:
-    """The marginal of s on target, a sub-environment of s.env."""
+    """The marginal of s on target, a sub-environment of s.env; s itself
+    when target is all of s.env."""
     if not env_ext(target, s.env):
         raise TypeCheckError("project", "target is not a sub-environment")
+    if target == s.env:
+        return s
     pick = _picker(s.env.names(), target)
     return Store.from_dists(target, {n: d.map(pick) for n, d in s.family.items()})
+
+
+def independence(
+    s: Store, left: Env, right: Env
+) -> tuple[Store, Store, dict[int, Fraction]]:
+    """The marginals of s on left and on right, two disjoint sub-environments
+    of s.env, and per n the exact total variation distance between the
+    marginal J of s on their join and the product L⊗R of the two.
+
+    J is s itself when the join is all of s.env. Each n takes one walk over
+    J, which sums the marginal weights l_x and r_y over the denominator D of
+    J; the rest are C-level passes, and L⊗R is never built. With w the
+    weights of J and T their total, 2·D²·SD = Σ over supp J of
+    (|w·D − l_x·r_y| − l_x·r_y) + T²: the product's mass l_x·r_y off supp J
+    is T² less its mass on supp J. T, not D, keeps this exact on sub-unit
+    mass too.
+    """
+    for target in (left, right):
+        if not env_ext(target, s.env):
+            raise TypeCheckError("project", "target is not a sub-environment")
+    joint = project(s, env_join(left, right))
+    names = joint.env.names()
+    key_left, key_right = _key(names, left), _key(names, right)
+    lfam, rfam, defects = {}, {}, {}
+    for n, d in joint.family.items():
+        weights, den = d.weights()
+        xs = list(map(key_left, weights))
+        ys = list(map(key_right, weights))
+        ws = list(weights.values())
+        lw: dict = {}
+        rw: dict = {}
+        for x, y, w in zip(xs, ys, ws):
+            lw[x] = lw.get(x, 0) + w
+            rw[y] = rw.get(y, 0) + w
+        lr = list(map(mul, map(lw.__getitem__, xs), map(rw.__getitem__, ys)))
+        excess = sum(map(abs, map(sub, map(den.__mul__, ws), lr))) - sum(lr)
+        total = sum(ws)
+        lfam[n] = FinDist.from_ints(_keyed_memories(lw, left), den)
+        rfam[n] = FinDist.from_ints(_keyed_memories(rw, right), den)
+        defects[n] = Fraction(excess + total * total, 2 * den * den)
+    return Store.from_dists(left, lfam), Store.from_dists(right, rfam), defects
+
+
+def _key(names: tuple[str, ...], target: Env) -> Callable[[tuple], object]:
+    """Maps a value tuple in names order to a key for its values on target:
+    the one value itself when target has one variable, which saves a tuple
+    per memory, else the tuple of them in target order."""
+    idx = [names.index(k) for k in target.names()]
+    return itemgetter(*idx) if idx else itemgetter(slice(0, 0))
+
+
+def _keyed_memories(weights: dict, target: Env) -> dict:
+    """weights, keyed as _key keys them, keyed by memories over target."""
+    return {(v,): w for v, w in weights.items()} if len(target) == 1 else weights
 
 
 def tensor(a: Store, b: Store) -> Store:
@@ -427,24 +486,35 @@ def exact_rational(raw, what: str) -> Fraction:
         raise ValueError(f"{what} is not a rational number: {raw!r}") from None
 
 
-def _checked_dist(points: list) -> FinDist:
+def _checked_dist(points: list, n: Optional[int] = None) -> FinDist:
     """The distribution of (point, (p, q)) entries, the one validating path
     behind the FinDist constructor and parse_store: a point listed twice
     gets the sum of its entries, and a negative sum or a mass above 1
-    raises."""
+    raises. n, where given, is the store family the entries come from."""
     den = lcm(*{q for _, (_, q) in points})
     weights: dict = {}
     for m, (p, q) in points:
         weights[m] = weights.get(m, 0) + p * (den // q)
     for m, w in weights.items():
         if w < 0:
-            raise ValueError(f"negative probability {Fraction(w, den)} at {m!r}")
+            raise _mass_error(lambda x: f"negative probability {x} at {m!r}", w, den, n)
     weights = {m: w for m, w in weights.items() if w}
-    if sum(weights.values()) > den:
-        raise ValueError(
-            f"probabilities sum to {Fraction(sum(weights.values()), den)} > 1"
-        )
+    total = sum(weights.values())
+    if total > den:
+        raise _mass_error(lambda x: f"probabilities sum to {x} > 1", total, den, n)
     return FinDist.from_ints(weights, den)
+
+
+def _mass_error(message: Callable, w: int, den: int, n: Optional[int]) -> ValueError:
+    """ValueError(message(text of w/den)). Python refuses to write an
+    integer of more than MAX_DIGITS digits (its default limit): a fraction
+    that long is named by its size instead, and then the message starts
+    with the family's n, where given."""
+    try:
+        return ValueError(message(Fraction(w, den)))
+    except ValueError:
+        where = "" if n is None else f"n={n}: "
+        return ValueError(where + message(f"a fraction of over {MAX_DIGITS} digits"))
 
 
 def _read_entries(entries: list, env: Env, n: int, rationals: dict):
@@ -540,5 +610,5 @@ def parse_store(text: str) -> Store:
         points = _read_entries(entries, env, n, rationals)
         if points is None:
             points = _read_each_entry(entries, _memory_reader(env, n), n_text, rationals)
-        family[n] = _checked_dist(points)
+        family[n] = _checked_dist(points, n)
     return Store(env, family)

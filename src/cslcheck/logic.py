@@ -2,8 +2,9 @@
 
 Satisfaction is decided exactly on explicit stores. The separating
 conjunction is decided by the product-of-marginals criterion: the store's
-marginal on the joined child domains must equal the tensor of the two child
-marginals. Plain (annotation-free) satisfaction is the witness search
+marginal on the joined child domains must be within epsilon of the product
+of the two child marginals, a distance dist.independence gives exactly.
+Plain (annotation-free) satisfaction is the witness search
 search_annotation, which tries every disjoint sub-environment split for a
 witnessing product; sat_bi holds when it finds a witness.
 
@@ -28,8 +29,8 @@ from functools import cache
 from itertools import combinations
 from typing import Callable, Optional
 
-from .dist import Store, project, stat_dist, tensor, uniform_values
-from .semantics import compile_det, eval_expr, store_indist
+from .dist import Store, independence, project, stat_dist, uniform_values
+from .semantics import compile_det, eval_expr
 from .syntax import (
     And,
     App,
@@ -148,12 +149,11 @@ def sat_formula(
 def _independent(
     s: Store, left: Env, right: Env, epsilon: Fraction
 ) -> Optional[tuple[Store, Store]]:
-    """The marginals of s on left and on right, when the marginal of s on
-    their join is within epsilon of the product of the two; else None."""
-    lproj = project(s, left)
-    rproj = project(s, right)
-    joint = project(s, env_join(left, right))
-    if store_indist(joint, tensor(lproj, rproj), epsilon):
+    """The marginals of s on left and on right, when at every n the marginal
+    of s on their join is within epsilon of the product of the two; else
+    None. dist.independence gives each n's exact distance in one walk."""
+    lproj, rproj, defects = independence(s, left, right)
+    if all(defect <= epsilon for defect in defects.values()):
         return lproj, rproj
     return None
 

@@ -521,6 +521,21 @@ def test_a_json_integer_past_max_digits_names_the_bound(tmp_path, capsys, kind):
     assert capsys.readouterr() == ("", "error: JSON integer longer than 4300 digits\n")
 
 
+@pytest.mark.parametrize("n_text", ["1", "2"])
+def test_a_prob_too_long_to_write_names_the_family(tmp_path, capsys, n_text):
+    # a prob of 4300 digits reads, but the sum it makes with its family's
+    # other probs has more: the error names n and the sum's size instead of
+    # giving Python's advice on its limit for writing an integer
+    store = json.loads((CORPUS / "pair.store").read_text())
+    store["family"][n_text][0]["prob"] = "@"
+    text = json.dumps(store).replace('"@"', "9" * 4300)
+    argv = ["eval", str(CORPUS / "eq_pair.formula"), write(tmp_path, "s.store", text)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: n={n_text}: probabilities sum to a fraction of over 4300 digits > 1\n"
+    ))
+
+
 def test_check_proof_with_a_repeated_key_is_a_usage_error(tmp_path, capsys):
     text = GOOD_PROOF.replace('"rule": "Skip",', '"rule": "Skip", "rule": "Skip",')
     path = write(tmp_path, "dup.proof", text)

@@ -16,6 +16,7 @@ from cslcheck.dist import (
     condition,
     convex,
     dirac_store,
+    independence,
     memory,
     memory_bits,
     project,
@@ -74,6 +75,13 @@ def test_mass_is_summed_exactly_over_mixed_denominators():
     assert FinDist({}).total() == 0
     with pytest.raises(ValueError, match="sum to 583/582"):
         FinDist({"a": third, "b": sixth + Fraction(1, 97 * 6), "c": HALF})
+
+
+def test_a_sum_too_long_to_write_is_named_by_its_size():
+    # str() of a 4301-digit integer is refused by Python itself
+    with pytest.raises(ValueError) as err:
+        FinDist({"a": Fraction(10**4300 + 1, 10**4300)})
+    assert str(err.value) == "probabilities sum to a fraction of over 4300 digits > 1"
 
 
 def test_probabilities_must_be_ints_or_fractions():
@@ -207,6 +215,34 @@ def test_project_marginal():
     assert marg == FinDist(
         {mem("{a: Str[1]}", a="0"): HALF, mem("{a: Str[1]}", a="1"): HALF}
     )
+
+
+def test_project_on_the_whole_environment_is_the_store_itself():
+    s = uniform_store(AB, (1, 2))
+    assert project(s, AB) is s
+
+
+def test_independence_gives_the_exact_distance_to_the_product():
+    # r uniform and s = not r: J puts 2^-n on each of the 2^n pairs (x, not x),
+    # L⊗R puts 4^-n on each of the 4^n pairs, so
+    # SD = 1/2 (2^n (2^-n - 4^-n) + (4^n - 2^n) 4^-n) = 1 - 2^-n
+    env = parse_env("{r: Str[n], s: Str[n]}")
+    left, right = parse_env("{r: Str[n]}"), parse_env("{s: Str[n]}")
+    flip = str.maketrans("01", "10")
+    mirror = lambda m: (m[0], m[0].translate(flip))
+    pairs = Store(env, {n: uniform_memories(left, n).map(mirror) for n in (1, 2, 3)})
+    lproj, rproj, defects = independence(pairs, left, right)
+    assert defects == {1: HALF, 2: Fraction(3, 4), 3: Fraction(7, 8)}
+    assert lproj == uniform_store(left, (1, 2, 3))
+    assert rproj == uniform_store(right, (1, 2, 3))
+    # a product store is at distance 0; half of it has marginals of mass
+    # 1/2, whose product has mass 1/4 on the same points: SD = (1/2 - 1/4)/2
+    product = tensor(lproj, rproj)
+    assert independence(product, left, right)[2] == {1: 0, 2: 0, 3: 0}
+    half = Store.from_dists(env, {n: d.scale(HALF) for n, d in product.family.items()})
+    assert independence(half, left, right)[2] == dict.fromkeys((1, 2, 3), Fraction(1, 8))
+    # the sides may leave part of the environment out
+    assert independence(pairs, left, parse_env("{}"))[2] == {1: 0, 2: 0, 3: 0}
 
 
 def test_tensor_builds_products():

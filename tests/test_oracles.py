@@ -24,6 +24,12 @@ The next section keeps the independence witness search as it was before
 each candidate marginal was built once, and compares its verdict with
 _props.product_witness on independent and correlated weight vectors.
 
+The next section keeps the separating-conjunction criterion as
+_independent decided it before dist.independence: three projections, the
+product store and store_indist. It compares verdicts, marginals and the
+exact distance with the one-walk version on generated stores, correlated,
+sub-unit and over more variables than the two sides.
+
 The next section keeps the tokenizer as it was when every token carried
 its line and column, and compares its tokens and errors with those of
 tokenize, whose tokens carry a character offset, on generated texts with
@@ -50,6 +56,7 @@ from cslcheck.dist import (
     condition,
     convex,
     exact_rational,
+    independence,
     memory,
     parse_store,
     project,
@@ -67,6 +74,7 @@ from cslcheck.semantics import (
     eval_expr,
     run,
     run_kozen,
+    store_indist,
 )
 from cslcheck.syntax import (
     App,
@@ -91,7 +99,7 @@ from cslcheck.syntax import (
     seq,
     type_to_text,
 )
-from cslcheck.logic import _splits, sat_atom, sat_bi, sat_formula
+from cslcheck.logic import _independent, _splits, sat_atom, sat_bi, sat_formula
 from cslcheck.hoare import composite_premise, rcond_premises, scoped_post
 from cslcheck.syntax import (
     ATOM_EQ,
@@ -1150,6 +1158,103 @@ def test_the_independence_suite_catches_a_constant_criterion(monkeypatch, verdic
     result = _props.suite_independence(1, 50, (1, 2))
     assert not result.ok
     assert result.failures[0].startswith("independence criterion disagrees at weights")
+
+
+# ---------------------------------------------------------------------------
+# The separating-conjunction criterion as _independent decided it before
+# dist.independence: the marginals on both sides and on their join, each a
+# projection, then the product store of the two sides, compared with the
+# joint n by n.
+
+
+def ref_independent(s, left, right, epsilon):
+    lproj = project(s, left)
+    rproj = project(s, right)
+    joint = project(s, env_join(left, right))
+    if store_indist(joint, tensor(lproj, rproj), epsilon):
+        return lproj, rproj
+    return None
+
+
+def _sides(rng, env):
+    """Two disjoint sub-environments of env, either one possibly empty, that
+    often leave some of env out."""
+    names = list(env.names())
+    rng.shuffle(names)
+    cut, end = sorted(rng.randint(0, len(names)) for _ in range(2))
+    if rng.random() < 0.5:
+        end = len(names)
+    return env.restrict(names[:cut]), env.restrict(names[cut:end])
+
+
+def _mirrored(s):
+    """s with its last variable set to its first, where both have one type,
+    so that the two are correlated."""
+    types = [t for _, t in s.env.items()]
+    if len(types) < 2 or types[0] != types[-1]:
+        return s
+    mirror = lambda m: m[:-1] + m[:1]
+    return Store.from_dists(s.env, {n: d.map(mirror) for n, d in s.family.items()})
+
+
+def _independence_cases(rng):
+    """(kind, store) pairs: generated, correlated, product and sub-unit."""
+    env = _gen.gen_env(rng, 1, 4)
+    s = _gen.gen_store(rng, env, (1, 2))
+    yield "generated", s
+    yield "random", _random_store(rng, max_vars=4, ns=(1, 2))
+    yield "correlated", _mirrored(s)
+    names = _gen.gen_names(rng, rng.randint(2, 4))
+    cut = rng.randint(1, len(names) - 1)
+    a, b = (_gen.gen_store(rng, _gen.gen_env(rng, names=part), (1, 2))
+            for part in (names[:cut], names[cut:]))
+    yield "product", tensor(a, b)
+    scale = Fraction(rng.randint(1, 6), 7)
+    family = {n: d.scale(scale) for n, d in s.family.items()}
+    yield "subunit", Store.from_dists(env, family)
+
+
+def test_one_walk_independence_agrees_with_the_product_store():
+    rng = random.Random(2424)
+    seen = dict.fromkeys(("partial", "nonzero", "zero", "true", "false"), 0)
+    for case in range(300):
+        for kind, s in _independence_cases(rng):
+            assert project(s, s.env) is s
+            left, right = _sides(rng, s.env)
+            lproj, rproj, defects = independence(s, left, right)
+            assert lproj == project(s, left) and rproj == project(s, right)
+            joint = project(s, env_join(left, right))
+            product = tensor(lproj, rproj)
+            assert defects.keys() == s.family.keys()
+            for n, defect in defects.items():
+                assert type(defect) is Fraction
+                assert gcd(defect.numerator, defect.denominator) == 1
+                assert defect == stat_dist(joint.at(n), product.at(n)), (case, kind, n)
+                seen["nonzero" if defect else "zero"] += 1
+            seen["partial"] += len(joint.env) < len(s.env)
+            top, low = max(defects.values()), min(defects.values())
+            # the largest defect, just below it, the smallest, and 0
+            for epsilon in {Fraction(0), low, top, max(top - Fraction(1, 10**9), 0)}:
+                want = ref_independent(s, left, right, epsilon)
+                got = _independent(s, left, right, epsilon)
+                assert got == want, (case, kind, epsilon)
+                seen["true" if want else "false"] += 1
+    assert min(seen.values()) >= 300, seen
+
+
+def test_independence_raises_as_the_projections_did():
+    env = parse_env("{a: Bool, b: Str[n], c: Bool}")
+    s = _gen.gen_store(random.Random(5), env, (1,))
+    for left, right in [
+        ("{a: Bool, d: Bool}", "{c: Bool}"),  # not a sub-environment
+        ("{a: Str[n]}", "{c: Bool}"),  # a sub-environment's name, another type
+        ("{a: Bool}", "{c: Str[n]}"),
+        ("{a: Bool, c: Bool}", "{c: Bool}"),  # the sides overlap
+    ]:
+        left, right = parse_env(left), parse_env(right)
+        want = _outcome(ref_independent, s, left, right, Fraction(0))
+        assert want[0] == "TypeCheckError"
+        assert _outcome(_independent, s, left, right, Fraction(0)) == want
 
 
 # ---------------------------------------------------------------------------

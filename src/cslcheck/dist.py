@@ -15,7 +15,10 @@ first error. store_to_text formats the fixed entry layout directly, with
 one probability text per distinct weight. Fractions appear only at the
 boundary: the public constructor, scale, prob, items, prob_texts, total,
 the result of stat_dist and the store file format. mix is the one integer
-bind: FinDist.bind, add and the program kernel all go through it.
+bind: FinDist.bind, add, and the random assignments and conditionals of the
+program kernel go through it. merge is the one integer map: FinDist.map,
+and the kernel's deterministic assignments and forgetting of dead
+variables, go through it.
 
 Sub-unit total mass is permitted (the program semantics is linear and gets
 exercised on sub-distributions); stores and serialization require full
@@ -201,11 +204,7 @@ class FinDist:
         return FinDist.from_ints({point: 1}, 1)
 
     def map(self, fn: Callable) -> "FinDist":
-        out: dict = {}
-        for p, w in self._weights.items():
-            q = fn(p)
-            out[q] = out.get(q, 0) + w
-        return FinDist.from_ints(out, self._den)
+        return FinDist.from_ints(merge(self._weights, fn), self._den)
 
     def bind(self, k: Callable[[object], "FinDist"]) -> "FinDist":
         return FinDist.from_ints(*mix(self._weights, self._den, lambda p: k(p).weights()))
@@ -222,6 +221,15 @@ class FinDist:
         if d.total() > 1:
             raise ValueError(f"probabilities sum to {d.total()} > 1")
         return d
+
+
+def merge(weights: dict, fn: Callable) -> dict:
+    """The integer map: the weights of the points p with one fn(p), summed."""
+    out: dict = {}
+    for p, w in weights.items():
+        q = fn(p)
+        out[q] = out.get(q, 0) + w
+    return out
 
 
 def mix(weights: dict, den: int, k: Callable) -> tuple[dict, int]:

@@ -5,8 +5,11 @@ and pushes the whole input through it at once, splitting on the guard bit
 at conditionals; run_kozen splits on the guard distribution (conditioning
 each branch and recombining convexly). Both are exact and linear in the
 input distribution. Both work on FinDist's own representation: memories
-are value tuples in env order, with integer weights over one denominator,
-combined by dist.mix. The caller passes env, which names the values.
+are value tuples in env order, with integer weights over one denominator.
+The caller passes env, which names the values. run finds, once per call,
+the variables dead before each statement (written before they are read on
+every path) and forgets them there, so points that differ only in values
+the program never reads again are merged before any work is spent on them.
 
 Uninterpreted declared symbols fail loudly when a memory reaches them;
 bind_stub attaches one of the named concrete evaluators so corpus programs
@@ -25,6 +28,7 @@ from .dist import (
     condition,
     convex,
     memory_bits,
+    merge,
     mix,
     stat_dist,
     uniform_values,
@@ -164,45 +168,100 @@ def eval_expr(
     return FinDist.from_ints(*mix(weights, den, fn))
 
 
-def _exec(p: Program, env: Env, n: int, symbols: SymbolTable, points: dict, den: int):
-    """Run p on value tuples with integer weights over den."""
-    if not points or isinstance(p, Skip):
-        return points, den
-    if isinstance(p, Seq):
-        for s in p.stmts:
-            points, den = _exec(s, env, n, symbols, points, den)
+def _plan(p: Program, dead: frozenset) -> tuple[frozenset, list]:
+    """The variables dead before p, given those dead after it, and p's steps.
+
+    A variable is dead where every path writes it before reading it: x := e
+    with x not in fv(e) kills x, and an If kills what both branches kill,
+    except its guard. A step is (statement, the variables that die right
+    after it, and for an If each branch as (the variables that die on
+    entering it, its steps)). Forgetting those keeps the forgotten variables
+    at every boundary exactly the dead ones. One backward pass."""
+    steps = []
+    for s in reversed(p.stmts if isinstance(p, Seq) else (p,)):
+        if isinstance(s, Assign):
+            reads = fv(s.rhs)
+            dies, branches = dead & (reads | {s.target}), None
+            dead = (dead | {s.target}) - reads
+        elif isinstance(s, If):
+            bodies = [_plan(b, dead) for b in (s.then_branch, s.else_branch)]
+            before = (bodies[0][0] & bodies[1][0]) - {s.guard}
+            dies, branches = frozenset(), [(d - before, b) for d, b in bodies]
+            dead = before
+        else:
+            continue
+        steps.append((s, dies, branches))
+    return dead, steps[::-1]
+
+
+def _forget(points: dict, names: tuple, dead: frozenset) -> dict:
+    """points with the dead variables set to None, summing the weights of
+    points that become equal."""
+    if not dead:
+        return points
+    idx = [names.index(x) for x in dead]
+
+    def forget(vals):
+        vals = list(vals)
+        for i in idx:
+            vals[i] = None
+        return tuple(vals)
+
+    return merge(points, forget)
+
+
+def _exec(
+    env: Env, n: int, symbols: SymbolTable, steps: list, points: dict, den: int
+) -> tuple[dict, int]:
+    """Run steps on value tuples with integer weights over den.
+
+    Every variable is forgotten where it dies, so work is spent only on the
+    values the program still reads. A deterministic assignment rekeys the
+    points in one pass; a random one and a conditional's two branches
+    recombine through dist.mix."""
+    if not points:
         return points, den
     names = env.names()
-    if isinstance(p, If):
-        g = names.index(p.guard)
-        parts = ({}, {})
-        for vals, w in points.items():
-            parts[vals[g] == "1"][vals] = w
-        then_out = _exec(p.then_branch, env, n, symbols, parts[True], den)
-        else_out = _exec(p.else_branch, env, n, symbols, parts[False], den)
-        return mix({0: 1, 1: 1}, 1, (then_out, else_out).__getitem__)  # by linearity
-    i = names.index(p.target)
-    if p.target not in fv(p.rhs):
-        # the old value is never read: merge the points that differ only there
-        points, den = mix(points, den, lambda v: ({v[:i] + (None,) + v[i + 1 :]: 1}, 1))
-    fn = _lift(_compile(p.rhs, names, n, symbols))
+    for s, dies, branches in steps:
+        if branches is not None:
+            g = names.index(s.guard)
+            parts = ({}, {})
+            for vals, w in points.items():
+                parts[vals[g] == "0"][vals] = w
+            outs = [
+                _exec(env, n, symbols, b, _forget(part, names, entry), den)
+                for (entry, b), part in zip(branches, parts)
+                if part
+            ]
+            points, den = mix(dict.fromkeys(range(len(outs)), 1), 1, outs.__getitem__)
+            continue
+        i = names.index(s.target)
+        randomized, fn = _compile(s.rhs, names, n, symbols)
+        if randomized:
 
-    def assigned(vals):
-        ws, d = fn(vals)
-        return {vals[:i] + (v,) + vals[i + 1 :]: x for v, x in ws.items()}, d
+            def assigned(vals):
+                ws, d = fn(vals)
+                return {vals[:i] + (v,) + vals[i + 1 :]: x for v, x in ws.items()}, d
 
-    out, den = mix(points, den, assigned)
-    width = value_len(env.lookup(p.target), n)
-    for v in {vals[i] for vals in out}:
-        _check_value(p.target, width, v)
-    return out, den
+            points, den = mix(points, den, assigned)
+        else:
+            points = merge(points, lambda vals: vals[:i] + (fn(vals),) + vals[i + 1 :])
+        width = value_len(env.lookup(s.target), n)
+        for v in {vals[i] for vals in points}:
+            _check_value(s.target, width, v)
+        points = _forget(points, names, dies)
+    return points, den
 
 
 def run(
     env: Env, p: Program, n: int, d: FinDist, symbols: SymbolTable = NO_SYMBOLS
 ) -> FinDist:
-    """Push the whole input through p; env is the memories' environment."""
-    return FinDist.from_ints(*_exec(p, env, n, symbols, *d.weights()))
+    """Push the whole input through p; env is the memories' environment.
+    Nothing is dead at the end of p, so no output memory holds a None."""
+    dead, steps = _plan(p, frozenset())
+    weights, den = d.weights()
+    points = _forget(weights, env.names(), dead)
+    return FinDist.from_ints(*_exec(env, n, symbols, steps, points, den))
 
 
 def run_kozen(

@@ -6,10 +6,11 @@ paper: distributions over one or two bits with at most four support points.
 The comments show the enumeration; the asserts pin the implementation to it.
 
 The last three sections keep the per-memory semantics that run, eval_expr
-and eval_det had before the compiled kernel, the per-point Fraction
-versions of the distribution operations that integer weights replaced, and
-the recursive sat_bi that the witness search replaced, and compare old and
-new on generated programs, expressions, distributions and formulas.
+and eval_det had before the compiled kernel, the compiled kernel as it was
+before run forgot dead variables, the per-point Fraction versions of the
+distribution operations that integer weights replaced, and the recursive
+sat_bi that the witness search replaced, and compare old and new on
+generated programs, expressions, distributions and formulas.
 
 The next section restates how the rule generators once built the SRAssn
 and SDAssn post, the RCond branch triples and the Frame/Const subproof
@@ -52,23 +53,29 @@ from cslcheck.dist import (
     FinDist,
     Store,
     ZeroMassError,
+    _check_value,
     all_memories,
     condition,
     convex,
     exact_rational,
     independence,
     memory,
+    mix,
     parse_store,
     project,
     stat_dist,
     store_to_text,
     tensor,
     uniform_memories,
+    uniform_store,
     uniform_values,
+    value_len,
 )
 from cslcheck.semantics import (
     STUB_NAMES,
     UninterpretedSymbolError,
+    _compile,
+    _lift,
     bind_stub,
     eval_det,
     eval_expr,
@@ -89,6 +96,7 @@ from cslcheck.syntax import (
     StrType,
     Var,
     expr_to_text,
+    fv,
     parse_decls,
     parse_env,
     parse_expr,
@@ -407,6 +415,100 @@ def ref_run(p, env, n, d, symbols):
     )
 
 
+# The compiled kernel as it was before run forgot dead variables: it merged
+# away a variable's old value only at an assignment whose right-hand side
+# does not read it, and sent every assignment through mix. It is verbatim,
+# but for its name and the recursive calls.
+
+
+def ref_compiled_run(p, env, n, symbols, points, den):
+    """Run p on value tuples with integer weights over den."""
+    if not points or isinstance(p, Skip):
+        return points, den
+    if isinstance(p, Seq):
+        for s in p.stmts:
+            points, den = ref_compiled_run(s, env, n, symbols, points, den)
+        return points, den
+    names = env.names()
+    if isinstance(p, If):
+        g = names.index(p.guard)
+        parts = ({}, {})
+        for vals, w in points.items():
+            parts[vals[g] == "1"][vals] = w
+        then_out = ref_compiled_run(p.then_branch, env, n, symbols, parts[True], den)
+        else_out = ref_compiled_run(p.else_branch, env, n, symbols, parts[False], den)
+        return mix({0: 1, 1: 1}, 1, (then_out, else_out).__getitem__)  # by linearity
+    i = names.index(p.target)
+    if p.target not in fv(p.rhs):
+        # the old value is never read: merge the points that differ only there
+        points, den = mix(points, den, lambda v: ({v[:i] + (None,) + v[i + 1 :]: 1}, 1))
+    fn = _lift(_compile(p.rhs, names, n, symbols))
+
+    def assigned(vals):
+        ws, d = fn(vals)
+        return {vals[:i] + (v,) + vals[i + 1 :]: x for v, x in ws.items()}, d
+
+    out, den = mix(points, den, assigned)
+    width = value_len(env.lookup(p.target), n)
+    for v in {vals[i] for vals in out}:
+        _check_value(p.target, width, v)
+    return out, den
+
+
+def ref_compiled(p, env, n, d, symbols):
+    return FinDist.from_ints(*ref_compiled_run(p, env, n, symbols, *d.weights()))
+
+
+def ref_paths(p):
+    """Every path through p, as its accesses in order: (name, written)."""
+    if isinstance(p, Skip):
+        return [[]]
+    if isinstance(p, Assign):
+        return [[(v, False) for v in sorted(fv(p.rhs))] + [(p.target, True)]]
+    if isinstance(p, Seq):
+        paths = [[]]
+        for s in p.stmts:
+            paths = [a + b for a in paths for b in ref_paths(s)]
+        return paths
+    return [
+        [(p.guard, False)] + path
+        for branch in (p.then_branch, p.else_branch)
+        for path in ref_paths(branch)
+    ]
+
+
+def ref_dead(p):
+    """The variables that every path through p writes before it reads them."""
+    dead = None
+    for path in ref_paths(p):
+        first = {}
+        for v, written in path:
+            first.setdefault(v, written)
+        here = {v for v, written in first.items() if written}
+        dead = here if dead is None else dead & here
+    return dead
+
+
+def dead_kinds(p):
+    """Which of the three ways to die p shows: a variable dead at entry, one
+    that dies after a statement that reads it, one dead in only one branch
+    of a top-level If."""
+    stmts = p.stmts if isinstance(p, Seq) else (p,)
+    entry = ref_dead(p)
+    mid = any(ref_dead(seq(*stmts[i:])) - entry for i in range(1, len(stmts)))
+    one_branch = any(
+        ref_dead(seq(s.then_branch, *stmts[i + 1 :]))
+        != ref_dead(seq(s.else_branch, *stmts[i + 1 :]))
+        for i, s in enumerate(stmts)
+        if isinstance(s, If)
+    )
+    return {
+        "dead at entry": bool(entry),
+        "dies mid-program": mid,
+        "dead in one branch": one_branch,
+    }
+
+
 # Declared symbols for the differential: a random one with weights 1/3 and
 # 2/3 on Str[n] and one with weights 1/5 and 4/5 on Bool (neither dyadic),
 # and a deterministic one that each case binds to a random stub.
@@ -464,6 +566,7 @@ def _outcome(fn, *args):
 def test_compiled_kernel_agrees_with_the_per_memory_semantics():
     rng = random.Random(6)
     kinds = {"if": 0, "f": 0, "c": 0, "g": 0, "sub-unit": 0}
+    kinds.update({"dead at entry": 0, "dies mid-program": 0, "dead in one branch": 0})
     for case in range(320):
         env = _gen.gen_env(rng)
         n = rng.choice((1, 2, 3))
@@ -475,7 +578,13 @@ def test_compiled_kernel_agrees_with_the_per_memory_semantics():
             kinds["sub-unit"] += 1
         text = program_to_text(prog)
         want = _outcome(ref_run, prog, env, n, d, syms)
-        assert _outcome(run, env, prog, n, d, syms) == want, (case, text)
+        got = _outcome(run, env, prog, n, d, syms)
+        assert got == want, (case, text)
+        assert _outcome(ref_compiled, prog, env, n, d, syms) == want, (case, text)
+        if got[0] == "ok":
+            assert all(None not in m for m in got[1].support()), (case, text)
+        for kind, shown in dead_kinds(prog).items():
+            kinds[kind] += shown
         t = rng.choice([t for _, t in env.items()])
         e = _wrap(rng, _gen.gen_expr(rng, env, t), t)
         kinds["if"] += "if " in text
@@ -522,6 +631,52 @@ def test_a_stub_of_the_wrong_width_is_a_value_error():
     prog = parse_program("x := tail(h(x))", grow)
     with pytest.raises(ValueError, match="length-preserving"):
         run(env, prog, 2, d, grow)
+
+
+def _counting_identity(calls):
+    syms = parse_decls("decl g : Str[n] -> Str[n] det;")
+    identity = bind_stub(syms, "g", "identity").lookup("g").impl
+    return syms, syms.bind("g", lambda n, vals: calls.append(vals) or identity(n, vals))
+
+
+@pytest.mark.parametrize(
+    "env_text, text",
+    [
+        # c and k are dead at entry
+        ("{c: Str[n], k: Str[n], m: Str[n]}", "c := g(m); k := rnd()"),
+        # k dies right after rnd() writes it, before g is reached
+        ("{c: Str[n], k: Str[n], m: Str[n]}", "k := rnd(); c := g(m); k := m"),
+        # c and k are dead in the then branch only
+        (
+            "{b: Bool, c: Str[n], k: Str[n], m: Str[n]}",
+            "if b then c := g(m); k := rnd() else skip end",
+        ),
+    ],
+)
+def test_a_dead_variable_is_forgotten_before_any_work_reads_past_it(env_text, text):
+    # only the 2^n values of m reach g, whatever c and k held
+    calls = []
+    syms, counting = _counting_identity(calls)
+    env = parse_env(env_text)
+    prog = parse_program(text, syms)
+    for n in (1, 2, 3, 4):
+        d = uniform_store(env, [n]).at(n)
+        calls.clear()
+        got = run(env, prog, n, d, counting)
+        assert len(calls) == 2**n
+        assert got == ref_run(prog, env, n, d, counting)
+
+
+def test_the_kernel_before_forgetting_read_every_dead_value():
+    # the same count for c := g(m); k := rnd() was once per (k, m)
+    calls = []
+    syms, counting = _counting_identity(calls)
+    env = parse_env("{c: Str[n], k: Str[n], m: Str[n]}")
+    prog = parse_program("c := g(m); k := rnd()", syms)
+    for n in (1, 2, 3):
+        calls.clear()
+        ref_compiled(prog, env, n, uniform_store(env, [n]).at(n), counting)
+        assert len(calls) == 4**n
 
 
 # ---------------------------------------------------------------------------

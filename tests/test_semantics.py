@@ -1,6 +1,7 @@
 """Program execution over distributions and stores."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from cslcheck.semantics import (
     DEFAULT_MAX_BITS,
     STUB_NAMES,
     UninterpretedSymbolError,
+    _plan,
     bind_stub,
     check_bit_budget,
     eval_det,
@@ -39,6 +41,7 @@ from cslcheck.syntax import (
 from cslcheck.types import TypeCheckError
 
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
@@ -187,6 +190,43 @@ def test_run_preserves_subnormal_mass():
     d = FinDist({mem(env, x="0"): HALF})
     out = run(env, parse_program("x := not(x)"), 1, d)
     assert out == FinDist({mem(env, x="1"): HALF})
+
+
+# Dead variables: written before they are read on every path
+
+
+@pytest.mark.parametrize(
+    "env_text, text, dead",
+    [
+        ("{c: Str[n], k: Str[n], m: Str[n]}", "k := rnd(); c := xor(m, k)", {"c", "k"}),
+        ("{x: Bool}", "x := not(x)", set()),
+        ("{x: Bool, y: Bool}", "y := x; x := 0", {"y"}),
+        ("{b: Bool, x: Bool}", "if b then x := 0 else skip end", set()),
+        ("{b: Bool, x: Bool}", "if b then x := 0 else x := 1 end", {"x"}),
+        ("{x: Bool}", "if x then x := 0 else x := 1 end", set()),
+    ],
+)
+def test_dead_at_entry_and_no_forgotten_value_in_the_output(env_text, text, dead):
+    prog = parse_program(text)
+    assert _plan(prog, frozenset())[0] == dead
+    env = parse_env(env_text)
+    for n in (1, 2):
+        out = run(env, prog, n, uniform_memories(env, n))
+        assert out.is_proper()
+        assert all(None not in m for m in out.support())
+
+
+@pytest.mark.parametrize(
+    "name, dead",
+    [
+        ("otp.prog", {"c", "k"}),
+        ("potp.prog", {"c", "k"}),
+        ("exp_h2.prog", {"b0", "b1", "b2", "r0", "r1", "r2", "s0", "s1", "s2", "s3"}),
+    ],
+)
+def test_dead_at_entry_of_the_corpus_programs(name, dead):
+    prog = parse_program((CORPUS / name).read_text())
+    assert _plan(prog, frozenset())[0] == dead
 
 
 # Stores

@@ -15,7 +15,6 @@ that the fuzzer also tests the checks: the rule must reject those draws.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Optional
 
 from .dist import FinDist, Store, all_memories, uniform_memories
@@ -79,8 +78,7 @@ def gen_dist(rng: random.Random, env: Env, n: int) -> FinDist:
     k = rng.randint(1, min(4, len(mems)))
     pts = rng.sample(mems, k)
     weights = [rng.randint(1, 8) for _ in pts]
-    total = sum(weights)
-    return FinDist({m: Fraction(w, total) for m, w in zip(pts, weights)})
+    return FinDist.from_ints(dict(zip(pts, weights)), sum(weights))
 
 
 def gen_store(rng: random.Random, env: Env, ns) -> Store:
@@ -229,9 +227,7 @@ SIDE_CONDITION_SHARE = 0.25
 
 def _disjoint_envs(rng: random.Random, k1: int, k2: int):
     names = gen_names(rng, k1 + k2)
-    a = Env.make({nm: rng.choice(_TYPE_POOL) for nm in names[:k1]})
-    b = Env.make({nm: rng.choice(_TYPE_POOL) for nm in names[k1:]})
-    return a, b
+    return gen_env(rng, names=names[:k1]), gen_env(rng, names=names[k1:])
 
 
 def gen_scoped_assign(rng: random.Random, exact: bool):

@@ -3,6 +3,8 @@
 Each suite draws random cases from _gen, checks an exact law, and returns a
 SuiteResult whose failures list is empty on success. The same suites back the
 package's acceptance tests, so they stay deterministic for a fixed seed.
+Distributions the suites build themselves come from integer weights through
+FinDist.from_ints, since they are valid by construction.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def suite_pkrm(rng, cases, ns, result):
     """Tensor monoid laws and the projection preorder on stores."""
     for _ in range(cases):
         names = _gen.gen_names(rng, 3)
-        envs = [Env.make({nm: rng.choice(_gen._TYPE_POOL)}) for nm in names]
+        envs = [_gen.gen_env(rng, names=[nm]) for nm in names]
         stores = [_gen.gen_store(rng, e, ns) for e in envs]
         a, b, c = stores
         left = tensor(tensor(a, b), c)
@@ -258,14 +260,12 @@ def suite_axioms(rng, cases, ns, result):
         env = lhs.annotation
         family = {}
         for nn in ns:
-            pr = Fraction(1, 2 ** (nn + 1))
-            family[nn] = FinDist(
-                {
-                    memory(env, nn, values): pr
-                    for v in all_values(env.lookup("r"), nn)
-                    for values in points(v)
-                }
-            )
+            mems = [
+                memory(env, nn, values)
+                for v in all_values(env.lookup("r"), nn)
+                for values in points(v)
+            ]
+            family[nn] = FinDist.from_ints(dict.fromkeys(mems, 1), 2 ** (nn + 1))
         s = Store(env, family)
         if not (sat_formula(s, lhs) and sat_formula(s, rhs)):
             _note(result, f"{word} axiom fails on the derived uniform store")
@@ -333,8 +333,8 @@ def suite_split_merge(rng, cases, ns, result):
             for w2 in range(den + 1 - w1):
                 for w3 in range(den + 1 - w1 - w2):
                     weights = (w1, w2, w3, den - w1 - w2 - w3)
-                    d = FinDist(
-                        {m: Fraction(w, den) for m, w in zip(mems, weights) if w}
+                    d = FinDist.from_ints(
+                        {m: w for m, w in zip(mems, weights) if w}, den
                     )
                     a, b = verdicts(d)
                     if a != b:
@@ -351,18 +351,16 @@ def suite_split_merge(rng, cases, ns, result):
 def product_witness(s: Store, total: int) -> bool:
     """Whether s, at one n over two booleans, is the product of marginals
     with probabilities in multiples of 1/total: an exhaustive search over
-    the (total+1)^2 pairs, which builds each candidate marginal once."""
+    the (total+1)^2 pairs of marginal weights (a, total - a) and
+    (c, total - c), each compared with the four cells of s in integers."""
     (n,) = s.tested_ns()
-
-    def candidates(e: Env) -> list[Store]:
-        lo, hi = all_memories(e, n)
-        return [
-            Store(e, {n: FinDist({lo: Fraction(k, total), hi: 1 - Fraction(k, total)})})
-            for k in range(total + 1)
-        ]
-
-    xs, ys = (candidates(s.env.restrict((name,))) for name in s.env.names())
-    return any(tensor(u, v) == s for u in xs for v in ys)
+    weights, den = s.at(n).weights()
+    cells = [weights.get(m, 0) * total * total for m in all_memories(s.env, n)]
+    return any(
+        cells == [u * v * den for u in (a, total - a) for v in (c, total - c)]
+        for a in range(total + 1)
+        for c in range(total + 1)
+    )
 
 
 @_suite
@@ -378,7 +376,7 @@ def suite_independence(rng, cases, ns, result):
         if total == 0:
             continue
         points = zip(all_memories(env, n), weights)
-        s = Store(env, {n: FinDist({m: Fraction(w, total) for m, w in points if w})})
+        s = Store(env, {n: FinDist.from_ints({m: w for m, w in points if w}, total)})
         if sat_formula(s, f) != product_witness(s, total):
             _note(result, f"independence criterion disagrees at weights {weights}")
 

@@ -17,8 +17,9 @@ boundary: the public constructor, scale, prob, items, prob_texts, total,
 the result of stat_dist and the store file format. mix is the one integer
 bind: FinDist.bind, add, and the random assignments and conditionals of the
 program kernel go through it. merge is the one integer map: FinDist.map,
-and the kernel's deterministic assignments and forgetting of dead
-variables, go through it.
+project, and the kernel's deterministic assignments and forgetting of dead
+variables, go through it. _key is the one memory key on a sub-environment:
+project, tensor and independence key memories through it.
 
 Sub-unit total mass is permitted (the program semantics is linear and gets
 exercised on sub-distributions); stores and serialization require full
@@ -110,14 +111,6 @@ def _check_value(name: str, width: int, v) -> None:
         raise ValueError(f"value for {name} must be a bitstring, got {v!r}")
     if len(v) != width:
         raise ValueError(f"value for {name} must have {width} bit(s), got {len(v)}")
-
-
-def _picker(names: tuple[str, ...], target: Env) -> Callable[[tuple], tuple]:
-    """Maps a value tuple in names order to the values of target, in its order."""
-    idx = [names.index(k) for k in target.names()]
-    if len(idx) == 1:
-        return lambda vals, i=idx[0]: (vals[i],)
-    return itemgetter(*idx) if idx else lambda vals: ()
 
 
 def all_memories(env: Env, n: int) -> list[tuple]:
@@ -361,8 +354,12 @@ def project(s: Store, target: Env) -> Store:
         raise TypeCheckError("project", "target is not a sub-environment")
     if target == s.env:
         return s
-    pick = _picker(s.env.names(), target)
-    return Store.from_dists(target, {n: d.map(pick) for n, d in s.family.items()})
+    key = _key(s.env.names(), target)
+    family = {
+        n: FinDist.from_ints(_keyed_memories(merge(d._weights, key), target), d._den)
+        for n, d in s.family.items()
+    }
+    return Store.from_dists(target, family)
 
 
 def independence(
@@ -424,16 +421,16 @@ def tensor(a: Store, b: Store) -> Store:
     if a.family.keys() != b.family.keys():
         raise ValueError("stores are tested at different n sets")
     env = env_join(a.env, b.env)
-    pick = _picker(a.env.names() + b.env.names(), env)
+    key = _key(a.env.names() + b.env.names(), env)
     family = {}
     for n, da in a.family.items():
         db = b.family[n]
         acc = {
-            pick(x + y): wa * wb
+            key(x + y): wa * wb
             for x, wa in da._weights.items()
             for y, wb in db._weights.items()
         }
-        family[n] = FinDist.from_ints(acc, da._den * db._den)
+        family[n] = FinDist.from_ints(_keyed_memories(acc, env), da._den * db._den)
     return Store.from_dists(env, family)
 
 

@@ -1,8 +1,9 @@
 """The triple checker, semantic spot-validation, and rule soundness fuzzing.
 
 check_triple walks a proof tree top-down and checks each node against the
-shape of its named rule; _RULE_CHECKS is the only list of proof rules, and
-FUZZ_CASES of the rules the fuzzer draws. Failures carry the path of the
+shape of its named rule; _RULE_CHECKS is the only list of proof rules, with
+each rule's subproof count and check, and FUZZ_CASES of the rules the
+fuzzer draws. Failures carry the path of the
 shallowest failing node (root, root.children[1], ...) so scripts can point
 at the offending subproof.
 
@@ -69,10 +70,6 @@ class ProofError(Exception):
         self.message = message
 
 
-def _is_top(f: Formula) -> bool:
-    return isinstance(f.body, Top)
-
-
 def check_triple(
     tree: ProofTree,
     symbols: SymbolTable = NO_SYMBOLS,
@@ -98,9 +95,9 @@ def _check_node(
         raise ProofError(path, message)
 
     t = node.conclusion
-    checker = _RULE_CHECKS.get(node.rule)
-    if checker is None:
+    if node.rule not in _RULE_CHECKS:
         fail(f"unknown rule {node.rule!r}")
+    subproofs, checker = _RULE_CHECKS[node.rule]
     try:
         if t.env != parent_env:
             type_program(t.env, t.program, symbols)
@@ -113,18 +110,14 @@ def _check_node(
     if t.post.annotation != t.env:
         fail("postcondition annotation differs from the triple environment")
 
+    if len(node.children) != subproofs:
+        fail(f"{node.rule} takes {subproofs} subproof(s), got {len(node.children)}")
     checker(node, t, fail, symbols, registry, checked)
     for i, child in enumerate(node.children):
         _check_node(child, f"{path}.children[{i}]", symbols, registry, checked, t.env)
 
 
-def _need_children(node, k, fail):
-    if len(node.children) != k:
-        fail(f"{node.rule} takes {k} subproof(s), got {len(node.children)}")
-
-
 def _check_skip(node, t, fail, symbols, registry, checked):
-    _need_children(node, 0, fail)
     if not isinstance(t.program, Skip):
         fail("Skip applies to the empty program")
     if t.pre != t.post:
@@ -132,7 +125,6 @@ def _check_skip(node, t, fail, symbols, registry, checked):
 
 
 def _check_seq(node, t, fail, symbols, registry, checked):
-    _need_children(node, 2, fail)
     if node.mid is None:
         fail("Seq needs a mid formula")
     first, second = (child.conclusion for child in node.children)
@@ -151,9 +143,8 @@ def _assign_of(t, fail) -> Assign:
 
 
 def _check_plain_assign(node, t, fail, symbols, registry, checked, atom_kind):
-    _need_children(node, 0, fail)
     stmt = _assign_of(t, fail)
-    if not _is_top(t.pre):
+    if not isinstance(t.pre.body, Top):
         fail("the precondition must be T")
     want = Formula(Atom(atom_kind, (Var(stmt.target), stmt.rhs)), t.env)
     if t.post != want:
@@ -189,7 +180,6 @@ def scoped_post(t: HoareTriple, atom_kind: str, symbols, fail) -> Formula:
 
 
 def _check_scoped_assign(node, t, fail, symbols, registry, checked, atom_kind):
-    _need_children(node, 0, fail)
     want = scoped_post(t, atom_kind, symbols, fail)
     if t.post != want:
         fail(f"the postcondition must be {formula_to_text(want)}")
@@ -200,7 +190,7 @@ def rcond_premises(t: HoareTriple, fail) -> tuple[HoareTriple, HoareTriple]:
     value to t's postcondition."""
     if not isinstance(t.program, If):
         fail("RCond applies to a conditional")
-    if not _is_top(t.pre):
+    if not isinstance(t.pre.body, Top):
         fail("the precondition must be T")
     if not classify_exact(t.post):
         fail("the postcondition must be exact (no ~~ or U)")
@@ -213,7 +203,6 @@ def rcond_premises(t: HoareTriple, fail) -> tuple[HoareTriple, HoareTriple]:
 
 
 def _check_rcond(node, t, fail, symbols, registry, checked):
-    _need_children(node, 2, fail)
     want_then, want_else = rcond_premises(t, fail)
     then_child, else_child = node.children
     if then_child.conclusion != want_then:
@@ -223,7 +212,6 @@ def _check_rcond(node, t, fail, symbols, registry, checked):
 
 
 def _check_weak(node, t, fail, symbols, registry, checked):
-    _need_children(node, 1, fail)
     child = node.children[0].conclusion
     if child.env != t.env or child.program != t.program:
         fail("weakening keeps the environment and the program")
@@ -263,7 +251,6 @@ def composite_premise(t: HoareTriple, rule: str, fail) -> HoareTriple:
 
 
 def _check_composite(node, t, fail, symbols, registry, checked):
-    _need_children(node, 1, fail)
     want = composite_premise(t, node.rule, fail)
     child = node.children[0].conclusion
     if child.program != want.program:
@@ -275,16 +262,16 @@ def _check_composite(node, t, fail, symbols, registry, checked):
 
 
 _RULE_CHECKS = {
-    "Skip": _check_skip,
-    "Seq": _check_seq,
-    "Assn": partial(_check_plain_assign, atom_kind=ATOM_EQ),
-    "DAssn": partial(_check_plain_assign, atom_kind=ATOM_ESPL),
-    "SRAssn": partial(_check_scoped_assign, atom_kind=ATOM_EQ),
-    "SDAssn": partial(_check_scoped_assign, atom_kind=ATOM_ESPL),
-    "RCond": _check_rcond,
-    "Weak": _check_weak,
-    "Const": _check_composite,
-    "Frame": _check_composite,
+    "Skip": (0, _check_skip),
+    "Seq": (2, _check_seq),
+    "Assn": (0, partial(_check_plain_assign, atom_kind=ATOM_EQ)),
+    "DAssn": (0, partial(_check_plain_assign, atom_kind=ATOM_ESPL)),
+    "SRAssn": (0, partial(_check_scoped_assign, atom_kind=ATOM_EQ)),
+    "SDAssn": (0, partial(_check_scoped_assign, atom_kind=ATOM_ESPL)),
+    "RCond": (2, _check_rcond),
+    "Weak": (1, _check_weak),
+    "Const": (1, _check_composite),
+    "Frame": (1, _check_composite),
 }
 
 

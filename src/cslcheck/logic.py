@@ -9,8 +9,10 @@ search_annotation, which tries every disjoint sub-environment split for a
 witnessing product; sat_bi holds when it finds a witness.
 
 Entailments between annotated formulas are checked only against explicit
-step-by-step certificates; see check_hilbert. Leaf steps are named axiom
-schemas checked by match_axiom. _SCHEMA_MATCHERS is the only list of
+step-by-step certificates; see check_hilbert. A step is Trans, a schema
+instance, or a core rule: _CORE_RULES is the only list of core rules, with
+the number of premises each takes. Leaf steps are named axiom schemas
+checked by match_axiom. _SCHEMA_MATCHERS is the only list of
 schemas: DEFAULT_REGISTRY enables each of them and Trans, and a --schemas
 file may enable fewer. The S, T, W and U1 schemas and Ax_SPL/Ax_MRG are
 defined only by their entries in SCHEMA_TEMPLATES, which one unifier matches:
@@ -707,11 +709,7 @@ def load_registry(path: Optional[str] = None) -> frozenset[str]:
     if path is None:
         return DEFAULT_REGISTRY
     with open(path, "r", encoding="utf-8") as fh:
-        return _registry_from_text(fh.read())
-
-
-def _registry_from_text(text: str) -> frozenset[str]:
-    doc = load_json(text)
+        doc = load_json(fh.read())
     names = doc.get("enabled") if isinstance(doc, dict) else None
     if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
         raise ValueError('schemas file must be {"enabled": [name, ...]}')
@@ -756,32 +754,31 @@ class CertError(Exception):
         self.message = message
 
 
-def _check_core_step(step, get_premise, fail) -> None:
+_CORE_RULES = {
+    **dict.fromkeys(("AP", "TopI", "BotE", "StarC", "StarA1", "StarA2"), 0),
+    **dict.fromkeys(("AndE1", "AndE2"), 1),
+    **dict.fromkeys(("AndI", "StarI"), 2),
+}
+
+
+def _check_core_step(step, premises: list, fail) -> None:
+    """Check a core rule step, given as many premises as _CORE_RULES says."""
     lhs, rhs, rule = step.lhs, step.rhs, step.rule
-
-    def premises(k):
-        if len(step.premises) != k:
-            fail(f"{rule} needs exactly {k} premise(s), got {len(step.premises)}")
-        return [get_premise(sid) for sid in step.premises]
-
     if rule == "AP":
-        premises(0)
         if lhs != rhs:
             fail("AP needs identical sides")
     elif rule == "TopI":
-        premises(0)
         if not isinstance(rhs.body, Top):
             fail("TopI concludes T")
         if rhs.annotation != lhs.annotation:
             fail("TopI keeps the annotation")
     elif rule == "BotE":
-        premises(0)
         if not isinstance(lhs.body, Bot):
             fail("BotE starts from F")
         if rhs.annotation != lhs.annotation:
             fail("BotE keeps the annotation")
     elif rule == "AndI":
-        p1, p2 = premises(2)
+        p1, p2 = premises
         if p1.lhs != lhs or p2.lhs != lhs:
             fail("AndI premises must share the hypothesis")
         if not isinstance(rhs.body, And):
@@ -796,7 +793,7 @@ def _check_core_step(step, get_premise, fail) -> None:
         if not formula_ext(rhs.body.right, p2.rhs):
             fail("right conjunct must relabel into the second premise conclusion")
     elif rule in ("AndE1", "AndE2"):
-        (p,) = premises(1)
+        (p,) = premises
         if p.lhs != lhs:
             fail("the premise must share the hypothesis")
         if not isinstance(p.rhs.body, And):
@@ -806,7 +803,7 @@ def _check_core_step(step, get_premise, fail) -> None:
         if rhs != Formula(picked.body, delta):
             fail("the conclusion must be the selected conjunct at the outer annotation")
     elif rule == "StarI":
-        p1, p2 = premises(2)
+        p1, p2 = premises
         if not isinstance(lhs.body, Star) or not isinstance(rhs.body, Star):
             fail("StarI rewrites a separating conjunction componentwise")
         if lhs.annotation != rhs.annotation:
@@ -821,15 +818,13 @@ def _check_core_step(step, get_premise, fail) -> None:
             ):
                 fail("component conclusions may only shrink their annotation")
     elif rule == "StarC":
-        premises(0)
         if not isinstance(lhs.body, Star) or not isinstance(rhs.body, Star):
             fail("StarC swaps a separating conjunction")
         if lhs.annotation != rhs.annotation:
             fail("StarC keeps the outer annotation")
         if rhs.body.left != lhs.body.right or rhs.body.right != lhs.body.left:
             fail("StarC must swap the two components unchanged")
-    elif rule in ("StarA1", "StarA2"):
-        premises(0)
+    else:  # StarA1, StarA2
         src, dst = (lhs, rhs) if rule == "StarA1" else (rhs, lhs)
         # src = (a * (b * c)), dst = ((a * b) * c), inner nodes at joins
         if not isinstance(src.body, Star) or not isinstance(src.body.right.body, Star):
@@ -847,8 +842,6 @@ def _check_core_step(step, get_premise, fail) -> None:
             fail("the inner node must be annotated with the join of its children")
         if lhs.annotation != rhs.annotation:
             fail("reassociation keeps the outer annotation")
-    else:
-        fail(f"unknown step rule {rule!r}")
 
 
 def check_hilbert(
@@ -859,8 +852,9 @@ def check_hilbert(
 ) -> tuple[Formula, Formula]:
     """Check every step of a derivation; returns the root conclusion.
 
-    A step is Trans, a schema instance, or one of the core rules that
-    _check_core_step knows; any other rule name fails there.
+    A step is Trans, a schema instance, or one of _CORE_RULES, which
+    _check_core_step checks once its premise count is right; any other rule
+    name fails.
     checked is as for wf_formula_once: check_triple passes one for all the
     certificates and nodes of a tree.
     """
@@ -904,8 +898,13 @@ def check_hilbert(
                 match_axiom(step.rule, step.lhs, step.rhs, symbols, registry, checked)
             except SchemaError as exc:
                 fail(str(exc))
+        elif step.rule in _CORE_RULES:
+            k, got = _CORE_RULES[step.rule], len(step.premises)
+            if got != k:
+                fail(f"{step.rule} needs exactly {k} premise(s), got {got}")
+            _check_core_step(step, [get_premise(pid) for pid in step.premises], fail)
         else:
-            _check_core_step(step, get_premise, fail)
+            fail(f"unknown step rule {step.rule!r}")
         seen[sid] = step
     root = cert.step(cert.root)
     if root is None:

@@ -1146,6 +1146,23 @@ def _resolve_formula(
 # Parser entry points
 
 
+def _parse(
+    text: str,
+    read: Callable,
+    symbols: SymbolTable = NO_SYMBOLS,
+    memo: Optional[dict] = None,
+    decls: bool = False,
+):
+    """The symbol table and read(p) of a _Parser p over text, read after
+    p's decl preamble when decls is set; the text must end there."""
+    p = _Parser(text, symbols, memo)
+    if decls:
+        p.decls()
+    result = read(p)
+    p.expect("")
+    return p.symbols, result
+
+
 def parse_program(text: str, symbols: SymbolTable = NO_SYMBOLS) -> Program:
     """Parse a program, allowing an optional decl preamble."""
     return parse_program_with_decls(text, symbols)[1]
@@ -1154,11 +1171,7 @@ def parse_program(text: str, symbols: SymbolTable = NO_SYMBOLS) -> Program:
 def parse_program_with_decls(
     text: str, symbols: SymbolTable = NO_SYMBOLS
 ) -> tuple[SymbolTable, Program]:
-    p = _Parser(text, symbols)
-    p.decls()
-    prog = p.program()
-    p.expect("")  # eof
-    return p.symbols, prog
+    return _parse(text, _Parser.program, symbols, decls=True)
 
 
 def parse_formula(
@@ -1176,47 +1189,28 @@ def parse_formula(
 def parse_formula_with_decls(
     text: str, symbols: SymbolTable = NO_SYMBOLS, memo: Optional[dict] = None
 ) -> tuple[SymbolTable, Formula]:
-    p = _Parser(text, symbols, memo)
-    p.decls()
-    f = p.formula()
-    p.expect("")
-    return p.symbols, f
+    return _parse(text, _Parser.formula, symbols, memo, decls=True)
 
 
 def parse_expr(text: str, symbols: SymbolTable = NO_SYMBOLS) -> Expr:
-    p = _Parser(text, symbols)
-    e = p.expr()
-    p.expect("")
-    return e
+    return _parse(text, _Parser.expr, symbols)[1]
 
 
 def parse_type(text: str) -> Type:
-    p = _Parser(text)
-    t = p.type_()
-    p.expect("")
-    return t
+    return _parse(text, _Parser.type_)[1]
 
 
 def parse_env(text: str, memo: Optional[dict] = None) -> Env:
     """Parse an environment; memo as for parse_formula."""
-    p = _Parser(text, memo=memo)
-    env = p.env()
-    p.expect("")
-    return env
+    return _parse(text, _Parser.env, memo=memo)[1]
 
 
 def parse_poly(text: str) -> SizePoly:
-    p = _Parser(text)
-    poly = p.poly()
-    p.expect("")
-    return poly
+    return _parse(text, _Parser.poly)[1]
 
 
 def parse_decls(text: str, symbols: SymbolTable = NO_SYMBOLS) -> SymbolTable:
-    p = _Parser(text, symbols)
-    p.decls()
-    p.expect("")
-    return p.symbols
+    return _parse(text, _Parser.decls, symbols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1247,6 +1241,15 @@ def load_json(text: str):
     key raises ValueError (see unique_keys), and so does an integer of more
     than MAX_DIGITS digits. Invalid JSON raises json.JSONDecodeError."""
     return json.loads(text, object_pairs_hook=unique_keys, parse_int=_json_int)
+
+
+def _load_document(text: str, what: str):
+    """load_json(text), with invalid JSON raised as a ValueError naming
+    what the document is."""
+    try:
+        return load_json(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _json_str(obj: dict, key: str, where: str) -> str:
@@ -1364,10 +1367,7 @@ def parse_proof_with_decls(
     The document is {"decls": [...], "root": node}; every node carries
     rule, env, pre, program, post, optional witnesses, and children.
     """
-    try:
-        doc = load_json(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"proof script is not valid JSON: {exc}") from exc
+    doc = _load_document(text, "proof script")
     if not isinstance(doc, dict):
         raise ValueError("proof script must be a JSON object")
     for i, decl in enumerate(_json_list(doc, "decls", "proof script", str)):
@@ -1409,8 +1409,4 @@ def proof_to_text(t: ProofTree, decls: Optional[list[str]] = None) -> str:
 
 
 def parse_cert(text: str, symbols: SymbolTable = NO_SYMBOLS) -> EntailmentCert:
-    try:
-        doc = load_json(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"certificate is not valid JSON: {exc}") from exc
-    return _cert_from_obj(doc, symbols, "cert", {})
+    return _cert_from_obj(_load_document(text, "certificate"), symbols, "cert", {})

@@ -99,6 +99,8 @@ def _as_bits(t: Type):
 
 def _type_app(env: Env, e: App, symbols: SymbolTable, path: str) -> Type:
     name = e.fname
+    if e.size_args and name not in ("setzero", "head", "tail"):
+        raise TypeCheckError(path, f"{name} takes no size annotation")
     if name == "rnd":
         _want_arity(e, 0, path)
         return StrType(POLY_N)
@@ -287,8 +289,7 @@ def _wf_compound(f: Formula, b, symbols: SymbolTable, path: str, checked) -> Non
         raise TypeCheckError(
             path, f"separating conjunction domains overlap on {sorted(overlap)}"
         )
-    joined = env_join(left.annotation, right.annotation)
-    if not env_ext(joined, f.annotation):
+    if not all(env_ext(child.annotation, f.annotation) for child in (left, right)):
         raise TypeCheckError(
             path, "joined child annotations do not extend into the parent"
         )

@@ -623,6 +623,12 @@ def test_an_ill_typed_statement_is_named_by_its_index(tmp_path, capsys):
     )
 
 
+def test_run_refuses_a_size_annotation_no_typing_rule_reads(tmp_path, capsys):
+    path = write(tmp_path, "sized.prog", "x := rnd[n+1]()")
+    assert main(["run", path, "--env", "{x: Str[n]}", "--n", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: program.rhs: rnd takes no size annotation\n")
+
+
 def test_store_prob_must_be_exact():
     def store(*probs):
         entries = [{"values": {"x": x}, "prob": p} for x, p in zip("01", probs)]

@@ -119,6 +119,32 @@ def test_annotation_must_match_env():
     expect_error(doc, "annotation")
 
 
+# Each rule takes a fixed number of subproofs, checked before its shape
+
+SUBPROOFS = {
+    "Skip": 0, "Seq": 2, "Assn": 0, "DAssn": 0, "SRAssn": 0, "SDAssn": 0,
+    "RCond": 2, "Weak": 1, "Const": 1, "Frame": 1,
+}
+WRONG_ARITIES = [
+    (rule, got) for rule, k in SUBPROOFS.items() for got in (k - 1, k + 1) if got >= 0
+]
+
+
+def test_the_arity_table_names_every_rule():
+    assert set(SUBPROOFS) == set(hoare._RULE_CHECKS)
+
+
+@pytest.mark.parametrize("rule, got", WRONG_ARITIES)
+def test_a_rule_with_the_wrong_number_of_subproofs_says_so(rule, got):
+    node = {"rule": rule, "env": "{x: Bool}", "pre": "(T){x: Bool}",
+            "program": "skip", "post": "(T){x: Bool}"}
+    doc = {"root": {**node, "children": [{**node, "rule": "Skip"}] * got}}
+    with pytest.raises(ProofError) as exc_info:
+        check(json.dumps(doc))
+    want = f"root: {rule} takes {SUBPROOFS[rule]} subproof(s), got {got}"
+    assert str(exc_info.value) == want
+
+
 # Scoped assignment
 
 

@@ -680,6 +680,38 @@ def test_check_hilbert_rejects_unknown_rule():
         check_hilbert(c)
 
 
+PREMISES = {
+    "AP": 0, "TopI": 0, "BotE": 0, "AndI": 2, "AndE1": 1, "AndE2": 1,
+    "StarI": 2, "StarC": 0, "StarA1": 0, "StarA2": 0,
+}
+WRONG_PREMISES = [
+    (rule, got) for rule, k in PREMISES.items() for got in (k - 1, k + 1) if got >= 0
+]
+
+
+@pytest.mark.parametrize("rule, got", WRONG_PREMISES)
+def test_a_core_step_with_the_wrong_number_of_premises_says_so(rule, got):
+    p = step("p", "AP", "(T)" + D, "(T)" + D)
+    c = cert([p, step("s", rule, "(T)" + D, "(T)" + D, ["p"] * got)], "s")
+    with pytest.raises(CertError) as exc_info:
+        check_hilbert(c)
+    want = f"step s: {rule} needs exactly {PREMISES[rule]} premise(s), got {got}"
+    assert str(exc_info.value) == want
+
+
+@pytest.mark.parametrize("rule, premises, want", [
+    ("Trans", ["p"], "Trans needs exactly 2 premises"),
+    ("Trans", ["p"] * 3, "Trans needs exactly 2 premises"),
+    ("W1", ["p"], "schema instances take no premises"),
+])
+def test_trans_and_schema_steps_check_their_premise_counts(rule, premises, want):
+    p = step("p", "AP", "(T)" + D, "(T)" + D)
+    c = cert([p, step("s", rule, "(x == y)" + D, "(x ~~ y)" + D, premises)], "s")
+    with pytest.raises(CertError) as exc_info:
+        check_hilbert(c)
+    assert str(exc_info.value) == f"step s: {want}"
+
+
 def test_check_hilbert_rejects_bad_ap():
     c = cert([step("a", "AP", "(T)" + D, "(F)" + D)], "a")
     with pytest.raises(CertError, match="identical"):

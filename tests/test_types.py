@@ -85,6 +85,28 @@ def test_declared_symbol_instantiation():
         type_expr(ENV, parse_expr("g(r)", sym), sym)
 
 
+# every symbol but setzero, head and tail, each with a size annotation
+SIZED = [
+    ("rnd", "rnd[n+1]()"),
+    ("not", "not[1](b)"),
+    ("xor", "xor[7](s, s)"),
+    ("concat", "concat[2](a, b)"),
+    ("g", "g[3](s)"),
+]
+
+
+@pytest.mark.parametrize("name, expr", SIZED)
+def test_a_size_annotation_no_typing_rule_reads_is_refused(name, expr):
+    sym = parse_decls("decl g : Str[n] -> Str[n] det;")
+    env = "{a: Str[1], b: Bool, s: Str[n]}"
+    with pytest.raises(TypeCheckError) as exc_info:
+        type_program(parse_env(env), parse_program(f"s := {expr}", sym), sym)
+    assert str(exc_info.value) == f"program.rhs: {name} takes no size annotation"
+    with pytest.raises(TypeCheckError) as exc_info:
+        wf_formula(parse_formula(f"(U({expr})){env}", sym), sym)
+    assert str(exc_info.value) == f"formula: {name} takes no size annotation"
+
+
 # Program typing
 
 

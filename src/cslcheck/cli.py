@@ -137,13 +137,13 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     symbols, program = parse_program_with_decls(_read(args.program))
     symbols = _apply_binds(symbols, args.bind)
-    if args.input:
+    if (args.input is None) == (args.env is None):
+        raise ValueError("run takes exactly one of --input STORE and --env ENV")
+    if args.input is not None:
         store = _select_ns(parse_store(_read(args.input)), args.n)
-    elif args.env:
+    else:
         ns = _parse_ns("1,2,3" if args.n is None else args.n)
         store = zero_store(parse_env(args.env), ns)
-    else:
-        raise ValueError("need --input STORE or --env ENV to run against")
     type_program(store.env, program, symbols)
     check_bit_budget(store.env, store.tested_ns(), args.max_bits)
     out = run_store(store, program, symbols)
@@ -180,10 +180,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_properties(args) -> int:
-    ns = _parse_ns(args.n_set)
     if args.cases < 1:
         raise ValueError(f"--cases must be >= 1, got {args.cases}")
-    results = [suite(args.seed, args.cases, ns) for suite in ALL_SUITES]
+    results = [suite(args.seed, args.cases, (1, 2)) for suite in ALL_SUITES]
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated n values (default: every n of --input; "
         "1,2,3 with --env)",
     )
-    p.add_argument("--input", help="input store JSON (default: zeroed --env)")
+    p.add_argument("--input", help="input store JSON (or give --env)")
     p.add_argument("--env", help="environment text for an all-zero input store")
     _add_bind(p)
     p.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
@@ -251,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("properties", help="run the property suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=60)
-    p.add_argument("--n-set", default="1,2", dest="n_set")
     return parser
 
 

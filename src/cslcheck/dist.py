@@ -350,16 +350,21 @@ def zero_store(env: Env, ns: Iterable[int]) -> Store:
 def project(s: Store, target: Env) -> Store:
     """The marginal of s on target, a sub-environment of s.env; s itself
     when target is all of s.env."""
-    if not env_ext(target, s.env):
-        raise TypeCheckError("project", "target is not a sub-environment")
     if target == s.env:
         return s
+    _need_sub_env(target, s.env)
     key = _key(s.env.names(), target)
     family = {
         n: FinDist.from_ints(_keyed_memories(merge(d._weights, key), target), d._den)
         for n, d in s.family.items()
     }
     return Store.from_dists(target, family)
+
+
+def _need_sub_env(target: Env, env: Env) -> None:
+    if not env_ext(target, env):
+        where = f"{env_to_text(target)} is not a sub-environment of {env_to_text(env)}"
+        raise TypeCheckError("project", where)
 
 
 def independence(
@@ -378,8 +383,7 @@ def independence(
     mass too.
     """
     for target in (left, right):
-        if not env_ext(target, s.env):
-            raise TypeCheckError("project", "target is not a sub-environment")
+        _need_sub_env(target, s.env)
     joint = project(s, env_join(left, right))
     names = joint.env.names()
     key_left, key_right = _key(names, left), _key(names, right)

@@ -1,9 +1,11 @@
 """Formula satisfaction, axiom schemas, and the entailment checker.
 
-Satisfaction is decided exactly on explicit stores. The separating
-conjunction is decided by the product-of-marginals criterion: the store's
-marginal on the joined child domains must be within epsilon of the product
-of the two child marginals, a distance dist.independence gives exactly.
+Satisfaction is decided exactly on explicit stores. An annotated formula
+is read on the store's marginal on its annotation, so the store may hold
+more variables than the annotation. The separating conjunction is decided
+by the product-of-marginals criterion: the store's marginal on the joined
+child domains must be within epsilon of the product of the two child
+marginals, a distance dist.independence gives exactly.
 Plain (annotation-free) satisfaction is the witness search
 search_annotation, which tries every disjoint sub-environment split for a
 witnessing product; sat_bi holds when it finds a witness.
@@ -20,7 +22,9 @@ each template variable stands for one expression, and an annotation stands
 for the instance's outer annotation where the template has its outer one,
 else for the outer annotation restricted to the variables of what its names
 are bound to. S0 and T0 take only T (at the outer annotation) as
-hypothesis. The remaining schemas have hand-written matchers.
+hypothesis. The remaining schemas have hand-written matchers. match_axiom
+checks both sides for well-formedness first, so a matcher checks only
+what well-formedness leaves open.
 """
 
 from __future__ import annotations
@@ -90,13 +94,12 @@ def sat_atom(
     epsilon: Fraction = ZERO,
     symbols: SymbolTable = NO_SYMBOLS,
 ) -> bool:
-    """Decide an atomic formula on a store over exactly its annotation."""
+    """Decide an atomic formula on the marginal of s on its annotation."""
     a = f.body
     if not isinstance(a, Atom):
         raise ValueError("sat_atom needs an atomic formula")
-    if s.env != f.annotation:
-        raise TypeCheckError("sat_atom", "store environment differs from annotation")
     env = f.annotation
+    s = project(s, env)
     t = type_expr(env, a.args[0], symbols) if a.kind == ATOM_U else None
     tolerance = ZERO if a.kind == ATOM_EQ else epsilon  # == is exact in every mode
     for n in s.tested_ns():
@@ -122,11 +125,10 @@ def sat_formula(
     epsilon: Fraction = ZERO,
     symbols: SymbolTable = NO_SYMBOLS,
 ) -> bool:
-    """Decide an annotated formula on a store over exactly its annotation."""
-    if s.env != f.annotation:
-        raise TypeCheckError(
-            "sat_formula", "store environment differs from annotation"
-        )
+    """Decide f on the marginal of s on f's annotation; project raises
+    TypeCheckError, naming both environments, unless that annotation is a
+    sub-environment of s.env."""
+    s = project(s, f.annotation)
     b = f.body
     if isinstance(b, Top):
         return True
@@ -136,15 +138,14 @@ def sat_formula(
         return sat_atom(s, f, epsilon, symbols)
     left, right = b.left, b.right
     if isinstance(b, And):
-        lproj = project(s, left.annotation)
-        rproj = project(s, right.annotation)
+        lstore = rstore = s
     else:
         parts = _independent(s, left.annotation, right.annotation, epsilon)
         if parts is None:
             return False
-        lproj, rproj = parts
-    return sat_formula(lproj, left, epsilon, symbols) and sat_formula(
-        rproj, right, epsilon, symbols
+        lstore, rstore = parts
+    return sat_formula(lstore, left, epsilon, symbols) and sat_formula(
+        rstore, right, epsilon, symbols
     )
 
 
@@ -173,9 +174,9 @@ def entailment_holds_on(
     check is that the lhs marginal satisfying lhs forces the rhs marginal to
     satisfy rhs.
     """
-    if not sat_formula(project(s, lhs.annotation), lhs, epsilon, symbols):
+    if not sat_formula(s, lhs, epsilon, symbols):
         return True
-    return sat_formula(project(s, rhs.annotation), rhs, epsilon, symbols)
+    return sat_formula(s, rhs, epsilon, symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +432,7 @@ def _match_ax_potp(lhs, rhs, symbols, schema):
     x = al.args[0]
     e = ar.args[0]
     _want(
-        isinstance(e, App) and e.args == (x,) and not e.size_args,
+        isinstance(e, App) and e.args == (x,),
         schema,
         "the conclusion must be U of a declared symbol applied to the same variable",
     )
@@ -442,10 +443,9 @@ def _match_ax_potp(lhs, rhs, symbols, schema):
         f"side condition violated: {x.name} must have type Str[n]",
     )
     sym = symbols.lookup(e.fname)
-    _want(sym is not None, schema, f"{e.fname} is not a declared symbol")
     _want(sym.kind == DET, schema, f"{e.fname} must be deterministic")
     _want(
-        sym.arg_types == (StrType(POLY_N),) and isinstance(sym.result_type, StrType),
+        isinstance(sym.result_type, StrType),
         schema,
         f"{e.fname} must be declared Str[n] -> Str[p]",
     )
@@ -472,7 +472,6 @@ def _match_aux1(lhs, rhs, symbols, schema):
     )
     _want(isinstance(ls.right.body, Top), schema, "right component must be T")
     m1 = ls.right.annotation
-    _want(k.name not in m1, schema, f"{k.name} must not occur in the right component")
     rs = _star_of(rhs, schema, "the conclusion")
     ua = _atom_of(rs.left, ATOM_U, schema, "the left conclusion component")
     _want(ua.args[0] == k, schema, "the conclusion must claim U of the same variable")
@@ -512,16 +511,6 @@ def _match_aux2(lhs, rhs, symbols, schema):
     _want(m_var.name in m_env, schema, f"{m_var.name} must be in the framed component")
     _want(c.name not in m_env, schema, f"{c.name} must not be in the framed component")
     _want(c.name not in xi, schema, f"{c.name} must not occur in the uniform component")
-    _want(
-        m_var.name not in xi,
-        schema,
-        f"{m_var.name} must not occur in the uniform component",
-    )
-    _want(
-        fv(d_expr) <= set(xi.names()),
-        schema,
-        "the xored expression must live in the uniform component",
-    )
     rs = _star_of(rhs, schema, "the conclusion")
     _want(isinstance(rs.left.body, Top), schema, "left conclusion component must be T")
     _want(
@@ -539,7 +528,7 @@ def _match_aux2(lhs, rhs, symbols, schema):
 
 
 def _match_xorpi1(lhs, rhs, symbols, schema):
-    delta = _same_outer(lhs, rhs, schema)
+    _same_outer(lhs, rhs, schema)
     al = _atom_of(lhs, ATOM_ESPL, schema, "the hypothesis")
     _want(
         isinstance(al.args[0], Var) and isinstance(al.args[1], Lit),
@@ -548,22 +537,12 @@ def _match_xorpi1(lhs, rhs, symbols, schema):
     )
     rb = _and_of(rhs, schema, "the conclusion")
     _want(isinstance(rb.left.body, Top), schema, "the first conjunct must be T")
-    _want(
-        env_ext(rb.left.annotation, delta),
-        schema,
-        "the T annotation must extend into the outer annotation",
-    )
     ar = _atom_of(rb.right, ATOM_ESPL, schema, "the second conjunct")
     _want(ar == al, schema, "the pinned atom must be preserved")
-    _want(
-        env_ext(rb.right.annotation, delta),
-        schema,
-        "the atom annotation must extend into the outer annotation",
-    )
 
 
 def _match_xorpi2(lhs, rhs, symbols, schema):
-    delta = _same_outer(lhs, rhs, schema)
+    _same_outer(lhs, rhs, schema)
     land = _and_of(lhs, schema, "the hypothesis")
     ca = _atom_of(land.left, ATOM_ESPL, schema, "the first conjunct")
     ka = _atom_of(land.right, ATOM_ESPL, schema, "the second conjunct")
@@ -603,12 +582,6 @@ def _match_xorpi2(lhs, rhs, symbols, schema):
         "the assigned expression must match the pinned guard bit"
         f" (expected {'not of the message' if bit == '1' else 'the message'})",
     )
-    for v in (c, k, m):
-        _want(
-            delta.lookup(v.name) == BoolType(),
-            schema,
-            f"{v.name} must be Bool",
-        )
 
 
 def _match_relabel(lhs, rhs, symbols, schema):
@@ -654,31 +627,25 @@ def _match_commassoc(lhs, rhs, symbols, schema):
     )
 
 
-def _star_unit_parts(f: Formula, schema: str, what: str) -> Formula:
-    b = _star_of(f, schema, what)
+def _match_star_unit(lhs, rhs, symbols, schema):
+    """StarUnitE drops a T component over the empty environment from the
+    hypothesis, StarUnitI adds one to the conclusion."""
+    sides = [(lhs, "the hypothesis"), (rhs, "the conclusion")]
+    if schema == "StarUnitI":
+        sides.reverse()
+    (star, what), (plain, plain_what) = sides
+    b = _star_of(star, schema, what)
     unit = mk_top(EMPTY_ENV)
-    if b.right == unit:
-        return b.left
-    if b.left == unit:
-        return b.right
-    raise SchemaError(schema, f"{what} must have a T component over the empty environment")
-
-
-def _match_star_unit_e(lhs, rhs, symbols, schema):
-    kept = _star_unit_parts(lhs, schema, "the hypothesis")
     _want(
-        rhs == Formula(kept.body, lhs.annotation),
+        unit in (b.left, b.right),
         schema,
-        "the conclusion must be the non-unit component at the outer annotation",
+        f"{what} must have a T component over the empty environment",
     )
-
-
-def _match_star_unit_i(lhs, rhs, symbols, schema):
-    kept = _star_unit_parts(rhs, schema, "the conclusion")
+    kept = b.left if b.right == unit else b.right
     _want(
-        lhs == Formula(kept.body, rhs.annotation),
+        plain == Formula(kept.body, star.annotation),
         schema,
-        "the hypothesis must be the non-unit component at the outer annotation",
+        f"{plain_what} must be the non-unit component at the outer annotation",
     )
 
 
@@ -691,8 +658,8 @@ _SCHEMA_MATCHERS: dict[str, Callable] = {
     "XorPi2": _match_xorpi2,
     "Relabel": _match_relabel,
     "CommAssoc": _match_commassoc,
-    "StarUnitE": _match_star_unit_e,
-    "StarUnitI": _match_star_unit_i,
+    "StarUnitE": _match_star_unit,
+    "StarUnitI": _match_star_unit,
 }
 
 

@@ -125,7 +125,6 @@ class SizePoly:
         return SizePoly.make(out)
 
 
-POLY_ZERO = SizePoly.const(0)
 POLY_ONE = SizePoly.const(1)
 POLY_N = SizePoly((0, 1))
 

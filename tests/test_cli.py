@@ -232,6 +232,17 @@ def test_run_respects_bit_budget(otp_prog, capsys):
     assert "bit" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize(
+    "sources", [["--input", str(CORPUS / "pair.store"), "--env", "{x: Bool}"], []]
+)
+def test_run_takes_exactly_one_of_input_and_env(tmp_path, capsys, sources):
+    # s := r runs on pair.store, so only the choice of store can refuse it
+    program = write(tmp_path, "p.prog", "s := r")
+    assert main(["run", program] + sources) == 2
+    want = "error: run takes exactly one of --input STORE and --env ENV\n"
+    assert capsys.readouterr().err == want
+
+
 def test_run_bad_flags(capsys, otp_prog):
     assert main(["run", otp_prog, "--env", "{x: Bool", "--n", "1"]) == 2
     assert main(["run", otp_prog, "--env", OTP_ENV, "--n", "zero"]) == 2
@@ -278,6 +289,19 @@ def test_eval_bad_epsilon_is_a_usage_error(otp_prog, tmp_path, capsys, epsilon):
     f = write(tmp_path, "ind.f", "(m ~~ c)" + OTP_ENV)
     assert main(["eval", f, store, "--epsilon", epsilon]) == 2
     assert only_an_error_line(capsys.readouterr().err)
+
+
+def test_eval_reads_the_store_marginal_on_the_annotation(tmp_path, capsys):
+    f = write(tmp_path, "r.f", "(U(r)){r: Str[n]}")
+    assert main(["eval", f, str(CORPUS / "pair.store")]) == 0
+    assert capsys.readouterr().out == "n=1: true\nn=2: true\noverall: true\n"
+    f = write(tmp_path, "q.f", "(U(q)){q: Bool}")
+    assert main(["eval", f, str(CORPUS / "pair.store")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: project: {q: Bool} is not a sub-environment of {r: Str[n], s: Str[n]}\n"
+    )
 
 
 def test_eval_restricts_to_requested_n(otp_prog, tmp_path, capsys):
@@ -708,9 +732,12 @@ def test_interrupts_pass_through_main(monkeypatch):
         main(["check", "x.proof"])
 
 
-def test_properties_n_set(capsys):
-    assert main(["properties", "--cases", "1", "--n-set", "1"]) == 0
-    capsys.readouterr()
+def test_properties_has_no_n_set(capsys):
+    # the suites run at n = 1, 2; a larger n could run for minutes
+    with pytest.raises(SystemExit) as exc:
+        main(["properties", "--cases", "1", "--n-set", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-set 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])
@@ -747,6 +774,11 @@ FUZZ_FORMULAS = [
     "(r == head(s)){r: Str[n], s: Bool}",
     "(r == z){r: Str[n], s: Bool}",
     "((U(r)){r: Str[n]}){r: Str[n], s: Bool}",
+    # a sub-environment, a super-environment and a disjoint environment of
+    # the store's
+    "(U(r)){r: Str[n]}",
+    "(U(r)){r: Str[n], s: Bool, t: Bool}",
+    "(T){q: Bool}",
 ]
 FORMULA_TOKENS = [
     "(", ")", "{", "}", "[", "]", ":", ",", "r", "s", "z", "n", "1", "+",

@@ -1,13 +1,18 @@
 """Satisfaction, axiom schemas, and the entailment derivation checker."""
 
 import importlib.util
+import json
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cslcheck.dist import FinDist, Store, memory, uniform_store, zero_store
+from cslcheck import _gen
+from cslcheck.dist import FinDist, Store, memory, project, uniform_store, zero_store
+from cslcheck.hoare import ProofError, check_triple
 from cslcheck.logic import (
     SCHEMA_TEMPLATES,
     CertError,
@@ -39,6 +44,8 @@ from cslcheck.syntax import (
     parse_decls,
     parse_env,
     parse_formula,
+    parse_formula_with_decls,
+    parse_proof,
     parse_proof_with_decls,
 )
 from cslcheck.types import TypeCheckError, wf_formula
@@ -80,6 +87,31 @@ def test_sat_requires_matching_env():
     s = uniform_store(parse_env("{x: Bool}"), (1,))
     with pytest.raises(Exception):
         sat_formula(s, parse_formula("(T){y: Bool}"))
+
+
+def test_sat_reads_the_marginal_on_the_annotation():
+    rng = random.Random(28)
+    counts = Counter()
+    for _ in range(300):
+        env = _gen.gen_env(rng, 2, 4)
+        names = env.names()
+        sub = env.restrict(rng.sample(names, rng.randint(1, len(names) - 1)))
+        f = _gen.gen_formula(rng, sub)
+        s = _gen.gen_store(rng, env, (1, 2))  # over more variables than f
+        for epsilon in (Fraction(0), Fraction(1, 4)):
+            verdict = sat_formula(s, f, epsilon)
+            assert verdict == sat_formula(project(s, f.annotation), f, epsilon)
+            counts[epsilon, verdict] += 1
+    assert len(counts) == 4 and min(counts.values()) >= 50, counts
+
+
+def test_sat_names_both_environments_when_the_store_lacks_a_variable():
+    s = uniform_store(parse_env("{x: Bool, y: Str[n]}"), (1,))
+    for f in ("(T){z: Bool}", "(U(x)){x: Str[n]}", "(x == x){x: Bool, z: Bool}"):
+        with pytest.raises(TypeCheckError) as exc:
+            sat_formula(s, parse_formula(f))
+        want = f"project: {f[f.index('{'):]} is not a sub-environment of"
+        assert str(exc.value) == want + " {x: Bool, y: Str[n]}"
 
 
 def test_sat_uniform_atom():
@@ -477,6 +509,148 @@ def test_star_unit_schemas():
     heavy = parse_formula("((U(x)){x: Bool} * (T){y: Bool}){x: Bool, y: Bool}")
     with pytest.raises(SchemaError):
         match_axiom("StarUnitE", heavy, parse_formula("(U(x)){x: Bool, y: Bool}"))
+
+
+CKM = "{c: Str[n], k: Str[n], m: Str[n]}"
+B3 = "{c: Bool, k: Bool, m: Bool}"
+# A condition the matchers and the DAssn rule do not check themselves, an
+# instance that breaks only it, and the well-formedness error that refuses
+# the instance first: match_axiom checks both sides, and check_triple a
+# node's post, before the matcher or the rule runs.
+DECIDED_BY_WELL_FORMEDNESS = {
+    "Ax_POTP: g is a declared symbol": (
+        "Ax_POTP",
+        "(U(k)){k: Str[n]}",
+        # parsed under its own declaration, matched under the hypothesis's
+        "decl g : Str[n] -> Str[n+1] det; (U(g(k))){k: Str[n]}",
+        "formula: unknown function symbol g",
+    ),
+    "Ax_POTP: no built-in symbol stands for g": (
+        "Ax_POTP",
+        "(U(k)){k: Str[n]}",
+        "(U(tail(k))){k: Str[n]}",
+        "formula: tail needs a string of size p+1, got Str[n]",
+    ),
+    "Ax_POTP: g takes Str[n]": (
+        "Ax_POTP",
+        "decl g : Str[n+1] -> Str[n+2] det; (U(k)){k: Str[n]}",
+        "(U(g(k))){k: Str[n]}",
+        "formula.g[0]: expected Str[n+1], got Str[n]",
+    ),
+    "Ax_POTP: g takes no size annotation": (
+        "Ax_POTP",
+        "decl g : Str[n] -> Str[n+1] det; (U(k)){k: Str[n]}",
+        "(U(g[1](k))){k: Str[n]}",
+        "formula: g takes no size annotation",
+    ),
+    "AuxPOTP1: k stays out of the right component": (
+        "AuxPOTP1",
+        "(((T){} /\\ (k == rnd()){k: Str[n]}){k: Str[n]} * (T)" + CKM + ")" + CKM,
+        "((U(k)){k: Str[n]} * (T){m: Str[n]})" + CKM,
+        "formula: separating conjunction domains overlap on ['k']",
+    ),
+    "AuxPOTP2: m stays out of the uniform component": (
+        "AuxPOTP2",
+        "((c .= xor(m, k))" + CKM + " /\\ ((U(k)){k: Str[n], m: Str[n]}"
+        " * (T){m: Str[n]}){k: Str[n], m: Str[n]})" + CKM,
+        "((T){m: Str[n]} * (U(c)){c: Str[n]})" + CKM,
+        "formula.right: separating conjunction domains overlap on ['m']",
+    ),
+    "AuxPOTP2: the xored expression lives in the uniform component": (
+        "AuxPOTP2",
+        "((c .= xor(m, k))" + CKM + " /\\ ((U(k)){}"
+        " * (T){m: Str[n]}){k: Str[n], m: Str[n]})" + CKM,
+        "((T){m: Str[n]} * (U(c)){c: Str[n]})" + CKM,
+        "formula.right.left: unbound variable k",
+    ),
+    "XorPi1: the T annotation extends into the outer one": (
+        "XorPi1",
+        "(k .= 1)" + B3,
+        "((T){c: Bool, k: Bool, m: Bool, z: Bool} /\\ (k .= 1){k: Bool})" + B3,
+        "formula.left: conjunct annotation does not extend into the parent",
+    ),
+    "XorPi1: the atom annotation extends into the outer one": (
+        "XorPi1",
+        "(k .= 1)" + B3,
+        "((T)" + B3 + " /\\ (k .= 1){k: Bool, m: Str[n]})" + B3,
+        "formula.right: conjunct annotation does not extend into the parent",
+    ),
+    "XorPi2: m is Bool": (
+        "XorPi2",
+        "((c .= m) /\\ (k .= 0)){c: Str[n], k: Bool, m: Str[n]}",
+        "(c .= xor(k, m)){c: Str[n], k: Bool, m: Str[n]}",
+        "formula.rhs: xor requires equal sizes: Bool vs Str[n]",
+    ),
+    "XorPi2: c is Bool": (
+        "XorPi2",
+        "((c .= not(m)) /\\ (k .= 1)){c: Str[n], k: Bool, m: Bool}",
+        "(c .= xor(k, m)){c: Str[n], k: Bool, m: Bool}",
+        "formula.left: atom operand types differ: Str[n] vs Bool",
+    ),
+    "XorPi2: k is Bool": (
+        "XorPi2",
+        "((c .= not(m)) /\\ (k .= 1)){c: Bool, k: Str[n], m: Bool}",
+        "(c .= xor(k, m)){c: Bool, k: Str[n], m: Bool}",
+        "formula.right: atom operand types differ: Str[n] vs Bool",
+    ),
+    "DAssn: .= gets a deterministic expression": (
+        "DAssn",
+        "(T){k: Str[n]}",
+        "(k .= rnd()){k: Str[n]}",
+        "root: formula.rhs: .= applies only to deterministic expressions",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "rule, lhs, rhs, want",
+    DECIDED_BY_WELL_FORMEDNESS.values(),
+    ids=DECIDED_BY_WELL_FORMEDNESS,
+)
+def test_well_formedness_decides_what_the_matchers_do_not_check(rule, lhs, rhs, want):
+    # a SchemaError is neither exception, so it fails the test
+    with pytest.raises((TypeCheckError, ProofError)) as exc:
+        if rule == "DAssn":
+            node = {"rule": rule, "env": "{k: Str[n]}", "pre": lhs,
+                    "program": "k := rnd()", "post": rhs, "children": []}
+            check_triple(parse_proof(json.dumps({"root": node})))
+        else:
+            symbols, lhs = parse_formula_with_decls(lhs)
+            _, rhs = parse_formula_with_decls(rhs, symbols)
+            match_axiom(rule, lhs, rhs, symbols)
+    assert str(exc.value) == want
+
+
+STARRED = "((U(x)){x: Bool} * (T){}){x: Bool}"
+UNIT_FIRST = "((T){} * (U(x)){x: Bool}){x: Bool}"
+NO_UNIT = "((U(x)){x: Bool} * (T){y: Bool}){x: Bool, y: Bool}"
+
+
+@pytest.mark.parametrize(
+    "schema, lhs, rhs, want",
+    [
+        ("StarUnitE", "(U(x)){x: Bool}", "(U(x)){x: Bool}",
+         "the hypothesis must be a separating conjunction"),
+        ("StarUnitE", NO_UNIT, "(U(x)){x: Bool, y: Bool}",
+         "the hypothesis must have a T component over the empty environment"),
+        ("StarUnitE", STARRED, "(F){x: Bool}",
+         "the conclusion must be the non-unit component at the outer annotation"),
+        ("StarUnitE", UNIT_FIRST, "(U(x)){x: Bool, y: Bool}",
+         "the conclusion must be the non-unit component at the outer annotation"),
+        ("StarUnitI", "(U(x)){x: Bool}", "(U(x)){x: Bool}",
+         "the conclusion must be a separating conjunction"),
+        ("StarUnitI", "(U(x)){x: Bool, y: Bool}", NO_UNIT,
+         "the conclusion must have a T component over the empty environment"),
+        ("StarUnitI", "(F){x: Bool}", STARRED,
+         "the hypothesis must be the non-unit component at the outer annotation"),
+        ("StarUnitI", "(U(x)){x: Bool, y: Bool}", UNIT_FIRST,
+         "the hypothesis must be the non-unit component at the outer annotation"),
+    ],
+)
+def test_star_unit_failures_say_which_side_is_wrong(schema, lhs, rhs, want):
+    with pytest.raises(SchemaError) as exc:
+        match_axiom(schema, parse_formula(lhs), parse_formula(rhs))
+    assert str(exc.value) == f"{schema}: {want}"
 
 
 def schema_steps(tree):
